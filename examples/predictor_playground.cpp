@@ -94,9 +94,9 @@ main()
                 (unsigned long long)func.stats.loads());
 
     report("history-based (LVP)",
-           sim::runLvpOnly(prog, core::LvpConfig::simple()));
+           sim::runPredictorOnly(prog, core::LvpConfig::simple()));
     report("stride-detecting",
-           sim::runStrideOnly(prog, core::StrideConfig::simple()));
+           sim::runPredictorOnly(prog, core::StrideConfig::simple()));
 
     std::printf("\nExpected: both predict the constant; only the "
                 "stride unit follows the array walk;\nneither "

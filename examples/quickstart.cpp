@@ -40,7 +40,7 @@ main()
                 prof.total().pctDepth1(), prof.total().pctDepthN());
 
     // 4. LVP unit alone (Tables 3-4).
-    auto lvp = sim::runLvpOnly(prog, core::LvpConfig::simple());
+    auto lvp = sim::runPredictorOnly(prog, core::LvpConfig::simple());
     std::printf("LVP Simple: %.1f%% of loads predicted, %.1f%% accuracy, "
                 "%.1f%% constants\n",
                 lvp.predictionRate(), lvp.accuracy(), lvp.constantRate());

@@ -1,22 +1,26 @@
 /**
  * @file
- * The paper's decoupled three-phase methodology (Section 5), on disk:
+ * The paper's decoupled methodology (Section 5), with phase 1 on disk:
  *
- *   phase 1  trace generation     -> grep.trace   (26 B/instruction)
- *   phase 2  LVP-unit simulation  -> grep.annot   (2 bits PER LOAD)
- *   phase 3  timing simulation    <- trace + annotations, merged
+ *   phase 1  trace generation     -> grep.trace (a few B/instruction)
+ *   phase 2  LVP-unit simulation  \  one replay of the stored trace:
+ *   phase 3  timing simulation    /  LvpAnnotator -> Ppc620Model
  *
  * The paper separated these phases "to shift complexity out of the
  * microarchitectural models ... and to conserve trace bandwidth by
- * passing only two bits of state per load." This example shows the
- * same separation through lvplib's trace-file API and verifies the
- * decoupled run times identically to the fused in-memory pipeline.
+ * passing only two bits of state per load." Here the LVP unit stamps
+ * those two bits (a PredState) into each load record as the stored
+ * trace streams past, and the timing model reads nothing else from
+ * the predictor. The example verifies that the replayed run times
+ * identically to the fused in-memory pipeline.
  *
- * Usage: trace_pipeline [benchmark] [scale]   (files go to /tmp)
+ * Usage: trace_pipeline [benchmark] [scale]
+ * (the trace goes to the system temp directory and is removed after)
  */
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #include "core/lvp_unit.hh"
@@ -38,8 +42,10 @@ main(int argc, char **argv)
     if (scale == 0)
         scale = 2;
 
-    const std::string trace_path = "/tmp/lvplib_" + name + ".trace";
-    const std::string annot_path = "/tmp/lvplib_" + name + ".annot";
+    const std::string trace_path =
+        (std::filesystem::temp_directory_path() /
+         ("lvplib_" + name + ".trace"))
+            .string();
 
     auto prog = workloads::findWorkload(name).build(
         workloads::CodeGen::Ppc, scale);
@@ -60,52 +66,35 @@ main(int argc, char **argv)
                     trace_path.c_str());
     }
 
-    // ---- phase 2: LVP simulation over the stored trace -------------
-    std::uint64_t loads = 0;
+    // ---- phases 2+3: LVP annotation feeding the timing model --------
+    uarch::Ppc620Model model(uarch::Ppc620Config::base620(), true);
+    core::LvpAnnotator annot(core::LvpConfig::simple(), model);
     {
-        trace::AnnotationRecorder recorder;
-        core::LvpAnnotator annot(core::LvpConfig::simple(), recorder);
         // The fingerprint argument rejects a trace generated from a
         // different program instead of replaying garbage.
         trace::TraceFileReader reader(trace_path, prog,
                                       trace::programFingerprint(prog));
         reader.replay(annot);
-        loads = recorder.stream().size();
-        recorder.stream().save(annot_path);
-        std::printf("phase 2: %llu loads annotated at 2 bits each "
-                    "(%zu bytes) -> %s\n",
-                    (unsigned long long)loads,
-                    recorder.stream().storageBytes(),
-                    annot_path.c_str());
-        const auto &st = annot.unit().stats();
-        std::printf("         %.1f%% predicted, %.1f%% accuracy, "
-                    "%.1f%% constants\n",
-                    st.predictionRate(), st.accuracy(),
-                    st.constantRate());
     }
-
-    // ---- phase 3: timing from trace + annotation files -------------
-    uarch::Ppc620Model model(uarch::Ppc620Config::base620(), true);
-    {
-        auto stream = trace::AnnotationStream::load(annot_path);
-        trace::AnnotationMerger merger(stream, model);
-        trace::TraceFileReader reader(trace_path, prog);
-        reader.replay(merger);
-        std::printf("phase 3: %llu cycles, IPC %.3f\n",
-                    (unsigned long long)model.stats().cycles,
-                    model.stats().ipc());
-    }
+    const auto &st = annot.unit().stats();
+    std::printf("phase 2: %llu loads annotated: %.1f%% predicted, "
+                "%.1f%% accuracy, %.1f%% constants\n",
+                (unsigned long long)st.loads, st.predictionRate(),
+                st.accuracy(), st.constantRate());
+    std::printf("phase 3: %llu cycles, IPC %.3f\n",
+                (unsigned long long)model.stats().cycles,
+                model.stats().ipc());
 
     // ---- cross-check against the fused in-memory pipeline ----------
     auto fused = sim::runPpc620(prog, uarch::Ppc620Config::base620(),
                                 core::LvpConfig::simple());
+    bool same = fused.timing.cycles == model.stats().cycles &&
+                fused.lvp == st;
     std::printf("fused pipeline: %llu cycles (%s)\n",
                 (unsigned long long)fused.timing.cycles,
-                fused.timing.cycles == model.stats().cycles
-                    ? "identical, as required"
-                    : "MISMATCH - this is a bug");
+                same ? "identical, as required"
+                     : "MISMATCH - this is a bug");
 
     std::remove(trace_path.c_str());
-    std::remove(annot_path.c_str());
-    return fused.timing.cycles == model.stats().cycles ? 0 : 1;
+    return same ? 0 : 1;
 }

@@ -27,12 +27,6 @@ namespace fs = std::filesystem;
 using workloads::CodeGen;
 using workloads::Workload;
 
-class NullSink : public trace::TraceSink
-{
-  public:
-    void consume(const trace::TraceRecord &) override {}
-};
-
 /** Everything an architectural-equivalence check compares. */
 struct ArchSnapshot
 {
@@ -50,7 +44,7 @@ runAnnotated(const isa::Program &prog, const core::LvpConfig &cfg,
              std::uint64_t maxInstructions)
 {
     vm::Interpreter interp(prog);
-    NullSink null;
+    trace::NullSink null;
     core::LvpAnnotator annot(cfg, null);
     interp.run(&annot, maxInstructions);
     ArchSnapshot s;
@@ -283,7 +277,7 @@ runChaosCampaign(const CampaignOptions &opts, std::ostream &out)
         bool caught = false;
         try {
             vm::Interpreter interp(*progs[0]);
-            NullSink null;
+            trace::NullSink null;
             sim::WatchdogSink wd(&null, /*wallLimitMs=*/0,
                                  /*recordBudget=*/1000);
             interp.run(&wd, opts.maxInstructions);

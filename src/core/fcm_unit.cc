@@ -182,4 +182,6 @@ FcmUnit::restore(const Snapshot &s)
     lct_ = s.lct;
 }
 
+template class Annotator<FcmUnit>;
+
 } // namespace lvplib::core

@@ -26,22 +26,6 @@
 namespace lvplib::core
 {
 
-/** Parameters of an FCM prediction unit. */
-struct FcmConfig
-{
-    std::uint32_t level1Entries = 1024; ///< per-pc context hashes
-    std::uint32_t level2Entries = 4096; ///< context -> value table
-    unsigned order = 2;                 ///< values folded into the context
-    std::uint32_t lctEntries = 256;
-    std::uint32_t lctBits = 2;
-
-    /** A budget comparable to the paper's Simple configuration. */
-    static FcmConfig simple();
-
-    /** lvp_fatal on any parameter the table math cannot support. */
-    void validate() const;
-};
-
 /**
  * Two-level value predictor with the same gating LCT as the paper's
  * unit. No CVU: a context-based prediction has no single memory
@@ -82,7 +66,7 @@ class FcmUnit : public ValuePredictor
 
   public:
     /** Checkpointable predictor state (stats excluded), mirroring
-     *  LvpUnit::Snapshot for sharded replay. */
+     *  LvpUnit::Snapshot for session resume. */
     struct Snapshot
     {
         std::vector<Word> contexts;
@@ -106,6 +90,8 @@ class FcmUnit : public ValuePredictor
     Lct lct_;
     LvpStats stats_;
 };
+
+extern template class Annotator<FcmUnit>;
 
 } // namespace lvplib::core
 

@@ -244,8 +244,8 @@ LvpUnit::restore(const Snapshot &s)
     lct_ = s.lct;
     cvu_ = s.cvu;
     bhr_ = s.bhr;
-    // Resuming the fault-stream counter keeps a chaos-armed sharded
-    // replay injecting exactly the faults the serial replay would.
+    // Resuming the fault-stream counter keeps a chaos-armed resumed
+    // unit injecting exactly the faults an uninterrupted one would.
     chaosLoads_ = s.chaosLoads;
 }
 
@@ -290,36 +290,6 @@ LvpUnit::restoreState(const std::any &s)
     restore(*snap);
 }
 
-void
-LvpAnnotator::annotate(trace::TraceRecord &out)
-{
-    const auto &inst = *out.inst;
-    if (inst.load()) {
-        out.pred = unit_.onLoad(out.pc, out.effAddr, out.value,
-                                inst.accessSize());
-    } else if (inst.store()) {
-        unit_.onStore(out.effAddr, inst.accessSize());
-    } else if (inst.branch()) {
-        unit_.onBranch(out.taken);
-    }
-}
-
-void
-LvpAnnotator::consume(const trace::TraceRecord &rec)
-{
-    trace::TraceRecord out = rec;
-    annotate(out);
-    downstream_.consume(out);
-}
-
-void
-LvpAnnotator::consumeBatch(std::span<const trace::TraceRecord> recs)
-{
-    batch_.assign(recs.begin(), recs.end());
-    for (trace::TraceRecord &out : batch_)
-        annotate(out);
-    downstream_.consumeBatch(std::span<const trace::TraceRecord>(
-        batch_.data(), batch_.size()));
-}
+template class Annotator<LvpUnit>;
 
 } // namespace lvplib::core

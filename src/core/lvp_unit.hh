@@ -1,8 +1,8 @@
 /**
  * @file
  * The Load Value Prediction Unit: LVPT + LCT + CVU composed per paper
- * Section 3.4, plus the statistics behind Tables 3 and 4. Also the
- * LvpAnnotator trace-pipeline stage, which annotates every dynamic
+ * Section 3.4, plus the statistics behind Tables 3 and 4. Also names
+ * the LvpAnnotator trace-pipeline stage, which annotates every dynamic
  * load with its PredState — the paper's phase-2 simulator, which
  * passes only two bits of state per load into the timing models.
  */
@@ -48,8 +48,8 @@ struct LvpStats
     /**
      * Accumulate @p o into this. Every field is a plain event count,
      * so stats from consecutive replay segments sum to exactly the
-     * stats of one serial pass — the property sharded replay's
-     * stitching step depends on.
+     * stats of one serial pass — the property a resumed lvp-serve
+     * session's final stats depend on.
      */
     LvpStats &operator+=(const LvpStats &o);
 
@@ -166,27 +166,8 @@ class LvpUnit : public ValuePredictor
  * load's PredState into the record, and forwards everything
  * downstream.
  */
-class LvpAnnotator : public trace::TraceSink
-{
-  public:
-    LvpAnnotator(const LvpConfig &config, trace::TraceSink &downstream)
-        : unit_(config), downstream_(downstream)
-    {}
-
-    void consume(const trace::TraceRecord &rec) override;
-    void consumeBatch(std::span<const trace::TraceRecord> recs) override;
-    void finish() override { downstream_.finish(); }
-
-    const LvpUnit &unit() const { return unit_; }
-
-  private:
-    /** Run the LVP unit over @p out, stamping its pred in place. */
-    void annotate(trace::TraceRecord &out);
-
-    LvpUnit unit_;
-    trace::TraceSink &downstream_;
-    std::vector<trace::TraceRecord> batch_; ///< annotated copies
-};
+using LvpAnnotator = Annotator<LvpUnit>;
+extern template class Annotator<LvpUnit>;
 
 } // namespace lvplib::core
 

@@ -243,4 +243,6 @@ SkewStrideUnit::restoreState(const std::any &s)
     restore(*snap);
 }
 
+template class Annotator<SkewStrideUnit>;
+
 } // namespace lvplib::core

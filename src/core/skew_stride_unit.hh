@@ -25,22 +25,6 @@
 namespace lvplib::core
 {
 
-/** Parameters of a skewed-associative stride prediction unit. */
-struct SkewStrideConfig
-{
-    std::uint32_t entriesPerWay = 256; ///< power of two
-    unsigned ways = 3;                 ///< skewed ways (1..8)
-    unsigned tagBits = 10;             ///< partial tag width (1..16)
-    unsigned confBits = 3;             ///< stride confidence width
-    unsigned replaceThreshold = 1; ///< conf <= this: stride replaceable
-
-    /** A budget comparable to the paper's Simple configuration. */
-    static SkewStrideConfig simple();
-
-    /** lvp_fatal on any parameter the table math cannot support. */
-    void validate() const;
-};
-
 /**
  * Skewed-associative stride unit. No LCT (per-entry confidence
  * gates instead) and no CVU, so stats().constants stays 0.
@@ -95,6 +79,8 @@ class SkewStrideUnit : public ValuePredictor
     std::vector<std::vector<Entry>> ways_;
     LvpStats stats_;
 };
+
+extern template class Annotator<SkewStrideUnit>;
 
 } // namespace lvplib::core
 

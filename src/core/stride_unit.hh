@@ -30,25 +30,9 @@
 namespace lvplib::core
 {
 
-/** Parameters of a stride prediction unit. */
-struct StrideConfig
-{
-    std::uint32_t entries = 1024; ///< direct-mapped, untagged
-    std::uint32_t lctEntries = 256;
-    std::uint32_t lctBits = 2;
-    std::uint32_t cvuEntries = 32;
-    unsigned strideConfBits = 2; ///< confidence before using a stride
-
-    /** Same table budget as the paper's Simple configuration. */
-    static StrideConfig simple();
-
-    /** lvp_fatal on any parameter the table math cannot support. */
-    void validate() const;
-};
-
 /**
  * Stride-based load value prediction unit. Interface mirrors LvpUnit
- * so the two can be swapped behind the same annotation pipeline.
+ * so the two can be swapped behind the same Annotator.
  */
 class StrideLvpUnit : public ValuePredictor
 {
@@ -82,7 +66,7 @@ class StrideLvpUnit : public ValuePredictor
 
   public:
     /** Checkpointable predictor state (stats excluded), mirroring
-     *  LvpUnit::Snapshot for sharded replay. */
+     *  LvpUnit::Snapshot for session resume. */
     struct Snapshot
     {
         std::vector<Entry> table;
@@ -111,26 +95,7 @@ class StrideLvpUnit : public ValuePredictor
     LvpStats stats_;
 };
 
-/**
- * Annotator stage for the stride unit, mirroring LvpAnnotator.
- */
-class StrideAnnotator : public trace::TraceSink
-{
-  public:
-    StrideAnnotator(const StrideConfig &config,
-                    trace::TraceSink &downstream)
-        : unit_(config), downstream_(downstream)
-    {}
-
-    void consume(const trace::TraceRecord &rec) override;
-    void finish() override { downstream_.finish(); }
-
-    const StrideLvpUnit &unit() const { return unit_; }
-
-  private:
-    StrideLvpUnit unit_;
-    trace::TraceSink &downstream_;
-};
+extern template class Annotator<StrideLvpUnit>;
 
 } // namespace lvplib::core
 

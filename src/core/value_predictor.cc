@@ -1,6 +1,8 @@
 #include "core/value_predictor.hh"
 
 #include <memory>
+#include <sstream>
+#include <type_traits>
 
 #include "core/fcm_unit.hh"
 #include "core/lvp_unit.hh"
@@ -11,35 +13,107 @@
 namespace lvplib::core
 {
 
+namespace
+{
+
+/** The unit class a config (as seen by a std::visit lambda) builds. */
+template <typename Config>
+using UnitFor = typename std::decay_t<Config>::Unit;
+
+/** Append one fingerprint component behind a separator that never
+ *  occurs in configuration names. */
+template <typename T>
+void
+part(std::ostringstream &os, const T &v)
+{
+    os << '|' << v;
+}
+
+void
+fields(std::ostringstream &os, const LvpConfig &c)
+{
+    os << "lvp";
+    part(os, c.name);
+    for (auto v : {c.lvptEntries, c.historyDepth, c.lctEntries,
+                   c.lctBits, c.cvuEntries, c.cvuWays, c.bhrBits})
+        part(os, v);
+    part(os, c.perfectPrediction);
+    part(os, c.taggedLvpt);
+}
+
+void
+fields(std::ostringstream &os, const StrideConfig &c)
+{
+    os << "stride";
+    for (auto v : {c.entries, c.lctEntries, c.lctBits, c.cvuEntries,
+                   c.strideConfBits})
+        part(os, v);
+}
+
+void
+fields(std::ostringstream &os, const FcmConfig &c)
+{
+    os << "fcm";
+    for (auto v : {c.level1Entries, c.level2Entries, c.order,
+                   c.lctEntries, c.lctBits})
+        part(os, v);
+}
+
+void
+fields(std::ostringstream &os, const VtageConfig &c)
+{
+    os << "vtage";
+    for (auto v : {c.baseEntries, c.bankEntries, c.banks, c.tagBits,
+                   c.confBits, c.minHistory, c.throttle})
+        part(os, v);
+}
+
+void
+fields(std::ostringstream &os, const SkewStrideConfig &c)
+{
+    os << "skewstride";
+    for (auto v : {c.entriesPerWay, c.ways, c.tagBits, c.confBits,
+                   c.replaceThreshold})
+        part(os, v);
+}
+
+} // namespace
+
+std::string
+fingerprint(const PredictorSpec &spec)
+{
+    std::ostringstream os;
+    std::visit([&](const auto &cfg) { fields(os, cfg); }, spec);
+    return os.str();
+}
+
+std::unique_ptr<ValuePredictor>
+makePredictor(const PredictorSpec &spec)
+{
+    return std::visit(
+        [](const auto &cfg) -> std::unique_ptr<ValuePredictor> {
+            return std::make_unique<UnitFor<decltype(cfg)>>(cfg);
+        },
+        spec);
+}
+
 const std::vector<PredictorInfo> &
 predictorRegistry()
 {
     static const std::vector<PredictorInfo> registry = {
         {"lvp", "paper LVPT+LCT+CVU last-value unit (Simple)",
-         []() -> std::unique_ptr<ValuePredictor> {
-             return std::make_unique<LvpUnit>(LvpConfig::simple());
-         }},
+         LvpConfig::simple()},
         {"stride", "direct-mapped stride unit with LCT gate and CVU",
-         []() -> std::unique_ptr<ValuePredictor> {
-             return std::make_unique<StrideLvpUnit>(
-                 StrideConfig::simple());
-         }},
+         StrideConfig::simple()},
         {"fcm", "two-level finite-context-method unit with LCT gate",
-         []() -> std::unique_ptr<ValuePredictor> {
-             return std::make_unique<FcmUnit>(FcmConfig::simple());
-         }},
+         FcmConfig::simple()},
         {"vtage",
          "tagged geometric-history context unit with confidence "
          "saturation and mispredict-burst throttling",
-         []() -> std::unique_ptr<ValuePredictor> {
-             return std::make_unique<VtageUnit>(VtageConfig::simple());
-         }},
+         VtageConfig::simple()},
         {"skewstride",
          "3-way skewed-associative tagged stride unit (SVP training)",
-         []() -> std::unique_ptr<ValuePredictor> {
-             return std::make_unique<SkewStrideUnit>(
-                 SkewStrideConfig::simple());
-         }},
+         SkewStrideConfig::simple()},
     };
     return registry;
 }
@@ -53,36 +127,17 @@ findPredictor(std::string_view name)
     return nullptr;
 }
 
-void
-PredictorAnnotator::annotate(trace::TraceRecord &out)
+PredictorAnnotator::PredictorAnnotator(const PredictorSpec &spec,
+                                       trace::TraceSink &downstream)
 {
-    const auto &inst = *out.inst;
-    if (inst.load()) {
-        out.pred = unit_->onLoad(out.pc, out.effAddr, out.value,
-                                 inst.accessSize());
-    } else if (inst.store()) {
-        unit_->onStore(out.effAddr, inst.accessSize());
-    } else if (inst.branch()) {
-        unit_->onBranch(out.taken);
-    }
-}
-
-void
-PredictorAnnotator::consume(const trace::TraceRecord &rec)
-{
-    trace::TraceRecord out = rec;
-    annotate(out);
-    downstream_.consume(out);
-}
-
-void
-PredictorAnnotator::consumeBatch(std::span<const trace::TraceRecord> recs)
-{
-    batch_.assign(recs.begin(), recs.end());
-    for (trace::TraceRecord &out : batch_)
-        annotate(out);
-    downstream_.consumeBatch(std::span<const trace::TraceRecord>(
-        batch_.data(), batch_.size()));
+    std::visit(
+        [&](const auto &cfg) {
+            auto stage = std::make_unique<Annotator<UnitFor<decltype(cfg)>>>(
+                cfg, downstream);
+            unit_ = &stage->unit();
+            stage_ = std::move(stage);
+        },
+        spec);
 }
 
 } // namespace lvplib::core

@@ -277,4 +277,6 @@ VtageUnit::restoreState(const std::any &s)
     restore(*snap);
 }
 
+template class Annotator<VtageUnit>;
+
 } // namespace lvplib::core

@@ -32,28 +32,6 @@
 namespace lvplib::core
 {
 
-/** Parameters of a VTAGE prediction unit. */
-struct VtageConfig
-{
-    std::uint32_t baseEntries = 1024; ///< untagged last-value bank
-    std::uint32_t bankEntries = 256;  ///< entries per tagged bank
-    unsigned banks = 4;               ///< tagged banks (1..8)
-    unsigned tagBits = 11;            ///< partial tag width (1..16)
-    unsigned confBits = 3;            ///< prediction confidence width
-    unsigned minHistory = 2;  ///< branch-history bits, shortest bank
-    unsigned throttle = 128;  ///< no-predict window after a mispredict
-
-    /** A budget comparable to the paper's Simple configuration. */
-    static VtageConfig simple();
-
-    /** lvp_fatal on any parameter the table math cannot support. */
-    void validate() const;
-
-    /** Branch-history bits folded into tagged bank @p b (0-based):
-     *  geometric series minHistory * 2^b, capped at 64. */
-    unsigned historyBits(unsigned b) const;
-};
-
 /**
  * VTAGE unit. No LCT (the per-entry confidence counters replace it)
  * and no CVU (a context prediction has no single coherent memory
@@ -120,6 +98,8 @@ class VtageUnit : public ValuePredictor
     std::uint64_t sinceMisp_ = 0; ///< loads since last issued mispredict
     LvpStats stats_;
 };
+
+extern template class Annotator<VtageUnit>;
 
 } // namespace lvplib::core
 

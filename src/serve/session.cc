@@ -11,11 +11,9 @@ namespace lvplib::serve
 Session::Session(std::uint64_t id, const core::PredictorInfo &info,
                  std::size_t maxQueuedChunks,
                  const SessionCheckpoint *resume)
-    : id_(id), predictorName_(info.name), unit_(info.make()),
+    : id_(id), predictorName_(info.name), unit_(core::makePredictor(info.spec)),
       maxQueuedChunks_(maxQueuedChunks == 0 ? 1 : maxQueuedChunks)
 {
-    lvp_assert(unit_ != nullptr,
-               "predictor registry factory returned null");
     if (resume) {
         lvp_assert(resume->predictor == info.name,
                    "resume checkpoint is for predictor '%s', not '%s'",
@@ -83,9 +81,10 @@ Session::snapshot() const
     m.recordsProcessed = recordsProcessed_;
     m.chunksProcessed = chunksProcessed_;
     // Segment stitching: base (pre-resume) + this incarnation's run.
-    // operator+= is the additive identity sharded replay proves sums
-    // to exactly one serial pass; for a fresh session the base is
-    // zero and this is a plain copy.
+    // Every LvpStats field is an event count, so the sum is exactly
+    // one uninterrupted pass (lvp_unit_test pins operator+= to every
+    // field); for a fresh session the base is zero and this is a
+    // plain copy.
     m.stats = baseStats_;
     m.stats += unit_->stats();
     return m;

@@ -40,11 +40,10 @@ namespace lvplib::serve
 /**
  * Everything needed to revive a session on a new connection: the
  * predictor's type-erased table state (ValuePredictor::snapshotState,
- * the same checkpoint contract sharded replay stitches segments
- * with), the statistics accumulated so far, and the record/chunk
- * offsets the client must continue streaming from. Stats restore as
- * a base added via LvpStats::operator+= — the additivity sharded
- * replay proves byte-identical to one serial pass.
+ * whose contract value_predictor_test checks for every predictor),
+ * the statistics accumulated so far, and the record/chunk offsets the
+ * client must continue streaming from. Stats restore as a base added
+ * via LvpStats::operator+=, which sums every field.
  */
 struct SessionCheckpoint
 {

@@ -90,6 +90,9 @@ std::vector<ExperimentSection>
 championship(const ExperimentOptions &opts)
 {
     const auto preds = championshipPredictors(opts);
+    std::vector<core::PredictorSpec> specs;
+    for (const auto *info : preds)
+        specs.push_back(info->spec);
     const auto &suite = allWorkloads();
 
     // One fan-out sweep per workload: every still-uncached contender
@@ -97,7 +100,7 @@ championship(const ExperimentOptions &opts)
     auto rows = experimentPool().map(
         suite, [&](const Workload &w) {
             return cache().predictorOnlyMany(w, CodeGen::Ppc,
-                                             opts.scale, preds,
+                                             opts.scale, specs,
                                              runCfg(opts));
         });
 
@@ -116,7 +119,7 @@ championship(const ExperimentOptions &opts)
     for (std::size_t p = 0; p < preds.size(); ++p) {
         Standing &st = standings[p];
         st.info = preds[p];
-        st.bits = preds[p]->make()->bitBudget();
+        st.bits = core::makePredictor(specs[p])->bitBudget();
         std::vector<double> covers, accurs, goods;
         for (std::size_t i = 0; i < suite.size(); ++i) {
             const core::LvpStats &s = rows[i][p];

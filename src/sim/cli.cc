@@ -162,9 +162,9 @@ benchUsage()
                     (repeatable; matches are OR-ed)
   --jobs N          worker threads (1..1024; default LVPLIB_JOBS or
                     hardware concurrency)
-  --shards N        intra-experiment replay shards (1..1024; default
-                    LVPLIB_SHARDS or the worker-thread count; 1
-                    disables replay sharding)
+  --shards N        most variant groups one sweep replays in parallel
+                    (1..1024; default LVPLIB_SHARDS or the
+                    worker-thread count; 1 replays each sweep serially)
   --scale N         workload input scale (default LVPLIB_SCALE or 4)
   --predictors L    championship contenders: comma-separated registry
                     names, e.g. lvp,vtage (default LVPLIB_PREDICTORS
@@ -433,7 +433,7 @@ runCli(const CliOptions &opts, std::ostream &os)
     std::optional<core::LvpConfig> lvp =
         lvpConfigByName(opts.lvpConfig);
     if (opts.lvpConfig == "stride") {
-        auto st = runStrideOnly(prog, core::StrideConfig::simple());
+        auto st = runPredictorOnly(prog, core::StrideConfig::simple());
         printLvpStats(os, "stride unit", st);
         // The timing models consume history-based annotations only;
         // a stride run is statistics-only.
@@ -443,7 +443,7 @@ runCli(const CliOptions &opts, std::ostream &os)
         return 0;
     }
     if (lvp) {
-        auto st = runLvpOnly(prog, *lvp);
+        auto st = runPredictorOnly(prog, *lvp);
         printLvpStats(os, ("LVP " + opts.lvpConfig).c_str(), st);
     }
 

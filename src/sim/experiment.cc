@@ -257,7 +257,7 @@ table3LctHitRates(const ExperimentOptions &opts)
               "Alpha Limit unpred", "Alpha Limit pred"});
     auto stats = experimentPool().map(
         workloadsByCodegen(), [&](const WorkUnit &u) {
-            return cache().lvpOnlyMany(
+            return cache().predictorOnlyMany(
                 *u.w, u.cg, opts.scale,
                 {LvpConfig::simple(), LvpConfig::limit()},
                 runCfg(opts));
@@ -302,7 +302,7 @@ table4ConstantRates(const ExperimentOptions &opts)
               "Alpha Constant"});
     auto stats = experimentPool().map(
         workloadsByCodegen(), [&](const WorkUnit &u) {
-            return cache().lvpOnlyMany(
+            return cache().predictorOnlyMany(
                 *u.w, u.cg, opts.scale,
                 {LvpConfig::simple(), LvpConfig::constant()},
                 runCfg(opts));

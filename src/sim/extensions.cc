@@ -58,8 +58,9 @@ meanOverSuite(const std::vector<core::LvpConfig> &cfgs,
 {
     auto rows = experimentPool().map(
         allWorkloads(), [&](const Workload &w) {
-            auto sts = cache().lvpOnlyMany(w, CodeGen::Ppc, opts.scale,
-                                           cfgs, runCfg(opts));
+            auto sts = cache().predictorOnlyMany(
+                w, CodeGen::Ppc, opts.scale,
+                {cfgs.begin(), cfgs.end()}, runCfg(opts));
             std::vector<double> xs;
             xs.reserve(sts.size());
             for (const auto &st : sts)
@@ -113,15 +114,12 @@ ablationPredictors(const ExperimentOptions &opts)
     };
     auto rows = experimentPool().map(
         allWorkloads(), [&](const Workload &w) {
-            PredRow r;
-            r.lvp = cache().lvpOnly(w, CodeGen::Ppc, opts.scale,
-                                    LvpConfig::simple(), runCfg(opts));
-            auto prog = cache().program(w, CodeGen::Ppc, opts.scale);
-            r.stride = runStrideOnly(*prog, core::StrideConfig::simple(),
-                                     runCfg(opts));
-            r.fcm = runFcmOnly(*prog, core::FcmConfig::simple(),
-                               runCfg(opts));
-            return r;
+            auto sts = cache().predictorOnlyMany(
+                w, CodeGen::Ppc, opts.scale,
+                {LvpConfig::simple(), core::StrideConfig::simple(),
+                 core::FcmConfig::simple()},
+                runCfg(opts));
+            return PredRow{sts[0], sts[1], sts[2]};
         });
     auto good = [](const core::LvpStats &s) {
         return pct(s.correct + s.constants, s.loads);

@@ -161,7 +161,7 @@ TaskPool &experimentPool();
 void setExperimentJobs(unsigned jobs);
 
 /**
- * The pool intra-experiment replay sharding runs on. Kept separate
+ * The pool a RunCache sweep's variant groups replay on. Kept separate
  * from experimentPool() because shard fan-out happens from *inside*
  * an experiment task, and TaskPool::map must not be called from a
  * task running on the same pool (the mapping task would wait on
@@ -171,9 +171,9 @@ void setExperimentJobs(unsigned jobs);
 TaskPool &shardPool();
 
 /**
- * Shard count replay fan-out aims for: the explicit override from
- * setShardJobs() when set, otherwise LVPLIB_SHARDS when validly set
- * (1..1024, strict parse — see util/env.hh), otherwise
+ * The most variant groups one sweep replays in parallel: the explicit
+ * override from setShardJobs() when set, otherwise LVPLIB_SHARDS when
+ * validly set (1..1024, strict parse — see util/env.hh), otherwise
  * TaskPool::defaultJobs(). A value of 1 disables sharding entirely
  * (serial replay, shard pool untouched).
  */

@@ -114,6 +114,14 @@ addInstructionsProcessed(std::uint64_t n)
     g_instructions.fetch_add(n, std::memory_order_relaxed);
 }
 
+void
+interpret(const isa::Program &prog, trace::TraceSink &sink,
+          const RunConfig &rc)
+{
+    vm::Interpreter interp(prog);
+    runToCompletion(interp, &sink, rc);
+}
+
 FuncResult
 runFunctional(const isa::Program &prog, const RunConfig &rc)
 {
@@ -129,114 +137,33 @@ runFunctional(const isa::Program &prog, const RunConfig &rc)
 core::ValueLocalityProfiler
 profileLocality(const isa::Program &prog, const RunConfig &rc)
 {
-    vm::Interpreter interp(prog);
     core::ValueLocalityProfiler profiler;
-    runToCompletion(interp, &profiler, rc);
+    interpret(prog, profiler, rc);
     return profiler;
 }
 
 core::AllValueLocalityProfiler
 profileAllValues(const isa::Program &prog, const RunConfig &rc)
 {
-    vm::Interpreter interp(prog);
     core::AllValueLocalityProfiler profiler;
-    runToCompletion(interp, &profiler, rc);
+    interpret(prog, profiler, rc);
     return profiler;
 }
 
 core::LvpStats
-runLvpOnly(const isa::Program &prog, const core::LvpConfig &cfg,
-           const RunConfig &rc)
-{
-    /** A sink that discards annotated records. */
-    class NullSink : public trace::TraceSink
-    {
-      public:
-        void consume(const trace::TraceRecord &) override {}
-    } null_sink;
-
-    vm::Interpreter interp(prog);
-    core::LvpAnnotator annot(cfg, null_sink);
-    runToCompletion(interp, &annot, rc);
-    return annot.unit().stats();
-}
-
-core::LvpStats
-runStrideOnly(const isa::Program &prog, const core::StrideConfig &cfg,
-              const RunConfig &rc)
-{
-    class NullSink : public trace::TraceSink
-    {
-      public:
-        void consume(const trace::TraceRecord &) override {}
-    } null_sink;
-
-    vm::Interpreter interp(prog);
-    core::StrideAnnotator annot(cfg, null_sink);
-    runToCompletion(interp, &annot, rc);
-    return annot.unit().stats();
-}
-
-core::LvpStats
-runFcmOnly(const isa::Program &prog, const core::FcmConfig &cfg,
-           const RunConfig &rc)
-{
-    /** Feed loads/stores straight into the unit; nothing downstream. */
-    class FcmSink : public trace::TraceSink
-    {
-      public:
-        explicit FcmSink(const core::FcmConfig &c) : unit(c) {}
-        void
-        consume(const trace::TraceRecord &rec) override
-        {
-            const auto &inst = *rec.inst;
-            if (inst.load())
-                unit.onLoad(rec.pc, rec.effAddr, rec.value,
-                            inst.accessSize());
-            else if (inst.store())
-                unit.onStore(rec.effAddr, inst.accessSize());
-        }
-        core::FcmUnit unit;
-    } sink(cfg);
-
-    vm::Interpreter interp(prog);
-    runToCompletion(interp, &sink, rc);
-    return sink.unit.stats();
-}
-
-core::LvpStats
 runPredictorOnly(const isa::Program &prog,
-                 const core::PredictorInfo &info, const RunConfig &rc)
+                 const core::PredictorSpec &spec, const RunConfig &rc)
 {
-    class NullSink : public trace::TraceSink
-    {
-      public:
-        void consume(const trace::TraceRecord &) override {}
-    } null_sink;
-
-    vm::Interpreter interp(prog);
-    core::PredictorAnnotator annot(info, null_sink);
-    runToCompletion(interp, &annot, rc);
-    return annot.unit().stats();
+    PredictorChain chain(spec);
+    return runChain(prog, chain, rc);
 }
 
 PpcRun
 runPpc620(const isa::Program &prog, const uarch::Ppc620Config &mc,
           const std::optional<core::LvpConfig> &lvp, const RunConfig &rc)
 {
-    vm::Interpreter interp(prog);
-    uarch::Ppc620Model model(mc, lvp.has_value());
-    PpcRun r;
-    if (lvp) {
-        core::LvpAnnotator annot(*lvp, model);
-        runToCompletion(interp, &annot, rc);
-        r.lvp = annot.unit().stats();
-    } else {
-        runToCompletion(interp, &model, rc);
-    }
-    r.timing = model.stats();
-    publishModelRun(r.timing);
-    return r;
+    PpcChain chain(mc, lvp);
+    return runChain(prog, chain, rc);
 }
 
 AlphaRun
@@ -244,19 +171,8 @@ runAlpha21164(const isa::Program &prog, const uarch::AlphaConfig &mc,
               const std::optional<core::LvpConfig> &lvp,
               const RunConfig &rc)
 {
-    vm::Interpreter interp(prog);
-    uarch::Alpha21164Model model(mc, lvp.has_value());
-    AlphaRun r;
-    if (lvp) {
-        core::LvpAnnotator annot(*lvp, model);
-        runToCompletion(interp, &annot, rc);
-        r.lvp = annot.unit().stats();
-    } else {
-        runToCompletion(interp, &model, rc);
-    }
-    r.timing = model.stats();
-    publishModelRun(r.timing);
-    return r;
+    AlphaChain chain(mc, lvp);
+    return runChain(prog, chain, rc);
 }
 
 } // namespace lvplib::sim

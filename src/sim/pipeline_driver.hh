@@ -16,8 +16,6 @@
 #include "core/locality_profiler.hh"
 #include "core/lvp_unit.hh"
 #include "core/value_profiler.hh"
-#include "core/fcm_unit.hh"
-#include "core/stride_unit.hh"
 #include "core/value_predictor.hh"
 #include "isa/program.hh"
 #include "trace/trace_stats.hh"
@@ -65,25 +63,12 @@ core::ValueLocalityProfiler profileLocality(const isa::Program &prog,
 core::AllValueLocalityProfiler
 profileAllValues(const isa::Program &prog, const RunConfig &rc = {});
 
-/** Run the LVP unit alone over a program's trace (Tables 3-4). */
-core::LvpStats runLvpOnly(const isa::Program &prog,
-                          const core::LvpConfig &cfg,
-                          const RunConfig &rc = {});
-
-/** Run the stride prediction unit (future-work extension) alone. */
-core::LvpStats runStrideOnly(const isa::Program &prog,
-                             const core::StrideConfig &cfg,
-                             const RunConfig &rc = {});
-
-/** Run the two-level FCM prediction unit (extension) alone. */
-core::LvpStats runFcmOnly(const isa::Program &prog,
-                          const core::FcmConfig &cfg,
-                          const RunConfig &rc = {});
-
-/** Run any registry predictor alone over a program's trace, through
- *  the type-erased ValuePredictor interface (championship sweep). */
+/**
+ * Run one predictor alone over a program's trace: the paper's LVP
+ * unit (Tables 3-4), the extension units, or any registry contender.
+ */
 core::LvpStats runPredictorOnly(const isa::Program &prog,
-                                const core::PredictorInfo &info,
+                                const core::PredictorSpec &spec,
                                 const RunConfig &rc = {});
 
 /** Timing result for the out-of-order machine. */
@@ -119,11 +104,109 @@ AlphaRun runAlpha21164(const isa::Program &prog,
  * Publish one finished timing-model run into the process metric
  * registry: pipeline.<model>.{runs,cycles,instructions} counters plus
  * a pipeline.<model>.ipc_x100 distribution (IPC in hundredths).
- * Called by the drivers above and by RunCache's trace-replay paths,
- * which construct the models directly.
+ * Called once per run through TimingChain::publish.
  */
 void publishModelRun(const uarch::OooStats &s);
 void publishModelRun(const uarch::InOrderStats &s);
+
+/**
+ * Interpret @p prog into @p sink until it halts or retires
+ * rc.maxInstructions, under rc's watchdog guards.
+ */
+void interpret(const isa::Program &prog, trace::TraceSink &sink,
+               const RunConfig &rc);
+
+/**
+ * @{
+ * The sink chains every predictor-only and timing run is built from.
+ * The in-memory drivers above feed one chain from the interpreter;
+ * RunCache's sweep feeds many from one trace replay through a
+ * MultiSink. top() is the sink the stream enters, collect() reads the
+ * result once the stream has finished, and publish() records a
+ * collected run in the metric registry (timing runs only).
+ */
+class PredictorChain
+{
+  public:
+    using Result = core::LvpStats;
+
+    explicit PredictorChain(const core::PredictorSpec &spec)
+        : annot_(spec, null_)
+    {}
+    PredictorChain(const PredictorChain &) = delete;
+    PredictorChain &operator=(const PredictorChain &) = delete;
+
+    trace::TraceSink &top() { return annot_; }
+    Result collect() const { return annot_.unit().stats(); }
+    static void publish(const Result &) {}
+
+  private:
+    trace::NullSink null_;
+    core::PredictorAnnotator annot_;
+};
+
+/** A timing model, optionally behind an LVP unit annotating its
+ *  loads (nullopt = the no-LVP baseline machine). */
+template <typename Model, typename Run>
+class TimingChain
+{
+  public:
+    using Result = Run;
+
+    template <typename MachineConfig>
+    TimingChain(const MachineConfig &mc,
+                const std::optional<core::LvpConfig> &lvp)
+        : model_(mc, lvp.has_value())
+    {
+        if (lvp)
+            annot_.emplace(*lvp, model_);
+    }
+    TimingChain(const TimingChain &) = delete;
+    TimingChain &operator=(const TimingChain &) = delete;
+
+    trace::TraceSink &
+    top()
+    {
+        if (annot_)
+            return *annot_;
+        return model_;
+    }
+
+    Result
+    collect() const
+    {
+        Result r;
+        if (annot_)
+            r.lvp = annot_->unit().stats();
+        r.timing = model_.stats();
+        return r;
+    }
+
+    static void publish(const Result &r) { publishModelRun(r.timing); }
+
+  private:
+    Model model_;
+    std::optional<core::LvpAnnotator> annot_;
+};
+
+using PpcChain = TimingChain<uarch::Ppc620Model, PpcRun>;
+using AlphaChain = TimingChain<uarch::Alpha21164Model, AlphaRun>;
+/** @} */
+
+/**
+ * Interpret @p prog into @p chain, then collect and publish its
+ * result: every in-memory run, and RunCache's fallback when a trace
+ * cannot serve one.
+ */
+template <typename Chain>
+typename Chain::Result
+runChain(const isa::Program &prog, Chain &chain, const RunConfig &rc)
+{
+    interpret(prog, chain.top(), rc);
+    typename Chain::Result r = chain.collect();
+    Chain::publish(r);
+    return r;
+}
 
 /**
  * Process-wide count of dynamic instructions pushed through any

@@ -17,7 +17,6 @@
 #include "obs/timeline.hh"
 #include "sim/parallel.hh"
 #include "sim/resilience.hh"
-#include "sim/sharded_replay.hh"
 #include "trace/trace_file.hh"
 #include "uarch/alpha21164.hh"
 #include "uarch/ppc620.hh"
@@ -63,20 +62,8 @@ runKey(const Workload &w, CodeGen cg, unsigned scale,
 }
 
 /** Full-field fingerprints: ablation variants that tweak any knob of
- *  a preset must never alias the preset's cache entries. */
-std::string
-fp(const core::LvpConfig &c)
-{
-    std::ostringstream os;
-    os << c.name;
-    for (auto v : {c.lvptEntries, c.historyDepth, c.lctEntries,
-                   c.lctBits, c.cvuEntries, c.cvuWays, c.bhrBits})
-        keyPart(os, v);
-    keyPart(os, c.perfectPrediction);
-    keyPart(os, c.taggedLvpt);
-    return os.str();
-}
-
+ *  a preset must never alias the preset's cache entries (predictor
+ *  configs use core::fingerprint). */
 std::string
 fp(const mem::HierarchyConfig &h)
 {
@@ -129,7 +116,28 @@ fp(const uarch::AlphaConfig &m)
 std::string
 fp(const std::optional<core::LvpConfig> &c)
 {
-    return c ? fp(*c) : std::string("nolvp");
+    return c ? core::fingerprint(*c) : std::string("nolvp");
+}
+
+/**
+ * Contiguous near-equal partition of [0, n) into at most @p g
+ * non-empty [lo, hi) groups, for fanning one sweep's variants out
+ * across the shard pool. Contiguity keeps the group→variant mapping
+ * order-preserving, so results can be stitched back by walking
+ * groups in order.
+ */
+std::vector<std::pair<std::size_t, std::size_t>>
+partitionGroups(std::size_t n, std::size_t g)
+{
+    std::vector<std::pair<std::size_t, std::size_t>> out;
+    out.reserve(g);
+    for (std::size_t i = 0; i < g; ++i) {
+        std::size_t lo = i * n / g;
+        std::size_t hi = (i + 1) * n / g;
+        if (lo != hi)
+            out.emplace_back(lo, hi);
+    }
+    return out;
 }
 
 } // namespace
@@ -147,8 +155,7 @@ struct RunCache::Impl
              std::shared_future<
                  std::shared_ptr<const core::ValueLocalityProfiler>>>
         localities;
-    std::map<std::string, std::shared_future<core::LvpStats>> lvps;
-    /** Registry-predictor runs, keyed on the predictor name. */
+    /** Predictor-only runs, keyed on core::fingerprint(spec). */
     std::map<std::string, std::shared_future<core::LvpStats>> preds;
     std::map<std::string, std::shared_future<PpcRun>> ppcRuns;
     std::map<std::string, std::shared_future<AlphaRun>> alphaRuns;
@@ -390,6 +397,97 @@ struct RunCache::Impl
             out.push_back(f.get());
         return out;
     }
+
+    /**
+     * The one sweep behind every predictor-only and timing entry
+     * point. fanOutCompute claims the keys still missing from @p memo;
+     * the claimed variants are then served from the shared phase-1
+     * trace, cut into G = min(shardJobs(), claimed) contiguous groups,
+     * each replaying the trace once through a MultiSink over its
+     * variants' chains (@p make builds variant i's chain). Groups run
+     * concurrently on the shard pool; G = 1 is a plain serial pass in
+     * the calling thread. Grouping is off while chaos is armed:
+     * shard-pool tasks would consume its TaskThrow stream and shift
+     * which faults later campaign runs observe. Results stitch back in
+     * variant order and each is published once. If the trace is
+     * unusable, or a replay fails (reported through onReplayError),
+     * every claimed variant falls back to an in-memory run of the same
+     * chain. @p kind names the variants' timeline spans.
+     */
+    template <typename Chain, typename Make>
+    std::vector<typename Chain::Result>
+    sweep(RunCache &cache,
+          std::map<std::string,
+                   std::shared_future<typename Chain::Result>> &memo,
+          const std::vector<std::string> &keys, const char *kind,
+          const Workload &w, CodeGen cg, unsigned scale,
+          const RunConfig &rc, const Make &make)
+    {
+        using V = typename Chain::Result;
+        const std::string span = std::string(kind) + ":" + w.name;
+        return fanOutCompute<V>(
+            memo, keys,
+            [&](const std::vector<std::size_t> &owned,
+                std::vector<std::optional<V>> &vals) {
+                auto prog = cache.program(w, cg, scale);
+                std::string tr = ensureTrace(cache, w, cg, scale, rc);
+                if (tr.empty())
+                    return;
+                obs::Timeline::Scope scope(span, "sim");
+                struct GroupOut
+                {
+                    std::vector<V> vals;
+                    std::uint64_t n = 0;
+                };
+                auto replayGroup =
+                    [&](const std::pair<std::size_t, std::size_t> &g) {
+                        std::vector<std::unique_ptr<Chain>> chains;
+                        std::vector<trace::TraceSink *> tops;
+                        for (std::size_t k = g.first; k < g.second; ++k) {
+                            chains.push_back(make(owned[k]));
+                            tops.push_back(&chains.back()->top());
+                        }
+                        trace::TraceFileReader reader(tr, *prog);
+                        trace::MultiSink multi(std::move(tops));
+                        GroupOut out;
+                        out.n = reader.replay(multi);
+                        for (const auto &c : chains)
+                            out.vals.push_back(c->collect());
+                        return out;
+                    };
+                std::size_t G =
+                    chaos::engine().enabled()
+                        ? 1
+                        : std::min<std::size_t>(shardJobs(),
+                                                owned.size());
+                auto groups = partitionGroups(owned.size(), G);
+                std::vector<GroupOut> outs;
+                try {
+                    if (groups.size() == 1)
+                        outs.push_back(replayGroup(groups.front()));
+                    else
+                        outs = shardPool().map(groups, replayGroup);
+                } catch (const SimError &e) {
+                    onReplayError(tr, e);
+                    return;
+                }
+                std::size_t k = 0;
+                for (auto &o : outs) {
+                    noteFanoutReplay(o.vals.size());
+                    for (auto &v : o.vals) {
+                        Chain::publish(v);
+                        vals[k++] = std::move(v);
+                    }
+                }
+                addInstructionsProcessed(outs.front().n * owned.size());
+            },
+            [&](std::size_t i) {
+                auto prog = cache.program(w, cg, scale);
+                obs::Timeline::Scope scope(span, "sim");
+                auto chain = make(i);
+                return runChain(*prog, *chain, rc);
+            });
+    }
 };
 
 RunCache::RunCache() : impl_(std::make_unique<Impl>())
@@ -419,34 +517,6 @@ RunCache::program(const Workload &w, CodeGen cg, unsigned scale)
 
 namespace
 {
-
-/** Discards annotated records (mirrors runLvpOnly's internal sink). */
-class NullSink : public trace::TraceSink
-{
-  public:
-    void consume(const trace::TraceRecord &) override {}
-};
-
-/**
- * Contiguous near-equal partition of [0, n) into at most @p g
- * non-empty [lo, hi) groups, for fanning one sweep's variants out
- * across the shard pool. Contiguity keeps the group→variant mapping
- * order-preserving, so results can be stitched back by walking
- * groups in order.
- */
-std::vector<std::pair<std::size_t, std::size_t>>
-partitionGroups(std::size_t n, std::size_t g)
-{
-    std::vector<std::pair<std::size_t, std::size_t>> out;
-    out.reserve(g);
-    for (std::size_t i = 0; i < g; ++i) {
-        std::size_t lo = i * n / g;
-        std::size_t hi = (i + 1) * n / g;
-        if (lo != hi)
-            out.emplace_back(lo, hi);
-    }
-    return out;
-}
 
 bool
 fileExists(const std::string &path)
@@ -651,41 +721,7 @@ core::LvpStats
 RunCache::lvpOnly(const Workload &w, CodeGen cg, unsigned scale,
                   const core::LvpConfig &cfg, const RunConfig &rc)
 {
-    std::string key = runKey(w, cg, scale, rc) + "|lvp|" + fp(cfg);
-    return impl_->getOrCompute<core::LvpStats>(
-        impl_->lvps, key, [&] {
-            auto prog = program(w, cg, scale);
-            std::string tr =
-                impl_->ensureTrace(*this, w, cg, scale, rc);
-            obs::Timeline::Scope span("lvp:" + w.name, "sim");
-            if (!tr.empty()) {
-                // Checkpointed sharded replay is byte-identical to
-                // the serial annotator pass (shard_replay_test), but
-                // it is disabled while chaos is armed: shard tasks
-                // would consume the shard pool's TaskThrow stream,
-                // changing which faults later campaign runs see.
-                unsigned shards = shardJobs();
-                try {
-                    core::LvpStats s;
-                    if (shards > 1 && !chaos::engine().enabled()) {
-                        s = shardedLvpReplay(tr, *prog, cfg, shards);
-                    } else {
-                        NullSink null_sink;
-                        core::LvpAnnotator annot(cfg, null_sink);
-                        trace::TraceFileReader reader(tr, *prog);
-                        addInstructionsProcessed(reader.replay(annot));
-                        s = annot.unit().stats();
-                    }
-                    impl_->traceReplays.fetch_add(
-                        1, std::memory_order_relaxed);
-                    impl_->obsTraceReplays.add();
-                    return s;
-                } catch (const SimError &e) {
-                    impl_->onReplayError(tr, e);
-                }
-            }
-            return runLvpOnly(*prog, cfg, rc);
-        });
+    return predictorOnlyMany(w, cg, scale, {cfg}, rc).front();
 }
 
 core::LvpStats
@@ -693,41 +729,7 @@ RunCache::predictorOnly(const Workload &w, CodeGen cg, unsigned scale,
                         const core::PredictorInfo &info,
                         const RunConfig &rc)
 {
-    // Registry entries are fixed-budget instances, so the registry
-    // name is the whole configuration fingerprint.
-    std::string key = runKey(w, cg, scale, rc) + "|pred|" + info.name;
-    return impl_->getOrCompute<core::LvpStats>(
-        impl_->preds, key, [&] {
-            auto prog = program(w, cg, scale);
-            std::string tr =
-                impl_->ensureTrace(*this, w, cg, scale, rc);
-            obs::Timeline::Scope span("pred:" + w.name, "sim");
-            if (!tr.empty()) {
-                // Same sharding policy as lvpOnly: checkpointed
-                // sharded replay unless chaos is armed.
-                unsigned shards = shardJobs();
-                try {
-                    core::LvpStats s;
-                    if (shards > 1 && !chaos::engine().enabled()) {
-                        s = shardedPredictorReplay(tr, *prog, info,
-                                                   shards);
-                    } else {
-                        NullSink null_sink;
-                        core::PredictorAnnotator annot(info, null_sink);
-                        trace::TraceFileReader reader(tr, *prog);
-                        addInstructionsProcessed(reader.replay(annot));
-                        s = annot.unit().stats();
-                    }
-                    impl_->traceReplays.fetch_add(
-                        1, std::memory_order_relaxed);
-                    impl_->obsTraceReplays.add();
-                    return s;
-                } catch (const SimError &e) {
-                    impl_->onReplayError(tr, e);
-                }
-            }
-            return runPredictorOnly(*prog, info, rc);
-        });
+    return predictorOnlyMany(w, cg, scale, {info.spec}, rc).front();
 }
 
 std::uint64_t
@@ -772,103 +774,20 @@ RunCache::replayShared(const Workload &w, CodeGen cg, unsigned scale,
 }
 
 std::vector<core::LvpStats>
-RunCache::predictorOnlyMany(
-    const Workload &w, CodeGen cg, unsigned scale,
-    const std::vector<const core::PredictorInfo *> &infos,
-    const RunConfig &rc)
+RunCache::predictorOnlyMany(const Workload &w, CodeGen cg,
+                            unsigned scale,
+                            const std::vector<core::PredictorSpec> &specs,
+                            const RunConfig &rc)
 {
     std::string base = runKey(w, cg, scale, rc) + "|pred|";
     std::vector<std::string> keys;
-    keys.reserve(infos.size());
-    for (const auto *info : infos)
-        keys.push_back(base + info->name);
-    return impl_->fanOutCompute<core::LvpStats>(
-        impl_->preds, keys,
-        [&](const std::vector<std::size_t> &owned,
-            std::vector<std::optional<core::LvpStats>> &vals) {
-            auto prog = program(w, cg, scale);
-            std::string tr =
-                impl_->ensureTrace(*this, w, cg, scale, rc);
-            if (tr.empty())
-                return;
-            obs::Timeline::Scope span("pred:" + w.name, "sim");
-            // Variant-group sharding over the predictor zoo; see
-            // lvpOnlyMany for the shape and the chaos gating.
-            std::size_t G = std::min<std::size_t>(shardJobs(),
-                                                  owned.size());
-            if (G >= 2 && !chaos::engine().enabled()) {
-                struct GroupOut
-                {
-                    std::vector<core::LvpStats> stats;
-                    std::uint64_t n = 0;
-                };
-                auto groups = partitionGroups(owned.size(), G);
-                try {
-                    auto outs = shardPool().map(
-                        groups,
-                        [&](const std::pair<std::size_t,
-                                            std::size_t> &g) {
-                            NullSink null_sink;
-                            std::vector<std::unique_ptr<
-                                core::PredictorAnnotator>>
-                                annots;
-                            std::vector<trace::TraceSink *> tops;
-                            for (std::size_t k = g.first;
-                                 k < g.second; ++k) {
-                                annots.push_back(
-                                    std::make_unique<
-                                        core::PredictorAnnotator>(
-                                        *infos[owned[k]], null_sink));
-                                tops.push_back(annots.back().get());
-                            }
-                            trace::TraceFileReader reader(tr, *prog);
-                            trace::MultiSink multi(std::move(tops));
-                            GroupOut out;
-                            out.n = reader.replay(multi);
-                            for (const auto &a : annots)
-                                out.stats.push_back(a->unit().stats());
-                            return out;
-                        });
-                    std::size_t k = 0;
-                    for (const auto &o : outs) {
-                        for (const auto &s : o.stats)
-                            vals[k++] = s;
-                        impl_->noteFanoutReplay(o.stats.size());
-                    }
-                    addInstructionsProcessed(outs.front().n *
-                                             owned.size());
-                } catch (const SimError &e) {
-                    impl_->onReplayError(tr, e);
-                }
-                return;
-            }
-            NullSink null_sink;
-            std::vector<std::unique_ptr<core::PredictorAnnotator>>
-                annots;
-            std::vector<trace::TraceSink *> tops;
-            for (std::size_t i : owned) {
-                annots.push_back(
-                    std::make_unique<core::PredictorAnnotator>(
-                        *infos[i], null_sink));
-                tops.push_back(annots.back().get());
-            }
-            try {
-                trace::TraceFileReader reader(tr, *prog);
-                trace::MultiSink multi(std::move(tops));
-                std::uint64_t n = reader.replay(multi);
-                addInstructionsProcessed(n * owned.size());
-                impl_->noteFanoutReplay(owned.size());
-            } catch (const SimError &e) {
-                impl_->onReplayError(tr, e);
-                return;
-            }
-            for (std::size_t k = 0; k < owned.size(); ++k)
-                vals[k] = annots[k]->unit().stats();
-        },
+    keys.reserve(specs.size());
+    for (const auto &spec : specs)
+        keys.push_back(base + core::fingerprint(spec));
+    return impl_->sweep<PredictorChain>(
+        *this, impl_->preds, keys, "pred", w, cg, scale, rc,
         [&](std::size_t i) {
-            auto prog = program(w, cg, scale);
-            obs::Timeline::Scope span("pred:" + w.name, "sim");
-            return runPredictorOnly(*prog, *infos[i], rc);
+            return std::make_unique<PredictorChain>(specs[i]);
         });
 }
 
@@ -878,40 +797,7 @@ RunCache::ppc620(const Workload &w, CodeGen cg, unsigned scale,
                  const std::optional<core::LvpConfig> &lvp,
                  const RunConfig &rc)
 {
-    std::string key =
-        runKey(w, cg, scale, rc) + "|ppc|" + fp(mc) + '|' + fp(lvp);
-    return impl_->getOrCompute<PpcRun>(
-        impl_->ppcRuns, key, [&] {
-            auto prog = program(w, cg, scale);
-            std::string tr =
-                impl_->ensureTrace(*this, w, cg, scale, rc);
-            obs::Timeline::Scope span("ppc620:" + w.name, "sim");
-            if (!tr.empty()) {
-                try {
-                    uarch::Ppc620Model model(mc, lvp.has_value());
-                    PpcRun r;
-                    trace::TraceFileReader reader(tr, *prog);
-                    if (lvp) {
-                        core::LvpAnnotator annot(*lvp, model);
-                        addInstructionsProcessed(
-                            reader.replay(annot));
-                        r.lvp = annot.unit().stats();
-                    } else {
-                        addInstructionsProcessed(
-                            reader.replay(model));
-                    }
-                    impl_->traceReplays.fetch_add(
-                        1, std::memory_order_relaxed);
-                    impl_->obsTraceReplays.add();
-                    r.timing = model.stats();
-                    publishModelRun(r.timing);
-                    return r;
-                } catch (const SimError &e) {
-                    impl_->onReplayError(tr, e);
-                }
-            }
-            return runPpc620(*prog, mc, lvp, rc);
-        });
+    return ppc620Many(w, cg, scale, {PpcVariant{mc, lvp}}, rc).front();
 }
 
 AlphaRun
@@ -920,144 +806,8 @@ RunCache::alpha21164(const Workload &w, CodeGen cg, unsigned scale,
                      const std::optional<core::LvpConfig> &lvp,
                      const RunConfig &rc)
 {
-    std::string key =
-        runKey(w, cg, scale, rc) + "|alpha|" + fp(mc) + '|' + fp(lvp);
-    return impl_->getOrCompute<AlphaRun>(
-        impl_->alphaRuns, key, [&] {
-            auto prog = program(w, cg, scale);
-            std::string tr =
-                impl_->ensureTrace(*this, w, cg, scale, rc);
-            obs::Timeline::Scope span("alpha21164:" + w.name, "sim");
-            if (!tr.empty()) {
-                try {
-                    uarch::Alpha21164Model model(mc, lvp.has_value());
-                    AlphaRun r;
-                    trace::TraceFileReader reader(tr, *prog);
-                    if (lvp) {
-                        core::LvpAnnotator annot(*lvp, model);
-                        addInstructionsProcessed(
-                            reader.replay(annot));
-                        r.lvp = annot.unit().stats();
-                    } else {
-                        addInstructionsProcessed(
-                            reader.replay(model));
-                    }
-                    impl_->traceReplays.fetch_add(
-                        1, std::memory_order_relaxed);
-                    impl_->obsTraceReplays.add();
-                    r.timing = model.stats();
-                    publishModelRun(r.timing);
-                    return r;
-                } catch (const SimError &e) {
-                    impl_->onReplayError(tr, e);
-                }
-            }
-            return runAlpha21164(*prog, mc, lvp, rc);
-        });
-}
-
-std::vector<core::LvpStats>
-RunCache::lvpOnlyMany(const Workload &w, CodeGen cg, unsigned scale,
-                      const std::vector<core::LvpConfig> &cfgs,
-                      const RunConfig &rc)
-{
-    std::string base = runKey(w, cg, scale, rc) + "|lvp|";
-    std::vector<std::string> keys;
-    keys.reserve(cfgs.size());
-    for (const auto &cfg : cfgs)
-        keys.push_back(base + fp(cfg));
-    return impl_->fanOutCompute<core::LvpStats>(
-        impl_->lvps, keys,
-        [&](const std::vector<std::size_t> &owned,
-            std::vector<std::optional<core::LvpStats>> &vals) {
-            auto prog = program(w, cg, scale);
-            std::string tr =
-                impl_->ensureTrace(*this, w, cg, scale, rc);
-            if (tr.empty())
-                return;
-            obs::Timeline::Scope span("lvp:" + w.name, "sim");
-            // Variant-group sharding: cut the owned variants into
-            // contiguous groups and replay each group's MultiSink
-            // pass concurrently on the shard pool. Each group reads
-            // the (verified) trace independently, so groups share
-            // nothing and results stitch back in variant order.
-            // Disabled while chaos is armed: shard-pool tasks would
-            // consume its TaskThrow stream and shift which faults
-            // later campaign runs observe.
-            std::size_t G = std::min<std::size_t>(shardJobs(),
-                                                  owned.size());
-            if (G >= 2 && !chaos::engine().enabled()) {
-                struct GroupOut
-                {
-                    std::vector<core::LvpStats> stats;
-                    std::uint64_t n = 0;
-                };
-                auto groups = partitionGroups(owned.size(), G);
-                try {
-                    auto outs = shardPool().map(
-                        groups,
-                        [&](const std::pair<std::size_t,
-                                            std::size_t> &g) {
-                            NullSink null_sink;
-                            std::vector<
-                                std::unique_ptr<core::LvpAnnotator>>
-                                annots;
-                            std::vector<trace::TraceSink *> tops;
-                            for (std::size_t k = g.first;
-                                 k < g.second; ++k) {
-                                annots.push_back(
-                                    std::make_unique<
-                                        core::LvpAnnotator>(
-                                        cfgs[owned[k]], null_sink));
-                                tops.push_back(annots.back().get());
-                            }
-                            trace::TraceFileReader reader(tr, *prog);
-                            trace::MultiSink multi(std::move(tops));
-                            GroupOut out;
-                            out.n = reader.replay(multi);
-                            for (const auto &a : annots)
-                                out.stats.push_back(a->unit().stats());
-                            return out;
-                        });
-                    std::size_t k = 0;
-                    for (const auto &o : outs) {
-                        for (const auto &s : o.stats)
-                            vals[k++] = s;
-                        impl_->noteFanoutReplay(o.stats.size());
-                    }
-                    addInstructionsProcessed(outs.front().n *
-                                             owned.size());
-                } catch (const SimError &e) {
-                    impl_->onReplayError(tr, e);
-                }
-                return;
-            }
-            NullSink null_sink;
-            std::vector<std::unique_ptr<core::LvpAnnotator>> annots;
-            std::vector<trace::TraceSink *> tops;
-            for (std::size_t i : owned) {
-                annots.push_back(std::make_unique<core::LvpAnnotator>(
-                    cfgs[i], null_sink));
-                tops.push_back(annots.back().get());
-            }
-            try {
-                trace::TraceFileReader reader(tr, *prog);
-                trace::MultiSink multi(std::move(tops));
-                std::uint64_t n = reader.replay(multi);
-                addInstructionsProcessed(n * owned.size());
-                impl_->noteFanoutReplay(owned.size());
-            } catch (const SimError &e) {
-                impl_->onReplayError(tr, e);
-                return;
-            }
-            for (std::size_t k = 0; k < owned.size(); ++k)
-                vals[k] = annots[k]->unit().stats();
-        },
-        [&](std::size_t i) {
-            auto prog = program(w, cg, scale);
-            obs::Timeline::Scope span("lvp:" + w.name, "sim");
-            return runLvpOnly(*prog, cfgs[i], rc);
-        });
+    return alpha21164Many(w, cg, scale, {AlphaVariant{mc, lvp}}, rc)
+        .front();
 }
 
 std::vector<PpcRun>
@@ -1070,129 +820,11 @@ RunCache::ppc620Many(const Workload &w, CodeGen cg, unsigned scale,
     keys.reserve(variants.size());
     for (const auto &v : variants)
         keys.push_back(base + fp(v.mc) + '|' + fp(v.lvp));
-    return impl_->fanOutCompute<PpcRun>(
-        impl_->ppcRuns, keys,
-        [&](const std::vector<std::size_t> &owned,
-            std::vector<std::optional<PpcRun>> &vals) {
-            auto prog = program(w, cg, scale);
-            std::string tr =
-                impl_->ensureTrace(*this, w, cg, scale, rc);
-            if (tr.empty())
-                return;
-            obs::Timeline::Scope span("ppc620:" + w.name, "sim");
-            // Variant-group sharding; see lvpOnlyMany for the shape
-            // and the chaos gating rationale.
-            std::size_t G = std::min<std::size_t>(shardJobs(),
-                                                  owned.size());
-            if (G >= 2 && !chaos::engine().enabled()) {
-                struct GroupOut
-                {
-                    std::vector<PpcRun> runs;
-                    std::uint64_t n = 0;
-                };
-                auto groups = partitionGroups(owned.size(), G);
-                try {
-                    auto outs = shardPool().map(
-                        groups,
-                        [&](const std::pair<std::size_t,
-                                            std::size_t> &g) {
-                            std::vector<
-                                std::unique_ptr<uarch::Ppc620Model>>
-                                models;
-                            std::vector<
-                                std::unique_ptr<core::LvpAnnotator>>
-                                annots;
-                            std::vector<trace::TraceSink *> tops;
-                            for (std::size_t k = g.first;
-                                 k < g.second; ++k) {
-                                const PpcVariant &v =
-                                    variants[owned[k]];
-                                models.push_back(
-                                    std::make_unique<
-                                        uarch::Ppc620Model>(
-                                        v.mc, v.lvp.has_value()));
-                                if (v.lvp) {
-                                    annots.push_back(
-                                        std::make_unique<
-                                            core::LvpAnnotator>(
-                                            *v.lvp, *models.back()));
-                                    tops.push_back(
-                                        annots.back().get());
-                                } else {
-                                    annots.push_back(nullptr);
-                                    tops.push_back(
-                                        models.back().get());
-                                }
-                            }
-                            trace::TraceFileReader reader(tr, *prog);
-                            trace::MultiSink multi(std::move(tops));
-                            GroupOut out;
-                            out.n = reader.replay(multi);
-                            for (std::size_t j = 0;
-                                 j < models.size(); ++j) {
-                                PpcRun r;
-                                if (annots[j])
-                                    r.lvp = annots[j]->unit().stats();
-                                r.timing = models[j]->stats();
-                                publishModelRun(r.timing);
-                                out.runs.push_back(std::move(r));
-                            }
-                            return out;
-                        });
-                    std::size_t k = 0;
-                    for (auto &o : outs) {
-                        for (auto &r : o.runs)
-                            vals[k++] = std::move(r);
-                        impl_->noteFanoutReplay(o.runs.size());
-                    }
-                    addInstructionsProcessed(outs.front().n *
-                                             owned.size());
-                } catch (const SimError &e) {
-                    impl_->onReplayError(tr, e);
-                }
-                return;
-            }
-            std::vector<std::unique_ptr<uarch::Ppc620Model>> models;
-            std::vector<std::unique_ptr<core::LvpAnnotator>> annots;
-            std::vector<trace::TraceSink *> tops;
-            for (std::size_t i : owned) {
-                const PpcVariant &v = variants[i];
-                models.push_back(std::make_unique<uarch::Ppc620Model>(
-                    v.mc, v.lvp.has_value()));
-                if (v.lvp) {
-                    annots.push_back(
-                        std::make_unique<core::LvpAnnotator>(
-                            *v.lvp, *models.back()));
-                    tops.push_back(annots.back().get());
-                } else {
-                    annots.push_back(nullptr);
-                    tops.push_back(models.back().get());
-                }
-            }
-            try {
-                trace::TraceFileReader reader(tr, *prog);
-                trace::MultiSink multi(std::move(tops));
-                std::uint64_t n = reader.replay(multi);
-                addInstructionsProcessed(n * owned.size());
-                impl_->noteFanoutReplay(owned.size());
-            } catch (const SimError &e) {
-                impl_->onReplayError(tr, e);
-                return;
-            }
-            for (std::size_t k = 0; k < owned.size(); ++k) {
-                PpcRun r;
-                if (annots[k])
-                    r.lvp = annots[k]->unit().stats();
-                r.timing = models[k]->stats();
-                publishModelRun(r.timing);
-                vals[k] = std::move(r);
-            }
-        },
+    return impl_->sweep<PpcChain>(
+        *this, impl_->ppcRuns, keys, "ppc620", w, cg, scale, rc,
         [&](std::size_t i) {
-            const PpcVariant &v = variants[i];
-            auto prog = program(w, cg, scale);
-            obs::Timeline::Scope span("ppc620:" + w.name, "sim");
-            return runPpc620(*prog, v.mc, v.lvp, rc);
+            return std::make_unique<PpcChain>(variants[i].mc,
+                                              variants[i].lvp);
         });
 }
 
@@ -1207,131 +839,11 @@ RunCache::alpha21164Many(const Workload &w, CodeGen cg,
     keys.reserve(variants.size());
     for (const auto &v : variants)
         keys.push_back(base + fp(v.mc) + '|' + fp(v.lvp));
-    return impl_->fanOutCompute<AlphaRun>(
-        impl_->alphaRuns, keys,
-        [&](const std::vector<std::size_t> &owned,
-            std::vector<std::optional<AlphaRun>> &vals) {
-            auto prog = program(w, cg, scale);
-            std::string tr =
-                impl_->ensureTrace(*this, w, cg, scale, rc);
-            if (tr.empty())
-                return;
-            obs::Timeline::Scope span("alpha21164:" + w.name, "sim");
-            // Variant-group sharding; see lvpOnlyMany for the shape
-            // and the chaos gating rationale.
-            std::size_t G = std::min<std::size_t>(shardJobs(),
-                                                  owned.size());
-            if (G >= 2 && !chaos::engine().enabled()) {
-                struct GroupOut
-                {
-                    std::vector<AlphaRun> runs;
-                    std::uint64_t n = 0;
-                };
-                auto groups = partitionGroups(owned.size(), G);
-                try {
-                    auto outs = shardPool().map(
-                        groups,
-                        [&](const std::pair<std::size_t,
-                                            std::size_t> &g) {
-                            std::vector<std::unique_ptr<
-                                uarch::Alpha21164Model>>
-                                models;
-                            std::vector<
-                                std::unique_ptr<core::LvpAnnotator>>
-                                annots;
-                            std::vector<trace::TraceSink *> tops;
-                            for (std::size_t k = g.first;
-                                 k < g.second; ++k) {
-                                const AlphaVariant &v =
-                                    variants[owned[k]];
-                                models.push_back(
-                                    std::make_unique<
-                                        uarch::Alpha21164Model>(
-                                        v.mc, v.lvp.has_value()));
-                                if (v.lvp) {
-                                    annots.push_back(
-                                        std::make_unique<
-                                            core::LvpAnnotator>(
-                                            *v.lvp, *models.back()));
-                                    tops.push_back(
-                                        annots.back().get());
-                                } else {
-                                    annots.push_back(nullptr);
-                                    tops.push_back(
-                                        models.back().get());
-                                }
-                            }
-                            trace::TraceFileReader reader(tr, *prog);
-                            trace::MultiSink multi(std::move(tops));
-                            GroupOut out;
-                            out.n = reader.replay(multi);
-                            for (std::size_t j = 0;
-                                 j < models.size(); ++j) {
-                                AlphaRun r;
-                                if (annots[j])
-                                    r.lvp = annots[j]->unit().stats();
-                                r.timing = models[j]->stats();
-                                publishModelRun(r.timing);
-                                out.runs.push_back(std::move(r));
-                            }
-                            return out;
-                        });
-                    std::size_t k = 0;
-                    for (auto &o : outs) {
-                        for (auto &r : o.runs)
-                            vals[k++] = std::move(r);
-                        impl_->noteFanoutReplay(o.runs.size());
-                    }
-                    addInstructionsProcessed(outs.front().n *
-                                             owned.size());
-                } catch (const SimError &e) {
-                    impl_->onReplayError(tr, e);
-                }
-                return;
-            }
-            std::vector<std::unique_ptr<uarch::Alpha21164Model>>
-                models;
-            std::vector<std::unique_ptr<core::LvpAnnotator>> annots;
-            std::vector<trace::TraceSink *> tops;
-            for (std::size_t i : owned) {
-                const AlphaVariant &v = variants[i];
-                models.push_back(
-                    std::make_unique<uarch::Alpha21164Model>(
-                        v.mc, v.lvp.has_value()));
-                if (v.lvp) {
-                    annots.push_back(
-                        std::make_unique<core::LvpAnnotator>(
-                            *v.lvp, *models.back()));
-                    tops.push_back(annots.back().get());
-                } else {
-                    annots.push_back(nullptr);
-                    tops.push_back(models.back().get());
-                }
-            }
-            try {
-                trace::TraceFileReader reader(tr, *prog);
-                trace::MultiSink multi(std::move(tops));
-                std::uint64_t n = reader.replay(multi);
-                addInstructionsProcessed(n * owned.size());
-                impl_->noteFanoutReplay(owned.size());
-            } catch (const SimError &e) {
-                impl_->onReplayError(tr, e);
-                return;
-            }
-            for (std::size_t k = 0; k < owned.size(); ++k) {
-                AlphaRun r;
-                if (annots[k])
-                    r.lvp = annots[k]->unit().stats();
-                r.timing = models[k]->stats();
-                publishModelRun(r.timing);
-                vals[k] = std::move(r);
-            }
-        },
+    return impl_->sweep<AlphaChain>(
+        *this, impl_->alphaRuns, keys, "alpha21164", w, cg, scale, rc,
         [&](std::size_t i) {
-            const AlphaVariant &v = variants[i];
-            auto prog = program(w, cg, scale);
-            obs::Timeline::Scope span("alpha21164:" + w.name, "sim");
-            return runAlpha21164(*prog, v.mc, v.lvp, rc);
+            return std::make_unique<AlphaChain>(variants[i].mc,
+                                                variants[i].lvp);
         });
 }
 
@@ -1373,7 +885,6 @@ RunCache::clear()
     impl_->programs.clear();
     impl_->funcs.clear();
     impl_->localities.clear();
-    impl_->lvps.clear();
     impl_->preds.clear();
     impl_->ppcRuns.clear();
     impl_->alphaRuns.clear();

@@ -9,15 +9,16 @@
  * shares, across every experiment runner in the process:
  *
  *  - built Programs, keyed on (workload, codegen, scale);
- *  - functional results, locality profiles, LVP-only statistics, and
- *    timing runs, keyed additionally on maxInstructions and on a full
- *    fingerprint of the machine/LVP configuration (so ablation
- *    variants never alias the paper presets);
+ *  - functional results, locality profiles, predictor-only
+ *    statistics, and timing runs, keyed additionally on
+ *    maxInstructions and on a full fingerprint of the machine and
+ *    predictor configuration (so ablation variants never alias the
+ *    paper presets);
  *  - optionally, on-disk phase-1 traces (Section 5's decoupled
  *    methodology): when a trace directory is configured, the
  *    functional interpreter runs once per (workload, codegen, scale,
  *    maxInstructions) to write a binary trace via TraceFileWriter,
- *    and every phase-2/3 run (LVP-only, locality, timing) replays
+ *    and every phase-2/3 run (predictor-only, locality, timing) replays
  *    that trace through TraceFileReader instead of re-interpreting.
  *
  * All entries are computed at most once even under concurrent access:
@@ -97,14 +98,14 @@ class RunCache
     locality(const workloads::Workload &w, workloads::CodeGen cg,
              unsigned scale, const RunConfig &rc);
 
-    /** Cached runLvpOnly(). */
+    /** Cached runPredictorOnly() for one paper LVP unit. */
     core::LvpStats lvpOnly(const workloads::Workload &w,
                            workloads::CodeGen cg, unsigned scale,
                            const core::LvpConfig &cfg,
                            const RunConfig &rc);
 
-    /** Cached runPredictorOnly() for a registry predictor, keyed on
-     *  its registry name (championship leaderboard). */
+    /** Cached runPredictorOnly() for a registry predictor: the entry
+     *  lvpOnly() or predictorOnlyMany() reach for the same spec. */
     core::LvpStats predictorOnly(const workloads::Workload &w,
                                  workloads::CodeGen cg, unsigned scale,
                                  const core::PredictorInfo &info,
@@ -148,25 +149,24 @@ class RunCache
      * @{
      * Single-pass configuration sweeps. Each call is equivalent to
      * invoking the matching singular method once per variant, in
-     * order — same keys, same memoized values, same exceptions — but
-     * every variant still missing from the cache is computed in ONE
-     * replay of the shared phase-1 trace, fanned out through a
-     * MultiSink (runcache.trace_replays counts one replay per pass,
-     * not per variant). If the trace is unusable the un-memoized
-     * variants fall back to per-variant in-memory runs.
+     * order — same keys, same memoized values, same exceptions — and
+     * the singular methods are sweeps of one. Every variant still
+     * missing from the cache is computed from the shared phase-1
+     * trace: the missing variants are cut into min(shardJobs(),
+     * missing) contiguous groups (one group while chaos is armed),
+     * and each group is served by ONE replay fanned out through a
+     * MultiSink, the groups running concurrently on shardPool()
+     * (runcache.trace_replays counts one replay per group, not per
+     * variant). If the trace is unusable the un-memoized variants
+     * fall back to per-variant in-memory runs.
+     *
+     * Predictor-only results are keyed on core::fingerprint(spec), so
+     * one configured predictor is one entry however it is reached.
      */
-    std::vector<core::LvpStats>
-    lvpOnlyMany(const workloads::Workload &w, workloads::CodeGen cg,
-                unsigned scale,
-                const std::vector<core::LvpConfig> &cfgs,
-                const RunConfig &rc);
-
-    /** lvpOnlyMany() for registry predictors: one trace replay fans
-     *  out over every still-missing predictor in @p infos. */
     std::vector<core::LvpStats>
     predictorOnlyMany(const workloads::Workload &w,
                       workloads::CodeGen cg, unsigned scale,
-                      const std::vector<const core::PredictorInfo *> &infos,
+                      const std::vector<core::PredictorSpec> &specs,
                       const RunConfig &rc);
 
     /** One timing-sweep variant: a machine config plus an optional

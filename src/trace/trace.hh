@@ -120,6 +120,15 @@ class TeeSink : public TraceSink
     TraceSink &second_;
 };
 
+/** A sink that discards every record: the end of a predictor-only
+ *  chain, whose result is the predictor's statistics. */
+class NullSink : public TraceSink
+{
+  public:
+    void consume(const TraceRecord &) override {}
+    void consumeBatch(std::span<const TraceRecord>) override {}
+};
+
 /**
  * A sink that forwards every record (and batch) to N downstream
  * sinks, in the order given. One trace replay through a MultiSink

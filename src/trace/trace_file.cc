@@ -790,7 +790,6 @@ TraceFileReader::TraceFileReader(
                 static_cast<unsigned long long>(*expectFingerprint)));
     }
     records_ = env.records;
-    end_ = records_;
     version_ = env.version;
     fingerprint_ = env.fingerprint;
     expectChecksum_ = env.checksum;
@@ -825,56 +824,6 @@ TraceFileReader::TraceFileReader(
         std::min<std::uint64_t>(records_, blockRecords_)));
 }
 
-TraceFileReader::TraceFileReader(
-    const std::string &path, const isa::Program &prog,
-    std::optional<std::uint64_t> expectFingerprint,
-    const Window &window)
-    : TraceFileReader(path, prog, expectFingerprint)
-{
-    if (window.first > records_ ||
-        window.count > records_ - window.first) {
-        std::fclose(file_);
-        file_ = nullptr;
-        throw SimError(
-            ErrorKind::TraceCorrupt,
-            detail::formatMsg(
-                "invalid trace window [%llu, +%llu) for '%s': file "
-                "has %llu records",
-                static_cast<unsigned long long>(window.first),
-                static_cast<unsigned long long>(window.count),
-                path.c_str(),
-                static_cast<unsigned long long>(records_)));
-    }
-    seq_ = window.first;
-    end_ = window.first + window.count;
-    // The whole-payload checksum cannot be verified from a window;
-    // callers guarantee the file was verified beforehand.
-    verifyChecksum_ = false;
-    if (version_ == TraceFormatVersionV2) {
-        if (std::fseek(file_,
-                       static_cast<long>(TraceHeaderBytes +
-                                         window.first * RecordBytes),
-                       SEEK_SET) != 0) {
-            std::fclose(file_);
-            file_ = nullptr;
-            throw SimError(ErrorKind::TraceIo,
-                           detail::formatMsg(
-                               "cannot seek to record %llu in '%s'",
-                               static_cast<unsigned long long>(
-                                   window.first),
-                               path.c_str()));
-        }
-        bufPos_ = 0;
-        bufLen_ = 0;
-        iobuf_.resize(
-            static_cast<std::size_t>(std::min<std::uint64_t>(
-                window.count, ReaderBufRecords)) *
-            RecordBytes);
-    }
-    // v3 seeks lazily: loadBlockFor() jumps straight to the block
-    // holding window.first through the index.
-}
-
 TraceFileReader::~TraceFileReader()
 {
     if (file_)
@@ -893,7 +842,7 @@ void
 TraceFileReader::fillBuffer()
 {
     std::uint64_t want = std::min<std::uint64_t>(
-        end_ - seq_, ReaderBufRecords);
+        records_ - seq_, ReaderBufRecords);
     std::size_t got = std::fread(
         iobuf_.data(), 1,
         static_cast<std::size_t>(want) * RecordBytes, file_);
@@ -1010,8 +959,7 @@ TraceFileReader::loadBlockFor(std::uint64_t seq)
     // sweep it into cache, so the fread + decode of block b+1 starts
     // warm (LVPLIB_TRACE_PREFETCH=0 disables).
     std::uint64_t nb = b + 1;
-    if (prefetch_ && nb < index_.size() &&
-        end_ > nb * static_cast<std::uint64_t>(blockRecords_)) {
+    if (prefetch_ && nb < index_.size()) {
         std::uint64_t plen = blockBytes(nb);
         bool ok = filePos_ == index_[nb] ||
                   std::fseek(file_, static_cast<long>(index_[nb]),
@@ -1139,8 +1087,8 @@ TraceFileReader::nextV3(TraceRecord &rec)
 bool
 TraceFileReader::next(TraceRecord &rec)
 {
-    if (seq_ == end_) {
-        if (verifyChecksum_ && checksum_ != expectChecksum_)
+    if (seq_ == records_) {
+        if (checksum_ != expectChecksum_)
             corrupt(traceFileStatusName(
                 TraceFileStatus::ChecksumMismatch));
         return false;
@@ -1161,7 +1109,7 @@ TraceFileReader::replay(TraceSink &sink)
         // end-of-trace checksum verification in next().
         std::vector<TraceRecord> batch(static_cast<std::size_t>(
             std::max<std::uint64_t>(
-                1, std::min<std::uint64_t>(end_ - seq_,
+                1, std::min<std::uint64_t>(records_ - seq_,
                                            ReplayBatchRecords))));
         std::uint64_t n = 0;
         for (;;) {
@@ -1184,12 +1132,12 @@ TraceFileReader::replay(TraceSink &sink)
     // v3: each decoded block IS the batch — consumeBatch sees spans
     // of the reader's own block buffer, with no intermediate copy.
     std::uint64_t n = 0;
-    while (seq_ < end_) {
+    while (seq_ < records_) {
         if (decPos_ == decoded_.size())
             loadBlockFor(seq_);
         std::size_t k = static_cast<std::size_t>(
             std::min<std::uint64_t>(decoded_.size() - decPos_,
-                                    end_ - seq_));
+                                    records_ - seq_));
         sink.consumeBatch(std::span<const TraceRecord>(
             decoded_.data() + decPos_, k));
         batches.add();
@@ -1198,122 +1146,11 @@ TraceFileReader::replay(TraceSink &sink)
         seq_ += k;
         n += k;
     }
-    if (verifyChecksum_ && checksum_ != expectChecksum_)
+    if (checksum_ != expectChecksum_)
         corrupt(
             traceFileStatusName(TraceFileStatus::ChecksumMismatch));
     sink.finish();
     return n;
-}
-
-void
-AnnotationStream::append(PredState s)
-{
-    std::uint64_t i = count_++;
-    std::size_t byte = static_cast<std::size_t>(i / 4);
-    unsigned shift = static_cast<unsigned>((i % 4) * 2);
-    if (byte >= bits_.size())
-        bits_.push_back(0);
-    bits_[byte] = static_cast<std::uint8_t>(
-        bits_[byte] | (static_cast<std::uint8_t>(s) << shift));
-}
-
-PredState
-AnnotationStream::at(std::uint64_t i) const
-{
-    lvp_assert(i < count_, "annotation index %llu out of range",
-               static_cast<unsigned long long>(i));
-    std::size_t byte = static_cast<std::size_t>(i / 4);
-    unsigned shift = static_cast<unsigned>((i % 4) * 2);
-    return static_cast<PredState>((bits_[byte] >> shift) & 0x3);
-}
-
-void
-AnnotationStream::save(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        throw SimError(ErrorKind::TraceIo,
-                       detail::formatMsg(
-                           "cannot open annotation file '%s'",
-                           path.c_str()));
-    std::uint8_t header[8];
-    putU64(header, count_);
-    bool ok = std::fwrite(header, sizeof(header), 1, f) == 1;
-    ok = ok && (bits_.empty() ||
-                std::fwrite(bits_.data(), bits_.size(), 1, f) == 1);
-    ok = std::fclose(f) == 0 && ok;
-    if (!ok)
-        throw SimError(ErrorKind::TraceIo,
-                       detail::formatMsg(
-                           "annotation file '%s': write failed",
-                           path.c_str()));
-}
-
-AnnotationStream
-AnnotationStream::load(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        throw SimError(ErrorKind::TraceIo,
-                       detail::formatMsg(
-                           "cannot open annotation file '%s'",
-                           path.c_str()));
-    std::uint8_t header[8];
-    if (std::fread(header, sizeof(header), 1, f) != 1) {
-        std::fclose(f);
-        throw SimError(ErrorKind::TraceIo,
-                       detail::formatMsg(
-                           "annotation file '%s' truncated",
-                           path.c_str()));
-    }
-    AnnotationStream s;
-    s.count_ = getU64(header);
-    s.bits_.resize(static_cast<std::size_t>((s.count_ + 3) / 4));
-    if (!s.bits_.empty() &&
-        std::fread(s.bits_.data(), s.bits_.size(), 1, f) != 1) {
-        std::fclose(f);
-        throw SimError(ErrorKind::TraceIo,
-                       detail::formatMsg(
-                           "annotation file '%s' truncated",
-                           path.c_str()));
-    }
-    std::fclose(f);
-    return s;
-}
-
-void
-AnnotationRecorder::consume(const TraceRecord &rec)
-{
-    if (rec.inst->load())
-        stream_.append(rec.pred);
-}
-
-void
-AnnotationRecorder::consumeBatch(std::span<const TraceRecord> recs)
-{
-    for (const TraceRecord &rec : recs)
-        if (rec.inst->load())
-            stream_.append(rec.pred);
-}
-
-void
-AnnotationMerger::consume(const TraceRecord &rec)
-{
-    TraceRecord out = rec;
-    if (rec.inst->load())
-        out.pred = stream_.at(loadIndex_++);
-    down_.consume(out);
-}
-
-void
-AnnotationMerger::consumeBatch(std::span<const TraceRecord> recs)
-{
-    batch_.assign(recs.begin(), recs.end());
-    for (TraceRecord &out : batch_)
-        if (out.inst->load())
-            out.pred = stream_.at(loadIndex_++);
-    down_.consumeBatch(
-        std::span<const TraceRecord>(batch_.data(), batch_.size()));
 }
 
 } // namespace lvplib::trace

@@ -38,8 +38,7 @@
  *       taken column: n bits, packed
  *       pred column:  n two-bit PredStates, packed
  *   block index: one u64 absolute file offset per block, so a
- *     windowed reader seeks straight to the block holding any record
- *     and decodes at most one partial block
+ *     reader can seek straight to the block holding any record
  *   footer (24 bytes)
  *     [ 0.. 8)  magic "ECARTPVL"
  *     [ 8..16)  u64 record count N
@@ -53,8 +52,8 @@
  * few bytes instead of 26. Bit-packing taken/pred makes every decoded
  * enum legal by construction — corruption detection rests on the
  * per-block checksum instead of per-record enum range checks, which
- * also gives windowed readers integrity coverage the v2 windows never
- * had.
+ * also reports a flipped bit at the block it lands in rather than at
+ * the end-of-trace checksum.
  *
  * Both formats reconstruct nextPc and the static instruction from the
  * Program at read time; seq is implicit in record order. Memory ops
@@ -332,35 +331,9 @@ class TraceFileWriter : public TraceSink
 class TraceFileReader
 {
   public:
-    /**
-     * A half-open record window [first, first + count) of a trace
-     * file, for sharded replay. A windowed reader seeks straight to
-     * record `first` (v3: to the block holding it, decoding at most
-     * one partial block), delivers exactly `count` records with their
-     * absolute sequence numbers, then reports end-of-trace WITHOUT
-     * the whole-payload checksum comparison (the checksum covers all
-     * payload bytes, which a window by definition does not read; v3
-     * windows still verify every block checksum they touch). Use only
-     * on files already verified end to end — the run cache verifies
-     * before replaying, and the sharded engine's leader pass reads
-     * the full file first. Per-record validation (chaos read-flip,
-     * pc / enum validation) is identical to a full read.
-     */
-    struct Window
-    {
-        std::uint64_t first = 0;
-        std::uint64_t count = 0;
-    };
-
     TraceFileReader(const std::string &path, const isa::Program &prog,
                     std::optional<std::uint64_t> expectFingerprint =
                         std::nullopt);
-
-    /** Open a windowed reader (see Window). Throws TraceCorrupt when
-     *  the window exceeds the footer's record count. */
-    TraceFileReader(const std::string &path, const isa::Program &prog,
-                    std::optional<std::uint64_t> expectFingerprint,
-                    const Window &window);
 
     ~TraceFileReader();
 
@@ -369,13 +342,11 @@ class TraceFileReader
 
     /**
      * Read one record into @p rec.
-     * @return false at the end of the trace (checksum-verified for a
-     * full reader; windowed readers skip the whole-payload check).
+     * @return false at the end of the trace (checksum-verified).
      */
     bool next(TraceRecord &rec);
 
-    /** Stream the whole file (or window) into @p sink (calls
-     *  finish()). */
+    /** Stream the whole file into @p sink (calls finish()). */
     std::uint64_t replay(TraceSink &sink);
 
     /** Total records promised by the footer. */
@@ -408,8 +379,6 @@ class TraceFileReader
     std::string path_;
     SeqNum seq_ = 0;
     std::uint64_t records_ = 0;
-    std::uint64_t end_ = 0;       ///< one past the last record to read
-    bool verifyChecksum_ = true;  ///< false for windowed readers
     std::uint32_t version_ = TraceFormatVersion;
     std::uint64_t fingerprint_ = 0;
     std::uint64_t expectChecksum_ = 0;
@@ -435,74 +404,6 @@ class TraceFileReader
     std::vector<TraceRecord> decoded_;  ///< decoded current block
     std::size_t decPos_ = 0;            ///< next record in decoded_
     /** @} */
-};
-
-/**
- * The paper's compact annotation stream: two bits per dynamic load,
- * in load order. Produced by the LVP phase and merged back into a
- * trace by AnnotationMerger.
- */
-class AnnotationStream
-{
-  public:
-    /** Append one load's prediction state. */
-    void append(PredState s);
-
-    /** Prediction state of load number @p i. */
-    PredState at(std::uint64_t i) const;
-
-    /** Number of loads annotated. */
-    std::uint64_t size() const { return count_; }
-
-    /** Bytes of storage used (4 loads per byte). */
-    std::size_t storageBytes() const { return bits_.size(); }
-
-    /** Serialize to / deserialize from a file. */
-    void save(const std::string &path) const;
-    static AnnotationStream load(const std::string &path);
-
-  private:
-    std::vector<std::uint8_t> bits_; ///< 2 bits per load, packed
-    std::uint64_t count_ = 0;
-};
-
-/**
- * A sink that records each load's PredState into an AnnotationStream
- * and forwards nothing (use behind an LvpAnnotator).
- */
-class AnnotationRecorder : public TraceSink
-{
-  public:
-    void consume(const TraceRecord &rec) override;
-    void consumeBatch(std::span<const TraceRecord> recs) override;
-
-    const AnnotationStream &stream() const { return stream_; }
-    AnnotationStream takeStream() { return std::move(stream_); }
-
-  private:
-    AnnotationStream stream_;
-};
-
-/**
- * A pass-through stage that stamps each load's PredState from an
- * AnnotationStream (phase 3's input: raw trace + 2-bit annotations).
- */
-class AnnotationMerger : public TraceSink
-{
-  public:
-    AnnotationMerger(const AnnotationStream &stream, TraceSink &down)
-        : stream_(stream), down_(down)
-    {}
-
-    void consume(const TraceRecord &rec) override;
-    void consumeBatch(std::span<const TraceRecord> recs) override;
-    void finish() override { down_.finish(); }
-
-  private:
-    const AnnotationStream &stream_;
-    TraceSink &down_;
-    std::uint64_t loadIndex_ = 0;
-    std::vector<TraceRecord> batch_; ///< stamped copies for batches
 };
 
 } // namespace lvplib::trace

@@ -142,6 +142,9 @@ class Histogram
     /** Forget all samples. */
     void clear();
 
+    /** Same shape, same samples. */
+    bool operator==(const Histogram &o) const = default;
+
   private:
     std::vector<std::uint64_t> counts_;
     std::uint64_t overflow_ = 0;

@@ -301,16 +301,19 @@ TEST(BatchReplay, ParallelFanOutSweepsAreRaceFree)
         core::LvpConfig::simple(), core::LvpConfig::limit()};
     const std::vector<core::LvpConfig> sweepB = {
         core::LvpConfig::simple(), core::LvpConfig::constant()};
+    auto specs = [](const std::vector<core::LvpConfig> &cfgs) {
+        return std::vector<core::PredictorSpec>(cfgs.begin(), cfgs.end());
+    };
 
     std::vector<core::LvpStats> gotA, gotB;
     {
         std::thread ta([&] {
-            gotA = cache.lvpOnlyMany(w, workloads::CodeGen::Ppc, 1,
-                                     sweepA, rc);
+            gotA = cache.predictorOnlyMany(w, workloads::CodeGen::Ppc,
+                                           1, specs(sweepA), rc);
         });
         std::thread tb([&] {
-            gotB = cache.lvpOnlyMany(w, workloads::CodeGen::Ppc, 1,
-                                     sweepB, rc);
+            gotB = cache.predictorOnlyMany(w, workloads::CodeGen::Ppc,
+                                           1, specs(sweepB), rc);
         });
         ta.join();
         tb.join();

@@ -198,13 +198,6 @@ TEST(PredictorCorruption, CvuCorruptEvictIsParityDetectedRemoval)
     EXPECT_EQ(c.size(), 0u);
 }
 
-/** Discards every record (fault-free reference runs). */
-class NullSink : public trace::TraceSink
-{
-  public:
-    void consume(const trace::TraceRecord &) override {}
-};
-
 TEST(SpeculationSafety, PredictorFaultsNeverChangeArchitecture)
 {
     ChaosGuard guard;
@@ -214,7 +207,7 @@ TEST(SpeculationSafety, PredictorFaultsNeverChangeArchitecture)
 
     auto run = [&] {
         vm::Interpreter interp(prog);
-        NullSink null;
+        trace::NullSink null;
         core::LvpAnnotator annot(core::LvpConfig::simple(), null);
         interp.run(&annot);
         return std::tuple{interp.memory().imageHash(),

@@ -272,19 +272,6 @@ TEST(ErrorPaths, UnwritableTraceDirDuringRegenerateFallsBack)
     cache.setTraceDir(saved);
 }
 
-TEST(ErrorPaths, EnospcOnAnnotationSaveThrowsTraceIo)
-{
-    // Linux /dev/full: every flush fails with ENOSPC.
-    if (std::FILE *probe = std::fopen("/dev/full", "wb")) {
-        std::fclose(probe);
-        trace::AnnotationStream stream;
-        for (int i = 0; i < 64; ++i)
-            stream.append(trace::PredState::None);
-        expectSimError([&] { stream.save("/dev/full"); },
-                       ErrorKind::TraceIo, "write failed");
-    }
-}
-
 TEST(ErrorPaths, WatchdogBudgetThrowsTypedError)
 {
     isa::Program prog = workloads::findWorkload("grep").build(

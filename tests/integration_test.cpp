@@ -165,9 +165,9 @@ TEST(Integration, LctSeparatesPredictableLoads)
 {
     // Table 3's shape: on high-locality benchmarks the LCT identifies
     // most predictable loads and most unpredictable loads.
-    auto eq = sim::runLvpOnly(prog("eqntott"), LvpConfig::simple());
+    auto eq = sim::runPredictorOnly(prog("eqntott"), LvpConfig::simple());
     EXPECT_GT(eq.predHitRate(), 60.0);
-    auto gp = sim::runLvpOnly(prog("gperf"), LvpConfig::simple());
+    auto gp = sim::runPredictorOnly(prog("gperf"), LvpConfig::simple());
     EXPECT_GT(gp.unpredHitRate(), 60.0);
     EXPECT_GT(gp.predHitRate(), 30.0);
 }
@@ -176,17 +176,17 @@ TEST(Integration, ConstantConfigFindsConstants)
 {
     // Table 4's shape: constant-identification rates are significant
     // for high-locality codes, near zero for tomcatv.
-    auto hi = sim::runLvpOnly(prog("gperf"), LvpConfig::constant());
+    auto hi = sim::runPredictorOnly(prog("gperf"), LvpConfig::constant());
     EXPECT_GT(hi.constantRate(), 10.0);
-    auto lo = sim::runLvpOnly(prog("tomcatv"), LvpConfig::constant());
+    auto lo = sim::runPredictorOnly(prog("tomcatv"), LvpConfig::constant());
     EXPECT_LT(lo.constantRate(), hi.constantRate());
 }
 
 TEST(Integration, LimitPredictsMoreThanSimple)
 {
     for (const char *name : {"eqntott", "xlisp", "cc1"}) {
-        auto simple = sim::runLvpOnly(prog(name), LvpConfig::simple());
-        auto limit = sim::runLvpOnly(prog(name), LvpConfig::limit());
+        auto simple = sim::runPredictorOnly(prog(name), LvpConfig::simple());
+        auto limit = sim::runPredictorOnly(prog(name), LvpConfig::limit());
         double s_rate = simple.predictionRate() * simple.accuracy();
         double l_rate = limit.predictionRate() * limit.accuracy();
         EXPECT_GE(l_rate, s_rate * 0.98) << name;

@@ -202,6 +202,30 @@ TEST(LvpUnit, BranchHistoryIndexSeparatesContexts)
     EXPECT_EQ(keyed.cvuStaleHits, 0u);
 }
 
+TEST(LvpUnit, LvpStatsMergeSumsEveryField)
+{
+    // A resumed lvp-serve session reports its parked base stats plus
+    // the resumed unit's, merged by operator+=: a field added to
+    // LvpStats but forgotten there would silently corrupt every
+    // resumed session. The static_assert pins the struct layout;
+    // adding a field breaks this test until the merge (and this fill
+    // pattern) learn about it.
+    static_assert(sizeof(LvpStats) == 13 * sizeof(std::uint64_t),
+                  "LvpStats changed: update operator+= and this test");
+    LvpStats a, b;
+    std::uint64_t *fa = reinterpret_cast<std::uint64_t *>(&a);
+    std::uint64_t *fb = reinterpret_cast<std::uint64_t *>(&b);
+    const std::size_t n = sizeof(LvpStats) / sizeof(std::uint64_t);
+    for (std::size_t i = 0; i < n; ++i) {
+        fa[i] = 1000 + i;
+        fb[i] = 1;
+    }
+    a += b;
+    for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(fa[i], 1001 + i) << "LvpStats field " << i
+                                   << " not summed by operator+=";
+}
+
 TEST(LvpUnit, BhrZeroBitsIsANoop)
 {
     LvpConfig cfg = LvpConfig::simple();

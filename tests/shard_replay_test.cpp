@@ -1,34 +1,32 @@
 /**
  * @file
- * Byte-identity proof for sharded intra-experiment replay: the
- * time-slice checkpoint engine (sim/sharded_replay.hh) must stitch
- * per-shard predictor statistics back into EXACTLY the stats one
- * serial annotator pass produces — for every predictor family (paper
- * LVP unit in all its presets and the BHR extension, stride, FCM),
- * for any shard count, and with chaos predictor faults armed (the
- * snapshot carries the unit's fault-stream position). Also covers the
- * windowed TraceFileReader the shards are built on and the RunCache
- * wiring (group-sharded *Many sweeps and the sharded singular path).
+ * Byte-identity proof for variant-group sharding, the one replay
+ * sharding mechanism: a RunCache sweep cuts its missing variants into
+ * contiguous groups, each replaying the shared trace once on the
+ * shard pool, and must return EXACTLY the results of one serial
+ * MultiSink pass — for every kind of variant a sweep holds (every
+ * registry predictor, a branch-history LVP unit, the 620 and 620+
+ * with and without LVP, the 21164 with and without LVP), at several
+ * shard counts, every statistics field compared, on a cold cache.
+ * With chaos predictor faults armed a sweep must not group at all and
+ * still match the serial pass fault for fault.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <algorithm>
 #include <filesystem>
+#include <ostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "chaos/chaos.hh"
 #include "core/config.hh"
-#include "core/fcm_unit.hh"
-#include "core/lvp_unit.hh"
-#include "core/stride_unit.hh"
 #include "core/value_predictor.hh"
 #include "sim/parallel.hh"
 #include "sim/run_cache.hh"
-#include "sim/sharded_replay.hh"
-#include "trace/trace_file.hh"
-#include "vm/interpreter.hh"
+#include "uarch/machine_config.hh"
 #include "workloads/workload.hh"
 
 namespace lvplib
@@ -36,490 +34,245 @@ namespace lvplib
 namespace
 {
 
-using trace::TraceFileReader;
-using trace::TraceFileWriter;
-using trace::TraceRecord;
-using trace::TraceSink;
+namespace fs = std::filesystem;
 
-struct TempPath
+/** The sweep entry point a test instance drives. */
+enum class Sweep
 {
-    std::string path;
-    explicit TempPath(const std::string &name)
-        : path(std::string(::testing::TempDir()) + name)
-    {}
-    ~TempPath() { std::remove(path.c_str()); }
+    Predictor,
+    Ppc620,
+    Alpha21164,
 };
 
-isa::Program
-demoProgram()
+const char *
+sweepName(Sweep s)
 {
-    return workloads::findWorkload("grep").build(workloads::CodeGen::Ppc,
-                                                 1);
+    switch (s) {
+    case Sweep::Predictor:
+        return "pred";
+    case Sweep::Ppc620:
+        return "ppc620";
+    case Sweep::Alpha21164:
+        return "alpha21164";
+    }
+    return "?";
 }
 
-std::uint64_t
-writeTrace(const std::string &path, const isa::Program &prog,
-           std::uint64_t limit,
-           const trace::TraceWriterOptions &opts = {})
-{
-    TraceFileWriter writer(path, 0, opts);
-    vm::Interpreter interp(prog);
-    interp.run(&writer, limit);
-    writer.finish();
-    EXPECT_TRUE(writer.close()) << writer.error();
-    return writer.recordsWritten();
-}
-
-class NullSink : public TraceSink
-{
-  public:
-    void consume(const TraceRecord &) override {}
-};
-
-/** Serial reference: one LvpAnnotator pass over the whole file. */
-core::LvpStats
-serialLvp(const std::string &path, const isa::Program &prog,
-          const core::LvpConfig &cfg)
-{
-    NullSink null_sink;
-    core::LvpAnnotator annot(cfg, null_sink);
-    TraceFileReader reader(path, prog);
-    reader.replay(annot);
-    return annot.unit().stats();
-}
-
-core::LvpStats
-serialStride(const std::string &path, const isa::Program &prog,
-             const core::StrideConfig &cfg)
-{
-    NullSink null_sink;
-    core::StrideAnnotator annot(cfg, null_sink);
-    TraceFileReader reader(path, prog);
-    reader.replay(annot);
-    return annot.unit().stats();
-}
-
-core::LvpStats
-serialFcm(const std::string &path, const isa::Program &prog,
-          const core::FcmConfig &cfg)
-{
-    /** Mirrors runFcmOnly's sink: loads and stores into the unit. */
-    class FcmSink : public TraceSink
-    {
-      public:
-        explicit FcmSink(const core::FcmConfig &c) : unit(c) {}
-        void
-        consume(const TraceRecord &rec) override
-        {
-            const auto &inst = *rec.inst;
-            if (inst.load())
-                unit.onLoad(rec.pc, rec.effAddr, rec.value,
-                            inst.accessSize());
-            else if (inst.store())
-                unit.onStore(rec.effAddr, inst.accessSize());
-        }
-        core::FcmUnit unit;
-    } sink(cfg);
-    TraceFileReader reader(path, prog);
-    reader.replay(sink);
-    return sink.unit.stats();
-}
-
-/** Every field — byte identity, not just the headline counters. */
 void
-expectSameStats(const core::LvpStats &a, const core::LvpStats &b,
-                const std::string &what)
+PrintTo(Sweep s, std::ostream *os)
 {
-    EXPECT_EQ(a.loads, b.loads) << what;
-    EXPECT_EQ(a.noPred, b.noPred) << what;
-    EXPECT_EQ(a.incorrect, b.incorrect) << what;
-    EXPECT_EQ(a.correct, b.correct) << what;
-    EXPECT_EQ(a.constants, b.constants) << what;
-    EXPECT_EQ(a.actualUnpred, b.actualUnpred) << what;
-    EXPECT_EQ(a.actualPred, b.actualPred) << what;
-    EXPECT_EQ(a.unpredIdentified, b.unpredIdentified) << what;
-    EXPECT_EQ(a.predIdentified, b.predIdentified) << what;
-    EXPECT_EQ(a.cvuInsertions, b.cvuInsertions) << what;
-    EXPECT_EQ(a.cvuStoreInvalidations, b.cvuStoreInvalidations) << what;
-    EXPECT_EQ(a.cvuDisplaceInvalidations, b.cvuDisplaceInvalidations)
-        << what;
-    EXPECT_EQ(a.cvuStaleHits, b.cvuStaleHits) << what;
+    *os << sweepName(s);
 }
 
-TEST(ShardReplay, WindowedReaderDeliversExactSlices)
+/** Every registry predictor plus the branch-history LVP extension. */
+std::vector<core::PredictorSpec>
+predictorVariants()
 {
-    TempPath tmp("lvplib_shard_window.trace");
-    auto prog = demoProgram();
-    const std::uint64_t n = writeTrace(tmp.path, prog, 10000);
-    ASSERT_EQ(n, 10000u);
-
-    std::vector<TraceRecord> full;
-    {
-        TraceFileReader reader(tmp.path, prog);
-        TraceRecord rec;
-        while (reader.next(rec))
-            full.push_back(rec);
-    }
-    ASSERT_EQ(full.size(), n);
-
-    // Windows at the start, in the middle, spanning the reader's
-    // block buffer, and ending exactly at the last record.
-    const TraceFileReader::Window windows[] = {
-        {0, 1}, {0, 4096}, {1, 4096}, {4095, 4099}, {9999, 1}, {3000, 7000}};
-    for (const auto &w : windows) {
-        TraceFileReader reader(tmp.path, prog, std::nullopt, w);
-        TraceRecord rec;
-        std::uint64_t i = 0;
-        while (reader.next(rec)) {
-            ASSERT_LT(i, w.count);
-            const TraceRecord &want = full[w.first + i];
-            ASSERT_EQ(rec.seq, want.seq) << "absolute seq preserved";
-            ASSERT_EQ(rec.pc, want.pc);
-            ASSERT_EQ(rec.inst, want.inst);
-            ASSERT_EQ(rec.effAddr, want.effAddr);
-            ASSERT_EQ(rec.value, want.value);
-            ASSERT_EQ(rec.taken, want.taken);
-            ASSERT_EQ(rec.nextPc, want.nextPc);
-            ++i;
-        }
-        EXPECT_EQ(i, w.count);
-    }
-}
-
-TEST(ShardReplay, WindowedReaderStraddlesV3BlockBoundaries)
-{
-    // Same exact-slice contract, but against a v3 file with 64-record
-    // blocks so every window below crosses at least one compressed
-    // block boundary (the default 64Ki blocks never straddle in a
-    // 10000-record trace).
-    TempPath tmp("lvplib_shard_tinywin.trace");
-    auto prog = demoProgram();
-    trace::TraceWriterOptions opts;
-    opts.blockRecords = 64;
-    const std::uint64_t n = writeTrace(tmp.path, prog, 10000, opts);
-    ASSERT_EQ(n, 10000u);
-
-    std::vector<TraceRecord> full;
-    {
-        TraceFileReader reader(tmp.path, prog);
-        TraceRecord rec;
-        while (reader.next(rec))
-            full.push_back(rec);
-    }
-    ASSERT_EQ(full.size(), n);
-
-    const TraceFileReader::Window windows[] = {
-        {63, 2},     // straddles the first boundary
-        {64, 64},    // exactly the second block
-        {127, 130},  // mid-block across three boundaries
-        {0, 4096},   // 64 whole blocks from the start
-        {4095, 4099}, // unaligned, spans 65 blocks
-        {9999, 1}};  // last record, last block
-    for (const auto &w : windows) {
-        TraceFileReader reader(tmp.path, prog, std::nullopt, w);
-        TraceRecord rec;
-        std::uint64_t i = 0;
-        while (reader.next(rec)) {
-            ASSERT_LT(i, w.count);
-            const TraceRecord &want = full[w.first + i];
-            ASSERT_EQ(rec.seq, want.seq) << "absolute seq preserved";
-            ASSERT_EQ(rec.pc, want.pc);
-            ASSERT_EQ(rec.inst, want.inst);
-            ASSERT_EQ(rec.effAddr, want.effAddr);
-            ASSERT_EQ(rec.value, want.value);
-            ASSERT_EQ(rec.taken, want.taken);
-            ASSERT_EQ(rec.nextPc, want.nextPc);
-            ++i;
-        }
-        EXPECT_EQ(i, w.count)
-            << "window [" << w.first << "," << w.count << ")";
-    }
-}
-
-TEST(ShardReplay, TinyBlockShardingMatchesSerialAtEveryCount)
-{
-    // Shard windows over 64-record compressed blocks: every shard
-    // boundary lands mid-block, so each shard decodes a partial lead
-    // block — the seek path the block index exists for.
-    TempPath tmp("lvplib_shard_tinyblock.trace");
-    auto prog = demoProgram();
-    trace::TraceWriterOptions opts;
-    opts.blockRecords = 64;
-    ASSERT_EQ(writeTrace(tmp.path, prog, 10000, opts), 10000u);
-
-    const auto cfg = core::LvpConfig::simple();
-    core::LvpStats serial = serialLvp(tmp.path, prog, cfg);
-    for (unsigned shards : {1u, 2u, 3u, 7u, 16u, 64u}) {
-        expectSameStats(
-            serial, sim::shardedLvpReplay(tmp.path, prog, cfg, shards),
-            "tiny-block lvp shards=" + std::to_string(shards));
-    }
-
-    const auto scfg = core::StrideConfig::simple();
-    core::LvpStats sSerial = serialStride(tmp.path, prog, scfg);
-    const auto fcfg = core::FcmConfig::simple();
-    core::LvpStats fSerial = serialFcm(tmp.path, prog, fcfg);
-    for (unsigned shards : {2u, 5u, 32u}) {
-        expectSameStats(
-            sSerial,
-            sim::shardedStrideReplay(tmp.path, prog, scfg, shards),
-            "tiny-block stride shards=" + std::to_string(shards));
-        expectSameStats(
-            fSerial,
-            sim::shardedFcmReplay(tmp.path, prog, fcfg, shards),
-            "tiny-block fcm shards=" + std::to_string(shards));
-    }
-}
-
-TEST(ShardReplay, WindowBeyondFooterCountThrows)
-{
-    TempPath tmp("lvplib_shard_badwindow.trace");
-    auto prog = demoProgram();
-    const std::uint64_t n = writeTrace(tmp.path, prog, 100);
-    ASSERT_EQ(n, 100u);
-    EXPECT_THROW(TraceFileReader(tmp.path, prog, std::nullopt,
-                                 TraceFileReader::Window{100, 1}),
-                 SimError);
-    EXPECT_THROW(TraceFileReader(tmp.path, prog, std::nullopt,
-                                 TraceFileReader::Window{50, 51}),
-                 SimError);
-    // A zero-count window at the end is legal and empty.
-    TraceFileReader reader(tmp.path, prog, std::nullopt,
-                           TraceFileReader::Window{100, 0});
-    TraceRecord rec;
-    EXPECT_FALSE(reader.next(rec));
-}
-
-TEST(ShardReplay, LvpShardingMatchesSerialAcrossConfigsAndCounts)
-{
-    TempPath tmp("lvplib_shard_lvp.trace");
-    auto prog = demoProgram();
-    ASSERT_EQ(writeTrace(tmp.path, prog, 10000), 10000u);
-
-    core::LvpConfig bhr = core::LvpConfig::simple();
-    bhr.name = "simple+bhr";
-    bhr.bhrBits = 4;
-    const core::LvpConfig cfgs[] = {
-        core::LvpConfig::simple(), core::LvpConfig::constant(),
-        core::LvpConfig::limit(), core::LvpConfig::perfect(), bhr};
-    const unsigned shardCounts[] = {1, 2, 3, 7, 16, 64};
-
-    for (const auto &cfg : cfgs) {
-        core::LvpStats serial = serialLvp(tmp.path, prog, cfg);
-        for (unsigned shards : shardCounts) {
-            core::LvpStats sharded =
-                sim::shardedLvpReplay(tmp.path, prog, cfg, shards);
-            expectSameStats(serial, sharded,
-                            cfg.name + " shards=" +
-                                std::to_string(shards));
-        }
-    }
-}
-
-TEST(ShardReplay, StrideAndFcmShardingMatchSerial)
-{
-    TempPath tmp("lvplib_shard_sf.trace");
-    auto prog = demoProgram();
-    ASSERT_EQ(writeTrace(tmp.path, prog, 10000), 10000u);
-
-    const auto scfg = core::StrideConfig::simple();
-    core::LvpStats sSerial = serialStride(tmp.path, prog, scfg);
-    const auto fcfg = core::FcmConfig::simple();
-    core::LvpStats fSerial = serialFcm(tmp.path, prog, fcfg);
-    for (unsigned shards : {2u, 5u, 32u}) {
-        expectSameStats(
-            sSerial,
-            sim::shardedStrideReplay(tmp.path, prog, scfg, shards),
-            "stride shards=" + std::to_string(shards));
-        expectSameStats(
-            fSerial, sim::shardedFcmReplay(tmp.path, prog, fcfg, shards),
-            "fcm shards=" + std::to_string(shards));
-    }
-}
-
-/** Serial reference for any registry predictor: one
- *  PredictorAnnotator pass over the whole file. */
-core::LvpStats
-serialPredictor(const std::string &path, const isa::Program &prog,
-                const core::PredictorInfo &info)
-{
-    NullSink null_sink;
-    core::PredictorAnnotator annot(info, null_sink);
-    TraceFileReader reader(path, prog);
-    reader.replay(annot);
-    return annot.unit().stats();
-}
-
-TEST(ShardReplay, EveryRegistryPredictorShardsMatchSerial)
-{
-    // The championship's correctness bedrock: the type-erased
-    // snapshot path (shardedPredictorReplay over RegistryUnit) must be
-    // byte-identical to a serial pass for EVERY registered predictor —
-    // including the history-indexed VTAGE, whose snapshot carries the
-    // global branch history and the mispredict-throttle position, and
-    // the skewed stride unit — for any shard count.
-    TempPath tmp("lvplib_shard_registry.trace");
-    auto prog = demoProgram();
-    ASSERT_EQ(writeTrace(tmp.path, prog, 10000), 10000u);
-
-    const unsigned shardCounts[] = {1, 2, 3, 7, 16, 64};
-    for (const auto &info : core::predictorRegistry()) {
-        core::LvpStats serial = serialPredictor(tmp.path, prog, info);
-        EXPECT_GT(serial.loads, 0u) << info.name;
-        for (unsigned shards : shardCounts) {
-            core::LvpStats sharded = sim::shardedPredictorReplay(
-                tmp.path, prog, info, shards);
-            expectSameStats(serial, sharded,
-                            info.name + " shards=" +
-                                std::to_string(shards));
-        }
-    }
-}
-
-TEST(ShardReplay, LvpStatsMergeSumsEveryField)
-{
-    // Guard for the stitching step: a field added to LvpStats but
-    // forgotten in operator+= would silently corrupt every sharded
-    // run. The static_assert pins the struct layout; adding a field
-    // breaks this test until the merge (and this fill pattern) learn
-    // about it.
-    static_assert(sizeof(core::LvpStats) == 13 * sizeof(std::uint64_t),
-                  "LvpStats changed: update operator+= and this test");
-    core::LvpStats a, b;
-    std::uint64_t *fa = reinterpret_cast<std::uint64_t *>(&a);
-    std::uint64_t *fb = reinterpret_cast<std::uint64_t *>(&b);
-    const std::size_t n = sizeof(core::LvpStats) / sizeof(std::uint64_t);
-    for (std::size_t i = 0; i < n; ++i) {
-        fa[i] = 1000 + i;
-        fb[i] = 1;
-    }
-    a += b;
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(fa[i], 1001 + i) << "LvpStats field " << i
-                                   << " not summed by operator+=";
-}
-
-TEST(ShardReplay, RunCachePredictorPathsMatchSerialResults)
-{
-    // The championship's run-cache entry points: the group-sharded
-    // predictorOnlyMany sweep and the checkpoint-sharded singular
-    // predictorOnly must agree with their serial (shards=1) selves.
-    namespace fs = std::filesystem;
-    auto &cache = sim::RunCache::instance();
-    const std::string savedDir = cache.traceDir();
-    fs::path dir =
-        fs::path(::testing::TempDir()) / "lvplib_shard_predcache";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-
-    const auto &w = workloads::findWorkload("grep");
-    sim::RunConfig rc;
-    std::vector<const core::PredictorInfo *> preds;
+    std::vector<core::PredictorSpec> specs;
     for (const auto &info : core::predictorRegistry())
-        preds.push_back(&info);
-    const core::PredictorInfo &vtage = *core::findPredictor("vtage");
-
-    sim::setShardJobs(1);
-    cache.clear();
-    cache.setTraceDir(dir.string());
-    std::vector<core::LvpStats> serial =
-        cache.predictorOnlyMany(w, workloads::CodeGen::Ppc, 1, preds, rc);
-    core::LvpStats serialOne =
-        cache.predictorOnly(w, workloads::CodeGen::Ppc, 1, vtage, rc);
-
-    sim::setShardJobs(3);
-    cache.clear();
-    std::vector<core::LvpStats> sharded =
-        cache.predictorOnlyMany(w, workloads::CodeGen::Ppc, 1, preds, rc);
-    core::LvpStats shardedOne =
-        cache.predictorOnly(w, workloads::CodeGen::Ppc, 1, vtage, rc);
-
-    ASSERT_EQ(serial.size(), sharded.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        expectSameStats(serial[i], sharded[i],
-                        "predictor sweep " + preds[i]->name);
-    expectSameStats(serialOne, shardedOne, "singular predictorOnly");
-
-    sim::setShardJobs(0);
-    cache.clear();
-    cache.setTraceDir(savedDir);
-    fs::remove_all(dir);
+        specs.push_back(info.spec);
+    core::LvpConfig bhr = core::LvpConfig::simple();
+    bhr.bhrBits = 4;
+    specs.push_back(bhr);
+    return specs;
 }
 
-TEST(ShardReplay, ChaosArmedShardingMatchesSerial)
+std::vector<sim::RunCache::PpcVariant>
+ppcVariants()
 {
-    TempPath tmp("lvplib_shard_chaos.trace");
-    auto prog = demoProgram();
-    ASSERT_EQ(writeTrace(tmp.path, prog, 10000), 10000u);
+    std::vector<sim::RunCache::PpcVariant> vs;
+    for (const auto &mc : {uarch::Ppc620Config::base620(),
+                           uarch::Ppc620Config::plus620()}) {
+        vs.push_back({mc, std::nullopt});
+        vs.push_back({mc, core::LvpConfig::simple()});
+    }
+    return vs;
+}
 
+std::vector<sim::RunCache::AlphaVariant>
+alphaVariants()
+{
+    return {{uarch::AlphaConfig::base21164(), std::nullopt},
+            {uarch::AlphaConfig::base21164(), core::LvpConfig::simple()}};
+}
+
+/** Cold-cache RunCache sweeps in a trace directory of the test's own. */
+class ShardReplay : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        saved_ = cache().traceDir();
+        const auto *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        std::string name = std::string(info->test_suite_name()) + "_" +
+                           info->name();
+        std::replace(name.begin(), name.end(), '/', '_');
+        dir_ = fs::path(::testing::TempDir()) / ("lvplib_" + name);
+    }
+
+    void
+    TearDown() override
+    {
+        sim::setShardJobs(0);
+        cache().clear();
+        cache().setTraceDir(saved_);
+        fs::remove_all(dir_);
+    }
+
+    static sim::RunCache &cache() { return sim::RunCache::instance(); }
+
+    /** Forget every memo and trace, then pin the shard count. */
+    void
+    coldCache(unsigned shards)
+    {
+        sim::setShardJobs(shards);
+        cache().clear();
+        fs::remove_all(dir_);
+        fs::create_directories(dir_);
+        cache().setTraceDir(dir_.string());
+    }
+
+    /**
+     * Run @p fn's sweep from a cold cache at @p shards; it must replay
+     * the trace once per variant group, and only once while chaos is
+     * armed.
+     */
+    template <typename Fn>
+    auto
+    sweepAt(unsigned shards, Fn fn)
+    {
+        coldCache(shards);
+        auto before = cache().stats();
+        auto out = fn();
+        auto after = cache().stats();
+        const std::size_t groups =
+            chaos::engine().enabled()
+                ? 1
+                : std::min<std::size_t>(shards, out.size());
+        EXPECT_EQ(after.misses - before.misses, out.size() + 2)
+            << "each variant computed once (plus program and trace)";
+        EXPECT_EQ(after.traceWrites - before.traceWrites, 1u);
+        EXPECT_EQ(after.traceReplays - before.traceReplays, groups)
+            << "one replay per variant group";
+        return out;
+    }
+
+    fs::path dir_;
+    std::string saved_;
+};
+
+class GroupSharding
+    : public ShardReplay,
+      public ::testing::WithParamInterface<std::tuple<Sweep, unsigned>>
+{};
+
+TEST_P(GroupSharding, MatchesSerialOnEveryStatsField)
+{
+    const auto [sweep, shards] = GetParam();
+    const auto &w = workloads::findWorkload("grep");
+    const sim::RunConfig rc;
+    switch (sweep) {
+    case Sweep::Predictor: {
+        const auto specs = predictorVariants();
+        auto run = [&] {
+            return cache().predictorOnlyMany(w, workloads::CodeGen::Ppc,
+                                             1, specs, rc);
+        };
+        auto serial = sweepAt(1, run);
+        auto sharded = sweepAt(shards, run);
+        ASSERT_EQ(serial.size(), specs.size());
+        ASSERT_EQ(sharded.size(), specs.size());
+        for (std::size_t i = 0; i < specs.size(); ++i)
+            EXPECT_EQ(serial[i], sharded[i])
+                << core::fingerprint(specs[i]);
+        break;
+    }
+    case Sweep::Ppc620: {
+        const auto variants = ppcVariants();
+        auto run = [&] {
+            return cache().ppc620Many(w, workloads::CodeGen::Ppc, 1,
+                                      variants, rc);
+        };
+        auto serial = sweepAt(1, run);
+        auto sharded = sweepAt(shards, run);
+        ASSERT_EQ(serial.size(), variants.size());
+        ASSERT_EQ(sharded.size(), variants.size());
+        for (std::size_t i = 0; i < variants.size(); ++i) {
+            EXPECT_EQ(serial[i].timing, sharded[i].timing) << i;
+            EXPECT_EQ(serial[i].lvp, sharded[i].lvp) << i;
+        }
+        break;
+    }
+    case Sweep::Alpha21164: {
+        const auto variants = alphaVariants();
+        auto run = [&] {
+            return cache().alpha21164Many(w, workloads::CodeGen::Alpha,
+                                          1, variants, rc);
+        };
+        auto serial = sweepAt(1, run);
+        auto sharded = sweepAt(shards, run);
+        ASSERT_EQ(serial.size(), variants.size());
+        ASSERT_EQ(sharded.size(), variants.size());
+        for (std::size_t i = 0; i < variants.size(); ++i) {
+            EXPECT_EQ(serial[i].timing, sharded[i].timing) << i;
+            EXPECT_EQ(serial[i].lvp, sharded[i].lvp) << i;
+        }
+        break;
+    }
+    }
+}
+
+TEST_F(ShardReplay, ChaosArmedShardingMatchesSerial)
+{
     // Predictor faults are keyed on (config name, per-unit load
-    // counter); the snapshot carries that counter, so shard units
-    // must resume the exact fault stream the serial unit sees. The
-    // mask arms ONLY predictor points: TaskThrow would kill shard
+    // counter), so a sweep is reproducible while they are armed. The
+    // mask arms ONLY predictor points: TaskThrow would fail shard-pool
     // tasks and TraceReadFlip is exercised by batch_replay_test.
+    const auto &w = workloads::findWorkload("grep");
+    const sim::RunConfig rc;
+    const auto specs = predictorVariants();
+    auto run = [&] {
+        return cache().predictorOnlyMany(w, workloads::CodeGen::Ppc, 1,
+                                         specs, rc);
+    };
     auto &ce = chaos::engine();
-    const auto cfg = core::LvpConfig::simple();
+    std::vector<core::LvpStats> serial;
+    std::vector<core::LvpStats> sharded;
+    std::uint64_t serialFaults = 0;
+    std::uint64_t shardedFaults = 0;
     ce.arm({99, chaos::PredictorPoints, 512});
-    core::LvpStats serial;
-    core::LvpStats sharded;
     try {
-        serial = serialLvp(tmp.path, prog, cfg);
-        sharded = sim::shardedLvpReplay(tmp.path, prog, cfg, 5);
+        const std::uint64_t base = ce.injectedTotal();
+        serial = sweepAt(1, run);
+        const std::uint64_t mid = ce.injectedTotal();
+        sharded = sweepAt(5, run);
+        serialFaults = mid - base;
+        shardedFaults = ce.injectedTotal() - mid;
     } catch (...) {
         ce.disarm();
         throw;
     }
-    std::uint64_t faults = ce.injectedTotal();
     ce.disarm();
-    EXPECT_GT(faults, 0u) << "predictor faults must actually fire";
-    expectSameStats(serial, sharded, "chaos-armed shards=5");
+    EXPECT_GT(serialFaults, 0u) << "predictor faults must actually fire";
+    EXPECT_EQ(shardedFaults, serialFaults)
+        << "the sharded sweep sees the serial fault stream again";
+    ASSERT_EQ(serial.size(), specs.size());
+    ASSERT_EQ(sharded.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        EXPECT_EQ(serial[i], sharded[i]) << core::fingerprint(specs[i]);
 }
 
-TEST(ShardReplay, RunCacheShardedPathsMatchSerialResults)
-{
-    namespace fs = std::filesystem;
-    auto &cache = sim::RunCache::instance();
-    const std::string savedDir = cache.traceDir();
-    fs::path dir =
-        fs::path(::testing::TempDir()) / "lvplib_shard_runcache";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-
-    const auto &w = workloads::findWorkload("grep");
-    sim::RunConfig rc;
-    const std::vector<core::LvpConfig> sweep = {
-        core::LvpConfig::simple(), core::LvpConfig::constant(),
-        core::LvpConfig::limit()};
-
-    // Serial reference: shards forced to 1.
-    sim::setShardJobs(1);
-    cache.clear();
-    cache.setTraceDir(dir.string());
-    std::vector<core::LvpStats> serial =
-        cache.lvpOnlyMany(w, workloads::CodeGen::Ppc, 1, sweep, rc);
-    core::LvpStats serialOne = cache.lvpOnly(
-        w, workloads::CodeGen::Ppc, 1, core::LvpConfig::simple(), rc);
-
-    // Sharded: group-sharded sweep + checkpoint-sharded singular,
-    // recomputed from scratch (cache cleared, trace regenerated).
-    sim::setShardJobs(3);
-    cache.clear();
-    std::vector<core::LvpStats> sharded =
-        cache.lvpOnlyMany(w, workloads::CodeGen::Ppc, 1, sweep, rc);
-    core::LvpStats shardedOne = cache.lvpOnly(
-        w, workloads::CodeGen::Ppc, 1, core::LvpConfig::simple(), rc);
-
-    ASSERT_EQ(serial.size(), sharded.size());
-    for (std::size_t i = 0; i < serial.size(); ++i)
-        expectSameStats(serial[i], sharded[i],
-                        "sweep variant " + std::to_string(i));
-    expectSameStats(serialOne, shardedOne, "singular lvpOnly");
-
-    sim::setShardJobs(0);
-    cache.clear();
-    cache.setTraceDir(savedDir);
-    fs::remove_all(dir);
-}
+INSTANTIATE_TEST_SUITE_P(
+    ShardReplay, GroupSharding,
+    ::testing::Combine(::testing::Values(Sweep::Predictor, Sweep::Ppc620,
+                                         Sweep::Alpha21164),
+                       ::testing::Values(2u, 3u, 7u)),
+    [](const ::testing::TestParamInfo<GroupSharding::ParamType> &p) {
+        return std::string(sweepName(std::get<0>(p.param))) +
+               "_shards" + std::to_string(std::get<1>(p.param));
+    });
 
 } // namespace
 } // namespace lvplib

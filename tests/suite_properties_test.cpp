@@ -80,8 +80,8 @@ TEST_P(SuiteProperty, LimitPredictsAtLeastAsWellAsSimple)
 {
     const auto &w = workloads::findWorkload(GetParam());
     auto prog = w.build(CodeGen::Ppc, 1);
-    auto simple = sim::runLvpOnly(prog, LvpConfig::simple());
-    auto limit = sim::runLvpOnly(prog, LvpConfig::limit());
+    auto simple = sim::runPredictorOnly(prog, LvpConfig::simple());
+    auto limit = sim::runPredictorOnly(prog, LvpConfig::limit());
     double s_good =
         static_cast<double>(simple.correct + simple.constants);
     double l_good =

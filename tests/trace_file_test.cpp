@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for binary trace serialization and the two-bit annotation
- * stream (the paper's decoupled three-phase flow): round-trips,
- * replay equivalence against live simulation, and storage compactness.
+ * Tests for binary trace serialization (the phase-1 half of the
+ * paper's decoupled flow): round-trips, replay equivalence against
+ * live simulation, and detection of every kind of corruption.
  */
 
 #include <gtest/gtest.h>
@@ -29,10 +29,6 @@ namespace lvplib
 namespace
 {
 
-using trace::AnnotationMerger;
-using trace::AnnotationRecorder;
-using trace::AnnotationStream;
-using trace::PredState;
 using trace::TraceFileReader;
 using trace::TraceFileWriter;
 
@@ -138,65 +134,6 @@ TEST(TraceFile, ReplayIntoStatsMatchesLive)
     EXPECT_EQ(replayed.loads(), live.stats.loads());
     EXPECT_EQ(replayed.stores(), live.stats.stores());
     EXPECT_EQ(replayed.takenBranches(), live.stats.takenBranches());
-}
-
-TEST(AnnotationStreamTest, PacksTwoBitsPerLoad)
-{
-    AnnotationStream s;
-    const PredState seq[] = {PredState::None, PredState::Incorrect,
-                             PredState::Correct, PredState::Constant,
-                             PredState::Correct, PredState::None};
-    for (auto p : seq)
-        s.append(p);
-    ASSERT_EQ(s.size(), 6u);
-    for (std::uint64_t i = 0; i < 6; ++i)
-        EXPECT_EQ(s.at(i), seq[i]) << "load " << i;
-    EXPECT_EQ(s.storageBytes(), 2u) << "4 loads per byte";
-}
-
-TEST(AnnotationStreamTest, SaveLoadRoundTrip)
-{
-    TempPath tmp("lvplib_annot.bin");
-    AnnotationStream s;
-    for (int i = 0; i < 1001; ++i)
-        s.append(static_cast<PredState>(i % 4));
-    s.save(tmp.path);
-    AnnotationStream r = AnnotationStream::load(tmp.path);
-    ASSERT_EQ(r.size(), s.size());
-    for (std::uint64_t i = 0; i < r.size(); ++i)
-        ASSERT_EQ(r.at(i), s.at(i)) << "load " << i;
-}
-
-TEST(AnnotationFlow, DecoupledPhasesMatchFusedPipeline)
-{
-    // Phase 2 standalone: annotate, record 2 bits per load.
-    auto prog = demoProgram();
-    AnnotationRecorder recorder;
-    {
-        core::LvpAnnotator annot(core::LvpConfig::simple(), recorder);
-        vm::Interpreter interp(prog);
-        interp.run(&annot);
-    }
-    const AnnotationStream &stream = recorder.stream();
-    auto func = sim::runFunctional(prog);
-    ASSERT_EQ(stream.size(), func.stats.loads());
-
-    // Phase 3 from the annotation stream must time identically to the
-    // fused annotate-and-time pipeline.
-    uarch::Ppc620Model merged_model(uarch::Ppc620Config::base620(),
-                                    true);
-    {
-        AnnotationMerger merger(stream, merged_model);
-        vm::Interpreter interp(prog);
-        interp.run(&merger);
-    }
-    auto fused = sim::runPpc620(prog, uarch::Ppc620Config::base620(),
-                                core::LvpConfig::simple());
-    EXPECT_EQ(merged_model.stats().cycles, fused.timing.cycles);
-    EXPECT_EQ(merged_model.stats().predictedLoads,
-              fused.timing.predictedLoads);
-    EXPECT_EQ(merged_model.stats().bankConflictCycles,
-              fused.timing.bankConflictCycles);
 }
 
 // ---- self-describing format: corruption detection -----------------
@@ -508,18 +445,6 @@ TEST(TraceDirScan, PruneIsAgeGatedSoLiveWritersSurvive)
     EXPECT_EQ(scan.prunedCount, 0u);
     EXPECT_TRUE(fs::exists(fresh));
     fs::remove_all(dir);
-}
-
-TEST(AnnotationFlow, StorageIsTwoBitsPerLoad)
-{
-    auto prog = demoProgram();
-    AnnotationRecorder recorder;
-    core::LvpAnnotator annot(core::LvpConfig::simple(), recorder);
-    vm::Interpreter interp(prog);
-    interp.run(&annot);
-    const auto &s = recorder.stream();
-    EXPECT_LE(s.storageBytes(), s.size() / 4 + 1)
-        << "the paper's bandwidth trick: 2 bits per load";
 }
 
 } // namespace

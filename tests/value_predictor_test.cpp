@@ -3,17 +3,21 @@
  * The predictor championship's core contract: every contender sits
  * behind the core::ValuePredictor interface and its name-keyed
  * registry, carries an honest hardware bit budget, snapshots and
- * restores its full replayable state, and rejects impossible table
- * geometries at construction time with a clear fatal message. Also
- * behavior tests for the two CVP-bred contenders (VTAGE and the
+ * restores its full replayable state (chaos fault stream included),
+ * and rejects impossible table geometries at construction time with a
+ * clear fatal message. PredictorSpec fingerprints cover every config
+ * field, and one spec is one run-cache entry however it is reached.
+ * Also behavior tests for the two CVP-bred contenders (VTAGE and the
  * skewed-associative stride unit).
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
+#include "chaos/chaos.hh"
 #include "core/config.hh"
 #include "core/lvp_unit.hh"
 #include "core/skew_stride_unit.hh"
@@ -21,7 +25,9 @@
 #include "core/value_predictor.hh"
 #include "core/vtage_unit.hh"
 #include "isa/program.hh"
+#include "sim/run_cache.hh"
 #include "util/rng.hh"
+#include "workloads/workload.hh"
 
 namespace lvplib::core
 {
@@ -59,7 +65,7 @@ TEST(PredictorRegistry, FindsByNameAndRejectsUnknown)
 TEST(PredictorRegistry, FactoriesMakeWorkingUnits)
 {
     for (const auto &info : predictorRegistry()) {
-        auto unit = info.make();
+        auto unit = makePredictor(info.spec);
         ASSERT_NE(unit, nullptr) << info.name;
         EXPECT_EQ(unit->stats().loads, 0u) << info.name;
         unit->onLoad(Pc0, DataA, 42, 8);
@@ -77,7 +83,7 @@ TEST(PredictorRegistry, BitBudgetsAreSaneAndDistinct)
     // in a hardware-plausible band (the paper's Simple unit is ~68
     // kbit; nothing in the zoo should be a thousand times that).
     for (const auto &info : predictorRegistry()) {
-        auto unit = info.make();
+        auto unit = makePredictor(info.spec);
         const std::uint64_t bits = unit->bitBudget();
         EXPECT_GT(bits, 1024u) << info.name;
         EXPECT_LT(bits, 64u * 1024 * 1024) << info.name;
@@ -94,8 +100,11 @@ TEST(PredictorRegistry, SnapshotRestoreReproducesPredictionStream)
     // Drive each unit through a mixed warmup, snapshot, record the
     // next window of predictions, then restore the snapshot into a
     // FRESH unit and replay the window: the PredState stream and the
-    // stats deltas must match exactly. This is the property sharded
-    // replay is built on.
+    // stats of the window must match exactly. This is the property
+    // lvp-serve's session resume is built on. It must also hold with
+    // predictor faults armed: faults are keyed on (config name,
+    // per-unit load counter) and the snapshot carries that counter,
+    // so a restored unit resumes the exact fault stream.
     Rng rng(17);
     std::vector<Addr> pcs, addrs;
     std::vector<Word> vals;
@@ -118,23 +127,156 @@ TEST(PredictorRegistry, SnapshotRestoreReproducesPredictionStream)
                 out->push_back(st);
         }
     };
-    for (const auto &info : predictorRegistry()) {
-        auto warm = info.make();
-        drive(*warm, 0, 2000, nullptr);
-        std::any snap = warm->snapshotState();
-        const std::uint64_t loadsBefore = warm->stats().loads;
-        std::vector<PredState> expected;
-        drive(*warm, 2000, 4000, &expected);
+    auto &ce = chaos::engine();
+    for (bool armed : {false, true}) {
+        if (armed)
+            ce.arm({99, chaos::PredictorPoints, 64});
+        const std::uint64_t faults0 = ce.injectedTotal();
+        for (const auto &info : predictorRegistry()) {
+            const std::string what =
+                info.name + (armed ? " (chaos armed)" : "");
+            auto warm = makePredictor(info.spec);
+            drive(*warm, 0, 2000, nullptr);
+            std::any snap = warm->snapshotState();
+            const LvpStats before = warm->stats();
+            std::vector<PredState> expected;
+            drive(*warm, 2000, 4000, &expected);
 
-        auto fresh = info.make();
-        fresh->restoreState(snap);
-        std::vector<PredState> replayed;
-        drive(*fresh, 2000, 4000, &replayed);
-        EXPECT_EQ(expected, replayed) << info.name;
-        EXPECT_EQ(warm->stats().loads - loadsBefore,
-                  fresh->stats().loads)
-            << info.name << ": snapshot must exclude stats";
+            auto fresh = makePredictor(info.spec);
+            fresh->restoreState(snap);
+            std::vector<PredState> replayed;
+            drive(*fresh, 2000, 4000, &replayed);
+            EXPECT_EQ(expected, replayed) << what;
+            LvpStats stitched = before;
+            stitched += fresh->stats();
+            EXPECT_EQ(stitched, warm->stats())
+                << what << ": snapshot must exclude stats";
+        }
+        const std::uint64_t faults = ce.injectedTotal() - faults0;
+        ce.disarm();
+        if (armed) {
+            EXPECT_GT(faults, 0u) << "predictor faults must actually fire";
+        }
     }
+}
+
+/** Each family's Simple spec, then one spec per config field with
+ *  only that field changed (to another value the unit accepts). */
+std::vector<PredictorSpec>
+singleFieldVariants()
+{
+    std::vector<PredictorSpec> out;
+    auto family = [&](auto base, auto... edits) {
+        out.push_back(base);
+        (
+            [&] {
+                auto cfg = base;
+                edits(cfg);
+                out.push_back(cfg);
+            }(),
+            ...);
+    };
+    family(
+        LvpConfig::simple(), [](LvpConfig &c) { c.name = "renamed"; },
+        [](LvpConfig &c) { c.lvptEntries *= 2; },
+        [](LvpConfig &c) { c.historyDepth = 2; },
+        [](LvpConfig &c) { c.lctEntries *= 2; },
+        [](LvpConfig &c) { c.lctBits = 1; },
+        [](LvpConfig &c) { c.cvuEntries *= 2; },
+        [](LvpConfig &c) { c.cvuWays = 4; },
+        [](LvpConfig &c) { c.perfectPrediction = true; },
+        [](LvpConfig &c) { c.taggedLvpt = true; },
+        [](LvpConfig &c) { c.bhrBits = 4; });
+    family(
+        StrideConfig::simple(), [](StrideConfig &c) { c.entries *= 2; },
+        [](StrideConfig &c) { c.lctEntries *= 2; },
+        [](StrideConfig &c) { c.lctBits = 1; },
+        [](StrideConfig &c) { c.cvuEntries *= 2; },
+        [](StrideConfig &c) { c.strideConfBits = 3; });
+    family(
+        FcmConfig::simple(), [](FcmConfig &c) { c.level1Entries *= 2; },
+        [](FcmConfig &c) { c.level2Entries *= 2; },
+        [](FcmConfig &c) { c.order = 3; },
+        [](FcmConfig &c) { c.lctEntries *= 2; },
+        [](FcmConfig &c) { c.lctBits = 1; });
+    family(
+        VtageConfig::simple(),
+        [](VtageConfig &c) { c.baseEntries *= 2; },
+        [](VtageConfig &c) { c.bankEntries *= 2; },
+        [](VtageConfig &c) { c.banks = 3; },
+        [](VtageConfig &c) { c.tagBits = 10; },
+        [](VtageConfig &c) { c.confBits = 2; },
+        [](VtageConfig &c) { c.minHistory = 3; },
+        [](VtageConfig &c) { c.throttle = 64; });
+    family(
+        SkewStrideConfig::simple(),
+        [](SkewStrideConfig &c) { c.entriesPerWay *= 2; },
+        [](SkewStrideConfig &c) { c.ways = 2; },
+        [](SkewStrideConfig &c) { c.tagBits = 9; },
+        [](SkewStrideConfig &c) { c.confBits = 2; },
+        [](SkewStrideConfig &c) { c.replaceThreshold = 0; });
+    return out;
+}
+
+/** A private in-memory cache with grep's program already built, so
+ *  every later miss is a predictor run. */
+struct ColdCache
+{
+    ColdCache()
+    {
+        cache.setTraceDir("");
+        rc.maxInstructions = 20000;
+        cache.program(w, workloads::CodeGen::Ppc, 1);
+    }
+
+    sim::RunCache cache;
+    const workloads::Workload &w = workloads::findWorkload("grep");
+    sim::RunConfig rc;
+};
+
+TEST(PredictorSpec, EveryFieldChangesFingerprintAndCostsAMiss)
+{
+    const auto specs = singleFieldVariants();
+    std::set<std::string> fps;
+    for (const auto &spec : specs)
+        fps.insert(fingerprint(spec));
+    EXPECT_EQ(fps.size(), specs.size())
+        << "two specs differing in one field share a fingerprint";
+
+    ColdCache c;
+    auto s0 = c.cache.stats();
+    auto first = c.cache.predictorOnlyMany(c.w, workloads::CodeGen::Ppc,
+                                           1, specs, c.rc);
+    auto s1 = c.cache.stats();
+    EXPECT_EQ(s1.misses - s0.misses, specs.size());
+    auto again = c.cache.predictorOnlyMany(c.w, workloads::CodeGen::Ppc,
+                                           1, specs, c.rc);
+    auto s2 = c.cache.stats();
+    EXPECT_EQ(s2.misses, s1.misses);
+    EXPECT_EQ(s2.hits - s1.hits, specs.size());
+    EXPECT_EQ(first, again);
+}
+
+TEST(PredictorSpec, OneSpecIsOneRunCacheEntryHoweverReached)
+{
+    // The registry's "lvp" contender is the paper's Simple unit: the
+    // same spec through lvpOnly, predictorOnly and predictorOnlyMany
+    // is computed once.
+    ColdCache c;
+    const auto cg = workloads::CodeGen::Ppc;
+    auto s0 = c.cache.stats();
+    auto viaLvp = c.cache.lvpOnly(c.w, cg, 1, LvpConfig::simple(), c.rc);
+    auto s1 = c.cache.stats();
+    auto viaRegistry =
+        c.cache.predictorOnly(c.w, cg, 1, *findPredictor("lvp"), c.rc);
+    auto viaSweep = c.cache.predictorOnlyMany(
+        c.w, cg, 1, {LvpConfig::simple()}, c.rc);
+    auto s2 = c.cache.stats();
+    EXPECT_EQ(s1.misses - s0.misses, 1u);
+    EXPECT_EQ(s2.misses, s1.misses);
+    EXPECT_EQ(s2.hits - s1.hits, 2u);
+    EXPECT_EQ(viaLvp, viaRegistry);
+    EXPECT_EQ(viaLvp, viaSweep.front());
 }
 
 TEST(VtageUnit, SaturatesOntoConstantsAndStaysAccurate)

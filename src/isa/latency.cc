@@ -1,7 +1,5 @@
 #include "isa/latency.hh"
 
-#include "util/logging.hh"
-
 namespace lvplib::isa
 {
 
@@ -13,52 +11,6 @@ machineIsaName(MachineIsa m)
       case MachineIsa::Alpha21164: return "Alpha AXP 21164";
     }
     return "?";
-}
-
-OpLatency
-opLatency(MachineIsa m, Opcode op)
-{
-    const bool ppc = (m == MachineIsa::Ppc620);
-    switch (fuType(op)) {
-      case FuType::SCFX:
-        // Simple integer: 1/1 on both machines.
-        return {1, 1};
-
-      case FuType::MCFX:
-        // Complex integer: 1-35 on the 620, 16/16 on the 21164.
-        switch (op) {
-          case Opcode::MULL:
-            return ppc ? OpLatency{2, 3} : OpLatency{16, 16};
-          case Opcode::DIVD:
-          case Opcode::REMD:
-            return ppc ? OpLatency{35, 35} : OpLatency{16, 16};
-          default:
-            // mfspr/mtspr-class moves: multi-cycle unit, short latency.
-            return {1, 1};
-        }
-
-      case FuType::FPU:
-        switch (op) {
-          case Opcode::FDIV:
-            // Complex FP: 18/18 (620), 1/36 (21164).
-            return ppc ? OpLatency{18, 18} : OpLatency{1, 36};
-          case Opcode::FSQRT:
-            return ppc ? OpLatency{18, 18} : OpLatency{1, 65};
-          default:
-            // Simple FP: 1/3 (620), 1/4 (21164).
-            return ppc ? OpLatency{1, 3} : OpLatency{1, 4};
-        }
-
-      case FuType::LSU:
-        // Load/store: 1 issue, 2-cycle L1-hit result on both.
-        return {1, 2};
-
-      case FuType::BRU:
-        // Branches resolve in one cycle; the misprediction penalty is
-        // modeled separately by each machine model.
-        return {1, 1};
-    }
-    lvp_panic("opLatency: bad opcode");
 }
 
 unsigned

@@ -144,7 +144,7 @@ const char *condName(Cond c);
 // are defined inline here rather than out-of-line in instruction.cc.
 
 /** Functional unit that executes @p op. */
-inline FuType
+constexpr FuType
 fuType(Opcode op)
 {
     switch (op) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "isa/latency.hh"
+#include "util/logging.hh"
 
 namespace lvplib::uarch
 {
@@ -26,9 +27,12 @@ InOrderStats::missRatePerInst() const
     return pct(l1Misses, instructions);
 }
 
+// The (validate(), config) comma idiom rejects a bad config before
+// any member below is sized from it.
 Alpha21164Model::Alpha21164Model(const AlphaConfig &config,
                                  bool lvp_enabled)
-    : config_(config), lvp_(lvp_enabled), mem_(config.mem),
+    : config_((config.validate(), config)), lvp_(lvp_enabled),
+      mem_(config.mem),
       bpred_(config.bpred), intPipes_(config.intPipes),
       fpPipes_(config.fpPipes),
       dispatchSlots_(config.width)
@@ -58,8 +62,11 @@ Alpha21164Model::consume(const trace::TraceRecord &rec)
     if (inst.memRef())
         d = std::max(d, cacheBusyUntil_);
 
+    lvp_dassert(d >= lastDispatch_, "dispatch went backwards");
+
     // Pipe and dispatch-slot availability.
     FuBank &pipes = fp ? fpPipes_ : intPipes_;
+    pipes.setFloor(d);
     for (;;) {
         Cycle d2 = std::max(dispatchSlots_.earliest(d),
                             pipes.earliestAvailable(d, lat.issue));

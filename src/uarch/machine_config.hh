@@ -54,6 +54,13 @@ struct Ppc620Config
      */
     bool squashOnValueMispredict = false;
 
+    /**
+     * Fatal, naming the field, when a width, unit count, fetch buffer
+     * or MSHR count is zero. Pool sizes (rsPerUnit, gprRename,
+     * fprRename, completionEntries) may be 0, which means unlimited.
+     */
+    void validate() const;
+
     /** The baseline PowerPC 620. */
     static Ppc620Config base620();
 
@@ -75,6 +82,9 @@ struct AlphaConfig
     unsigned inflight = 8;     ///< squash window: two dispatch groups
     mem::HierarchyConfig mem = mem::HierarchyConfig::alpha21164();
     BpredConfig bpred;         ///< front-end branch prediction
+
+    /** Fatal, naming the field, when width or a pipe count is zero. */
+    void validate() const;
 
     static AlphaConfig base21164();
 };

@@ -55,8 +55,11 @@ unitCount(const Ppc620Config &c, FuType t)
 
 } // namespace
 
+// The (validate(), config) comma idiom rejects a bad config before
+// any member below is sized from it.
 Ppc620Model::Ppc620Model(const Ppc620Config &config, bool lvp_enabled)
-    : config_(config), lvp_(lvp_enabled), mem_(config.mem),
+    : config_((config.validate(), config)), lvp_(lvp_enabled),
+      mem_(config.mem),
       bpred_(config.bpred),
       fus_{FuBank(unitCount(config, FuType::SCFX)),
            FuBank(unitCount(config, FuType::MCFX)),
@@ -76,21 +79,20 @@ Ppc620Model::Ppc620Model(const Ppc620Config &config, bool lvp_enabled)
       gprRename_(config.gprRename), fprRename_(config.fprRename),
       completionBuf_(config.completionEntries),
       banks_(config.mem.banks),
+      fetchBufDispatch_(config.fetchBuffer, 0),
       dispatchSlots_(config.dispatchWidth),
       memDispatchSlots_(config.memOpsPerCycle),
       completeSlots_(config.completeWidth)
-{}
+{
+    missEnds_.reserve(config.mshrs);
+}
 
 Cycle
 Ppc620Model::fetchCycle()
 {
     // A fetch-buffer entry frees when the instruction occupying it
     // dispatches.
-    Cycle buf_free = 0;
-    if (fetchBufDispatch_.size() >= config_.fetchBuffer)
-        buf_free = fetchBufDispatch_.front();
-
-    Cycle f = std::max(nextFetch_, buf_free);
+    Cycle f = std::max(nextFetch_, fetchBufDispatch_[fetchPos_]);
     if (f > nextFetch_) {
         nextFetch_ = f;
         fetchCount_ = 0;
@@ -135,9 +137,9 @@ Ppc620Model::dispatchCycle(const Instruction &inst, Cycle fetch)
         memDispatchSlots_.claim(d);
     lastDispatch_ = d;
 
-    fetchBufDispatch_.push_back(d);
-    if (fetchBufDispatch_.size() > config_.fetchBuffer)
-        fetchBufDispatch_.pop_front();
+    fetchBufDispatch_[fetchPos_] = d;
+    if (++fetchPos_ == fetchBufDispatch_.size())
+        fetchPos_ = 0;
     return d;
 }
 
@@ -146,6 +148,8 @@ Ppc620Model::completeCycle(Cycle eligible, Cycle dispatch)
 {
     Cycle c = std::max({eligible, lastComplete_, dispatch + 1});
     c = completeSlots_.earliest(c);
+    lvp_dassert(c >= lastComplete_ && c > dispatch,
+                "completion out of order or before dispatch");
     completeSlots_.claim(c);
     lastComplete_ = c;
     return c;
@@ -183,25 +187,26 @@ Ppc620Model::loadDataReturn(const trace::TraceRecord &rec, Cycle issue,
         ++stats_.l1Misses;
         ret += ar.extraLatency;
         // Non-blocking cache: bounded outstanding misses (MSHRs).
-        while (!missEnds_.empty() && missEnds_.front() <= access)
-            missEnds_.pop_front();
+        missEnds_.erase(missEnds_.begin(),
+                        std::upper_bound(missEnds_.begin(),
+                                         missEnds_.end(), access));
         if (missEnds_.size() >= config_.mshrs) {
             Cycle wait = missEnds_.front();
             ret += wait > access ? wait - access : 0;
-            missEnds_.pop_front();
+            missEnds_.erase(missEnds_.begin());
         }
-        missEnds_.push_back(ret);
-        std::sort(missEnds_.begin(), missEnds_.end());
+        missEnds_.insert(std::upper_bound(missEnds_.begin(),
+                                          missEnds_.end(), ret),
+                         ret);
     }
 
     // Store-to-load forwarding: a younger load of bytes written by an
     // in-flight older store gets the data once the store's data is
     // ready.
     const Addr loadEnd = rec.effAddr + rec.inst->accessSize();
-    for (const auto &st : storeQueue_) {
-        if (st.addr < loadEnd && rec.effAddr < st.addr + st.size) {
+    for (const StoreEntry &st : storeQueue_) {
+        if (st.begin < loadEnd && rec.effAddr < st.end)
             ret = std::max(ret, st.ready + 1);
-        }
     }
     return ret;
 }
@@ -218,6 +223,8 @@ Ppc620Model::consume(const trace::TraceRecord &rec)
 
     Cycle fetch = fetchCycle();
     Cycle d = dispatchCycle(inst, fetch);
+    // Every FU query below starts at or after d + 1.
+    fus_[fu_idx].setFloor(d);
 
     // Operand readiness from the scoreboard.
     Cycle spec_ready = 0;  // earliest (possibly speculative) operands
@@ -314,10 +321,10 @@ Ppc620Model::consume(const trace::TraceRecord &rec)
         eligible = std::max({issue + 1, data_ready, bound_verify});
         rs_free = std::max(issue + lat.issue, bound_verify);
 
-        storeQueue_.push_back({rec.effAddr, inst.accessSize(),
-                               std::max(issue, data_ready)});
-        if (storeQueue_.size() > 64)
-            storeQueue_.pop_front();
+        storeQueue_[storeNext_] = {rec.effAddr,
+                                   rec.effAddr + inst.accessSize(),
+                                   std::max(issue, data_ready)};
+        storeNext_ = (storeNext_ + 1) % storeQueue_.size();
     } else {
         // ALU / branch: may issue speculatively on forwarded values.
         Cycle issue_spec = fus_[fu_idx].book(std::max(d + 1, spec_ready),

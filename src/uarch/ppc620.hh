@@ -27,7 +27,7 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "mem/hierarchy.hh"
 #include "trace/trace.hh"
@@ -113,11 +113,14 @@ class Ppc620Model : public trace::TraceSink
         Cycle verify = 0; ///< pending verification time (0 = none)
     };
 
+    /** An in-flight store's bytes [begin, end) and the cycle its data
+     *  can forward to a younger load. An empty entry is [0, 0), which
+     *  overlaps nothing. */
     struct StoreEntry
     {
-        Addr addr;
-        unsigned size;
-        Cycle ready; ///< cycle its data can forward to a younger load
+        Addr begin = 0;
+        Addr end = 0;
+        Cycle ready = 0;
     };
 
     Cycle fetchCycle();
@@ -140,7 +143,11 @@ class Ppc620Model : public trace::TraceSink
     // Front end.
     Cycle nextFetch_ = 0;
     unsigned fetchCount_ = 0;
-    std::deque<Cycle> fetchBufDispatch_; ///< dispatch cycles, buffer-sized
+    /** Dispatch cycle of each of the last fetchBuffer instructions
+     *  (0 until the buffer first fills), a ring indexed by
+     *  fetchPos_: the entry there frees the next fetch's slot. */
+    std::vector<Cycle> fetchBufDispatch_;
+    std::size_t fetchPos_ = 0;
 
     // Dispatch / completion bandwidth.
     SlotCounter dispatchSlots_;
@@ -151,10 +158,14 @@ class Ppc620Model : public trace::TraceSink
 
     // Dependence tracking.
     std::array<RegInfo, isa::NumRegs> regs_{};
-    std::deque<StoreEntry> storeQueue_;
 
-    // Outstanding-miss (MSHR) end times.
-    std::deque<Cycle> missEnds_;
+    // Store queue: a ring of the newest 64 stores, all scanned on
+    // every load; storeNext_ is the oldest, overwritten next.
+    std::array<StoreEntry, 64> storeQueue_{};
+    std::size_t storeNext_ = 0;
+
+    // Outstanding-miss (MSHR) end times, ascending; at most mshrs.
+    std::vector<Cycle> missEnds_;
 
     OooStats stats_;
 };

@@ -2,9 +2,9 @@
  * @file
  * Scheduling primitives shared by the timing models:
  *
- *  - FuPipe / FuBank: functional-unit occupancy with gap-filling
- *    booking (out-of-order issue can slot a younger ready instruction
- *    into an idle cycle before an older stalled one);
+ *  - FuPipe / FuBank: functional-unit occupancy bitmaps with
+ *    gap-filling booking (out-of-order issue can slot a younger ready
+ *    instruction into an idle cycle before an older stalled one);
  *  - ResourcePool: bounded resources freed at known future cycles
  *    (reservation stations, rename buffers, completion buffer);
  *  - SlotCounter: per-cycle bandwidth limits (dispatch width,
@@ -16,6 +16,7 @@
 #define LVPLIB_UARCH_SCHED_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -26,85 +27,148 @@ namespace lvplib::uarch
 {
 
 /**
- * Busy-interval calendar for one functional-unit instance.
+ * Occupancy bitmap for one functional-unit instance: one bit per
+ * cycle, set while the unit is busy, kept in a ring of u64 words.
  *
- * Intervals live in a vector sorted by start cycle. Issue cycles are
- * almost always non-decreasing, so book() nearly always appends —
- * no per-booking node allocation, and lookups are a binary search
- * over a short contiguous array (the calendar is pruned to a sliding
- * window by the owning FuBank).
+ * Contract: the owner declares a non-decreasing floor (setFloor), and
+ * no later earliest() or book() starts below it. Cycles below the
+ * floor are recycled. A booking past the end of the ring first
+ * recycles, then grows the ring, so nothing at or above the floor is
+ * ever forgotten: within the contract every answer equals that of an
+ * occupancy map that never forgets (tests/uarch_sched_fuzz_test.cpp).
+ * lvp_dassert checks the contract in developer builds.
  */
 class FuPipe
 {
   public:
+    FuPipe() : ring_(InitialWords) {}
+
+    /** Declare that no later query or booking starts below @p floor. */
+    void
+    setFloor(Cycle floor)
+    {
+        lvp_dassert(floor >= floor_, "FU floor moved backwards");
+        floor_ = floor;
+    }
+
     /** Earliest start >= @p t where the pipe is idle for @p dur
      *  cycles, without booking it. */
     Cycle
     earliest(Cycle t, unsigned dur) const
     {
-        Cycle cand = t;
-        auto it = upperBound(cand);
-        if (it != busy_.begin()) {
-            auto prev = std::prev(it);
-            if (prev->second > cand)
-                cand = prev->second;
+        lvp_dassert(t >= floor_, "FU query below the floor");
+        Cycle s = nextFree(t);
+        for (;;) {
+            Cycle busy = nextBusy(s + 1, s + dur);
+            if (busy == s + dur)
+                return s;
+            s = nextFree(busy);
         }
-        while (it != busy_.end() && it->first < cand + dur) {
-            cand = it->second;
-            ++it;
-        }
-        return cand;
     }
 
-    /** Book [start, start+dur). Caller got @p start from earliest(). */
+    /** Book [start, start+dur), which must be idle. */
     void
     book(Cycle start, unsigned dur)
     {
-        if (busy_.empty() || busy_.back().first < start) {
-            busy_.emplace_back(start, start + dur);
-            return;
+        lvp_dassert(start >= floor_, "FU booking below the floor");
+        const Cycle end = start + dur;
+        if (end > windowEnd())
+            makeRoom(end);
+        for (Cycle c = start; c < end;) {
+            const unsigned lo = c & 63;
+            const Cycle n = std::min<Cycle>(64 - lo, end - c);
+            const std::uint64_t bits =
+                (n == 64 ? ~std::uint64_t(0)
+                         : (std::uint64_t(1) << n) - 1)
+                << lo;
+            std::uint64_t &w = ring_[slot(c)];
+            lvp_dassert((w & bits) == 0, "FU booking over a busy cycle");
+            w |= bits;
+            c += n;
         }
-        busy_.insert(upperBound(start), {start, start + dur});
-    }
-
-    /** Drop intervals ending at or before @p before. */
-    void
-    prune(Cycle before)
-    {
-        auto it = busy_.begin();
-        while (it != busy_.end() && it->second <= before)
-            ++it;
-        busy_.erase(busy_.begin(), it);
     }
 
   private:
-    using Interval = std::pair<Cycle, Cycle>;
+    /** 1,024 cycles: several times the furthest past its dispatch
+     *  cycle that any booking on the suite ends (152 cycles). */
+    static constexpr std::size_t InitialWords = 16;
 
-    /** First interval whose start is > @p t. */
-    std::vector<Interval>::const_iterator
-    upperBound(Cycle t) const
+    Cycle windowEnd() const { return base_ + 64 * ring_.size(); }
+
+    /** Ring index of the word holding cycle @p c. */
+    std::size_t slot(Cycle c) const { return (c >> 6) & (ring_.size() - 1); }
+
+    /** First idle cycle >= @p c. Past the window everything is idle. */
+    Cycle
+    nextFree(Cycle c) const
     {
-        return std::upper_bound(
-            busy_.begin(), busy_.end(), t,
-            [](Cycle c, const Interval &iv) { return c < iv.first; });
+        const Cycle end = windowEnd();
+        while (c < end) {
+            const std::uint64_t idle = ~ring_[slot(c)] >> (c & 63);
+            if (idle != 0)
+                return c + std::countr_zero(idle);
+            c = (c | 63) + 1;
+        }
+        return c;
     }
 
-    std::vector<Interval>::iterator
-    upperBound(Cycle t)
+    /** First busy cycle in [@p c, @p limit), or @p limit. */
+    Cycle
+    nextBusy(Cycle c, Cycle limit) const
     {
-        return std::upper_bound(
-            busy_.begin(), busy_.end(), t,
-            [](Cycle c, const Interval &iv) { return c < iv.first; });
+        const Cycle end = std::min(limit, windowEnd());
+        while (c < end) {
+            const std::uint64_t busy = ring_[slot(c)] >> (c & 63);
+            if (busy != 0)
+                return std::min<Cycle>(c + std::countr_zero(busy), limit);
+            c = (c | 63) + 1;
+        }
+        return limit;
     }
 
-    std::vector<Interval> busy_;
+    /** Make the window reach @p end: recycle the words wholly below
+     *  the floor, then double the ring until it fits. */
+    void
+    makeRoom(Cycle end)
+    {
+        const Cycle base = floor_ & ~Cycle(63);
+        if (base - base_ >= 64 * ring_.size()) {
+            std::fill(ring_.begin(), ring_.end(), 0);
+        } else {
+            for (Cycle c = base_; c < base; c += 64)
+                ring_[slot(c)] = 0;
+        }
+        base_ = base;
+        if (end <= windowEnd())
+            return;
+        std::size_t words = ring_.size();
+        while (base_ + 64 * words < end)
+            words *= 2;
+        std::vector<std::uint64_t> grown(words);
+        for (Cycle c = base_; c < windowEnd(); c += 64)
+            grown[(c >> 6) & (words - 1)] = ring_[slot(c)];
+        ring_.swap(grown);
+    }
+
+    std::vector<std::uint64_t> ring_; ///< size is a power of two
+    Cycle base_ = 0;  ///< first cycle the ring holds (word-aligned)
+    Cycle floor_ = 0;
 };
 
-/** A pool of identical FU instances (e.g. the 620's two SCFX units). */
+/** A pool of identical FU instances (e.g. the 620's two SCFX units).
+ *  Ties go to the lowest-index instance. */
 class FuBank
 {
   public:
     explicit FuBank(unsigned instances = 1) : pipes_(instances) {}
+
+    /** See FuPipe::setFloor. */
+    void
+    setFloor(Cycle floor)
+    {
+        for (auto &p : pipes_)
+            p.setFloor(floor);
+    }
 
     /** Book the earliest available instance at or after @p t for
      *  @p dur cycles; returns the booked start cycle. */
@@ -113,7 +177,8 @@ class FuBank
     {
         std::size_t best = 0;
         Cycle best_start = pipes_[0].earliest(t, dur);
-        for (std::size_t i = 1; i < pipes_.size(); ++i) {
+        for (std::size_t i = 1; i < pipes_.size() && best_start != t;
+             ++i) {
             Cycle s = pipes_[i].earliest(t, dur);
             if (s < best_start) {
                 best_start = s;
@@ -121,7 +186,6 @@ class FuBank
             }
         }
         pipes_[best].book(best_start, dur);
-        maybePrune(t);
         return best_start;
     }
 
@@ -130,7 +194,7 @@ class FuBank
     earliestAvailable(Cycle t, unsigned dur) const
     {
         Cycle best = pipes_[0].earliest(t, dur);
-        for (std::size_t i = 1; i < pipes_.size(); ++i)
+        for (std::size_t i = 1; i < pipes_.size() && best != t; ++i)
             best = std::min(best, pipes_[i].earliest(t, dur));
         return best;
     }
@@ -145,7 +209,6 @@ class FuBank
         for (auto &p : pipes_) {
             if (p.earliest(t, dur) == t) {
                 p.book(t, dur);
-                maybePrune(t);
                 return;
             }
         }
@@ -153,42 +216,33 @@ class FuBank
     }
 
   private:
-    void
-    maybePrune(Cycle t)
-    {
-        if (++opsSincePrune_ >= 4096) {
-            opsSincePrune_ = 0;
-            for (auto &p : pipes_)
-                p.prune(t > 512 ? t - 512 : 0);
-        }
-    }
-
     std::vector<FuPipe> pipes_;
-    unsigned opsSincePrune_ = 0;
 };
 
 /**
  * A resource with @p capacity units, each claimed until a known
  * release cycle. earliestAvailable() is the first cycle a new claim
- * can coexist with previous ones. Only the largest @p capacity
- * release times can constrain, so older ones are discarded — the
- * live set is a bounded min-heap over a flat vector (no per-claim
- * node allocation; the heap never exceeds @p capacity entries).
+ * can coexist with previous ones: 0 below capacity, else the
+ * capacity-th largest release. Only the largest @p capacity releases
+ * can constrain, so the pool keeps just those, ascending, in a ring.
+ * A full pool drops its front and inserts from the back, which is
+ * O(1) when claims arrive in release order (almost all of them do).
+ * Capacity 0 means unlimited.
  */
 class ResourcePool
 {
   public:
-    explicit ResourcePool(unsigned capacity) : cap_(capacity)
-    {
-        releases_.reserve(capacity);
-    }
+    explicit ResourcePool(unsigned capacity)
+        : cap_(capacity), ring_(std::bit_ceil(capacity)),
+          mask_(static_cast<unsigned>(ring_.size()) - 1)
+    {}
 
     Cycle
     earliestAvailable() const
     {
         if (cap_ == 0)
             return 0; // treated as unlimited
-        return releases_.size() < cap_ ? 0 : releases_.front();
+        return size_ < cap_ ? 0 : ring_[head_];
     }
 
     void
@@ -196,29 +250,34 @@ class ResourcePool
     {
         if (cap_ == 0)
             return;
-        if (releases_.size() < cap_) {
-            releases_.push_back(release);
-            std::push_heap(releases_.begin(), releases_.end(), cmp_);
-            return;
+        if (size_ == cap_) {
+            // The smallest kept release can no longer constrain
+            // anything, unless the new one is smaller still.
+            if (release <= ring_[head_])
+                return;
+            head_ = (head_ + 1) & mask_;
+            --size_;
         }
-        // Full: the new release replaces the smallest kept one (which
-        // can no longer constrain anything) unless it is itself the
-        // smallest.
-        if (release <= releases_.front())
-            return;
-        std::pop_heap(releases_.begin(), releases_.end(), cmp_);
-        releases_.back() = release;
-        std::push_heap(releases_.begin(), releases_.end(), cmp_);
+        unsigned i = size_;
+        for (; i > 0; --i) {
+            Cycle prev = ring_[(head_ + i - 1) & mask_];
+            if (prev <= release)
+                break;
+            ring_[(head_ + i) & mask_] = prev;
+        }
+        ring_[(head_ + i) & mask_] = release;
+        ++size_;
+        lvp_dassert(size_ <= cap_, "pool holds more than its capacity");
     }
 
     unsigned capacity() const { return cap_; }
 
   private:
-    // Min-heap: the root is the smallest kept release time.
-    static constexpr auto cmp_ = [](Cycle a, Cycle b) { return a > b; };
-
     unsigned cap_;
-    std::vector<Cycle> releases_;
+    std::vector<Cycle> ring_; ///< kept releases, ascending from head_
+    unsigned mask_;
+    unsigned head_ = 0;
+    unsigned size_ = 0;
 };
 
 /** Enforces at most @p width events per cycle, non-decreasing. */

@@ -14,7 +14,9 @@
 #include "core/config.hh"
 #include "isa/assembler.hh"
 #include "sim/pipeline_driver.hh"
+#include "uarch/alpha21164.hh"
 #include "uarch/machine_config.hh"
+#include "uarch/ppc620.hh"
 
 namespace lvplib
 {
@@ -388,6 +390,90 @@ TEST(Ppc620Resources, SquashKnobIsNoopWithoutMispredictions)
     auto a1 = sim::runPpc620(p, selective, LvpConfig::perfect());
     auto a2 = sim::runPpc620(p, squash, LvpConfig::perfect());
     EXPECT_EQ(a1.timing.cycles, a2.timing.cycles);
+}
+
+// ---- configuration validation ------------------------------------
+
+/** One rejected field: its name and how to zero it. */
+struct ZeroField
+{
+    const char *name;
+    unsigned Ppc620Config::*ppc = nullptr;
+    unsigned AlphaConfig::*alpha = nullptr;
+};
+
+std::string
+zeroFieldName(const ::testing::TestParamInfo<ZeroField> &info)
+{
+    return info.param.name;
+}
+
+class MachineConfigDeathTest : public ::testing::TestWithParam<ZeroField>
+{};
+
+TEST_P(MachineConfigDeathTest, ZeroIsFatalAndNamesTheField)
+{
+    const ZeroField &f = GetParam();
+    const std::string msg = std::string(f.name) + " must be at least 1";
+    if (f.ppc) {
+        auto cfg = Ppc620Config::base620();
+        cfg.*f.ppc = 0;
+        EXPECT_EXIT(uarch::Ppc620Model(cfg, false),
+                    ::testing::ExitedWithCode(1), msg);
+    } else {
+        auto cfg = AlphaConfig::base21164();
+        cfg.*f.alpha = 0;
+        EXPECT_EXIT(uarch::Alpha21164Model(cfg, false),
+                    ::testing::ExitedWithCode(1), msg);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ppc620, MachineConfigDeathTest,
+    ::testing::Values(
+        ZeroField{"fetchWidth", &Ppc620Config::fetchWidth},
+        ZeroField{"fetchBuffer", &Ppc620Config::fetchBuffer},
+        ZeroField{"dispatchWidth", &Ppc620Config::dispatchWidth},
+        ZeroField{"completeWidth", &Ppc620Config::completeWidth},
+        ZeroField{"numScfx", &Ppc620Config::numScfx},
+        ZeroField{"numMcfx", &Ppc620Config::numMcfx},
+        ZeroField{"numFpu", &Ppc620Config::numFpu},
+        ZeroField{"numLsu", &Ppc620Config::numLsu},
+        ZeroField{"numBru", &Ppc620Config::numBru},
+        ZeroField{"memOpsPerCycle", &Ppc620Config::memOpsPerCycle},
+        ZeroField{"mshrs", &Ppc620Config::mshrs}),
+    zeroFieldName);
+
+INSTANTIATE_TEST_SUITE_P(
+    Alpha21164, MachineConfigDeathTest,
+    ::testing::Values(
+        ZeroField{"width", nullptr, &AlphaConfig::width},
+        ZeroField{"intPipes", nullptr, &AlphaConfig::intPipes},
+        ZeroField{"fpPipes", nullptr, &AlphaConfig::fpPipes}),
+    zeroFieldName);
+
+TEST(MachineConfig, ZeroPoolSizesMeanUnlimited)
+{
+    // Reservation stations, rename buffers and the completion buffer
+    // are ResourcePools, where 0 means unlimited: legal, and never
+    // slower than the bounded machine.
+    auto p = make([](Assembler &a) {
+        a.li(7, 100);
+        a.label("loop");
+        for (int i = 0; i < 8; ++i)
+            a.addi(static_cast<RegIndex>(8 + i), 0, i);
+        a.addi(7, 7, -1);
+        a.cmpi(0, 7, 0);
+        a.bc(Cond::GT, 0, "loop");
+        a.halt();
+    });
+    auto unlimited = Ppc620Config::base620();
+    unlimited.rsPerUnit = 0;
+    unlimited.gprRename = 0;
+    unlimited.fprRename = 0;
+    unlimited.completionEntries = 0;
+    EXPECT_LE(cycles620(p, unlimited),
+              cycles620(p, Ppc620Config::base620()));
 }
 
 } // namespace

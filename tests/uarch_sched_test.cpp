@@ -37,14 +37,57 @@ TEST(FuPipe, GapFilling)
     EXPECT_EQ(p.earliest(3, 6), 15u) << "6 cycles only fit after";
 }
 
-TEST(FuPipe, PruneDropsOldIntervals)
+TEST(FuPipe, OneBusyCycleSplitsARun)
 {
     FuPipe p;
     p.book(1, 1);
-    p.book(100, 1);
-    p.prune(50);
-    EXPECT_EQ(p.earliest(1, 1), 1u) << "old interval pruned";
-    EXPECT_EQ(p.earliest(100, 1), 101u) << "recent interval kept";
+    EXPECT_EQ(p.earliest(0, 1), 0u);
+    EXPECT_EQ(p.earliest(0, 2), 2u) << "cycle 1 breaks [0, 2)";
+}
+
+TEST(FuPipe, CyclesBelowTheFloorAreRecycled)
+{
+    FuPipe p;
+    p.book(0, 64);  // cycles [0, 64): the first ring word, all busy
+    p.book(64, 1);
+    EXPECT_EQ(p.earliest(0, 1), 65u);
+    // Raise the floor past the first word, then book far enough
+    // ahead that the ring must reuse that word's slot.
+    p.setFloor(200);
+    EXPECT_EQ(p.earliest(200, 1), 200u);
+    const Cycle ahead = 200 + 1000;
+    p.book(ahead, 3);
+    EXPECT_EQ(p.earliest(ahead - 2, 1), ahead - 2);
+    EXPECT_EQ(p.earliest(ahead - 2, 3), ahead + 3)
+        << "the recycled slot must not leak old bookings";
+    EXPECT_EQ(p.earliest(ahead, 1), ahead + 3);
+    EXPECT_EQ(p.earliest(1024, 64), 1024u)
+        << "the slot that held [0, 64) now holds [1024, 1088)";
+}
+
+TEST(FuPipe, FarBookingGrowsTheRingAndStaysVisible)
+{
+    FuPipe p;
+    p.book(5, 2);
+    p.book(10000, 35); // far past the initial ring
+    EXPECT_EQ(p.earliest(5, 1), 7u) << "near booking survives growth";
+    EXPECT_EQ(p.earliest(9990, 20), 10035u)
+        << "[9990, 10010) would overlap the far booking";
+    EXPECT_EQ(p.earliest(9990, 10), 9990u) << "a gap before it fits";
+    EXPECT_EQ(p.earliest(10010, 1), 10035u);
+    p.setFloor(10034);
+    EXPECT_EQ(p.earliest(10034, 1), 10035u);
+}
+
+TEST(FuPipe, RunsSpanningWordBoundaries)
+{
+    FuPipe p;
+    p.book(60, 10); // [60, 70) straddles the first word boundary
+    EXPECT_EQ(p.earliest(50, 10), 50u);
+    EXPECT_EQ(p.earliest(55, 10), 70u);
+    EXPECT_EQ(p.earliest(0, 60), 0u);
+    EXPECT_EQ(p.earliest(0, 61), 70u);
+    EXPECT_EQ(p.earliest(64, 35), 70u);
 }
 
 TEST(FuBank, PicksLeastLoadedInstance)
@@ -53,6 +96,48 @@ TEST(FuBank, PicksLeastLoadedInstance)
     EXPECT_EQ(b.book(3, 4), 3u); // instance 0 busy [3,7)
     EXPECT_EQ(b.book(3, 4), 3u); // instance 1 busy [3,7)
     EXPECT_EQ(b.book(3, 4), 7u); // both busy: next slot
+}
+
+/** Two instances both busy [0, 5); instance 0 also busy [7, 10).
+ *  Either one can start a 2-cycle op at 5: a tie. */
+FuBank
+tiedBank()
+{
+    FuBank b(2);
+    b.book(0, 5); // instance 0
+    b.book(0, 5); // instance 1
+    b.book(7, 3); // instance 0 (instance 0 is free at 7 and wins)
+    return b;
+}
+
+TEST(FuBank, BookTieGoesToTheLowestIndexInstance)
+{
+    FuBank b = tiedBank();
+    EXPECT_EQ(b.book(0, 2), 5u);
+    // Instance 0 took [5, 7), so instance 1 still offers 3 cycles at
+    // 5. Had instance 1 taken the tie, the answer would be 7.
+    EXPECT_EQ(b.earliestAvailable(5, 3), 5u);
+}
+
+TEST(FuBank, BookAtTieGoesToTheLowestIndexInstance)
+{
+    FuBank b = tiedBank();
+    b.bookAt(5, 2);
+    EXPECT_EQ(b.earliestAvailable(5, 3), 5u);
+}
+
+TEST(FuBankDeathTest, QueryBelowTheFloorIsCaught)
+{
+#ifdef LVPLIB_DEVELOPER_CHECKS
+    FuBank b(2);
+    b.setFloor(100);
+    EXPECT_DEATH(b.book(99, 1), "below the floor");
+    EXPECT_DEATH(b.earliestAvailable(50, 1), "below the floor");
+    EXPECT_DEATH(b.setFloor(99), "backwards");
+#else
+    GTEST_SKIP() << "contract checks compile out without "
+                    "LVPLIB_DEVELOPER_CHECKS";
+#endif
 }
 
 TEST(FuBank, EarliestAvailableAndBookAt)
@@ -83,6 +168,27 @@ TEST(ResourcePool, ZeroCapacityMeansUnlimited)
     ResourcePool p(0);
     p.claim(100);
     EXPECT_EQ(p.earliestAvailable(), 0u);
+}
+
+TEST(ResourcePool, OutOfOrderReleasesKeepTheLargest)
+{
+    ResourcePool p(3);
+    p.claim(50);
+    p.claim(10);
+    EXPECT_EQ(p.earliestAvailable(), 0u) << "two of three claimed";
+    p.claim(30);
+    EXPECT_EQ(p.earliestAvailable(), 10u) << "{10, 30, 50}";
+    p.claim(5);
+    EXPECT_EQ(p.earliestAvailable(), 10u)
+        << "a release below every kept one cannot constrain";
+    p.claim(40);
+    EXPECT_EQ(p.earliestAvailable(), 30u) << "{30, 40, 50}";
+    p.claim(60);
+    p.claim(35);
+    EXPECT_EQ(p.earliestAvailable(), 40u) << "{40, 50, 60}";
+    p.claim(40);
+    EXPECT_EQ(p.earliestAvailable(), 40u)
+        << "a duplicate of the front changes nothing";
 }
 
 TEST(SlotCounter, EnforcesPerCycleWidth)

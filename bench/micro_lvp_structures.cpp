@@ -122,19 +122,13 @@ BENCHMARK(BM_InterpreterThroughput)->Unit(benchmark::kMillisecond);
 
 /**
  * Dispatch-mode shootout on a hot loop kernel: the same workload run
- * through the legacy decode-per-step switch (arg 0), the predecoded
- * dense switch (arg 1), and the computed-goto threaded core (arg 2,
- * skipped when the build compiled without LVPLIB_THREADED_DISPATCH).
+ * through the legacy decode-per-step switch (arg 0) and the
+ * predecoded dense switch (arg 1).
  */
 void
 BM_InterpreterDispatch(benchmark::State &state)
 {
     auto mode = static_cast<vm::DispatchMode>(state.range(0));
-    if (mode == vm::DispatchMode::ThreadedGoto &&
-        !vm::Interpreter::threadedGotoAvailable()) {
-        state.SkipWithError("computed-goto core not compiled in");
-        return;
-    }
     auto prog = workloads::findWorkload("grep").build(
         workloads::CodeGen::Ppc, 2);
     vm::Interpreter interp(prog);
@@ -150,7 +144,6 @@ BM_InterpreterDispatch(benchmark::State &state)
 BENCHMARK(BM_InterpreterDispatch)
     ->Arg(static_cast<int>(vm::DispatchMode::LegacySwitch))
     ->Arg(static_cast<int>(vm::DispatchMode::Predecoded))
-    ->Arg(static_cast<int>(vm::DispatchMode::ThreadedGoto))
     ->Unit(benchmark::kMillisecond);
 
 /** Out-of-order timing-model throughput. */

@@ -8,6 +8,7 @@
 #include "isa/text_asm.hh"
 #include "sim/pipeline_driver.hh"
 #include "uarch/machine_config.hh"
+#include "util/logging.hh"
 #include "workloads/workload.hh"
 
 namespace lvplib::sim
@@ -158,7 +159,8 @@ std::string
 benchUsage()
 {
     return R"(usage: lvpbench [options]
-  --filter SUBSTR   run experiments whose id/binary contains SUBSTR
+  --filter SUBSTR   run experiments whose id or long name contains
+                    SUBSTR
                     (repeatable; matches are OR-ed)
   --jobs N          worker threads (1..1024; default LVPLIB_JOBS or
                     hardware concurrency)
@@ -188,13 +190,13 @@ benchUsage()
   --watchdog-ms N   wall-clock budget per pipeline run (0 = off);
                     a run over budget fails with a watchdog error
   --help            this text
-       lvpbench --verify-trace-cache DIR [--prune] [--migrate]
+       lvpbench --verify-trace-cache DIR [--prune]
                     scan a trace directory and exit (2 if any invalid);
                     reports each file's format version and compression
-                    ratio; --prune deletes invalid traces and abandoned
-                    temp files (age-gated: fresh temps are left for
-                    their possibly-live writers); --migrate rewrites
-                    valid v2 traces as v3 in place (atomic temp+rename)
+                    ratio; --prune deletes invalid traces (including
+                    other format versions) and abandoned temp files
+                    (age-gated: fresh temps are left for their
+                    possibly-live writers)
        lvpbench --chaos SEED[,N]
                     run the seeded fault-injection campaign (N =
                     predictor-fault quota, default 1000) and exit
@@ -244,8 +246,6 @@ parseBenchCli(const std::vector<std::string> &args, std::string &error)
             opts.traceCache = false;
         } else if (a == "--prune") {
             opts.prune = true;
-        } else if (a == "--migrate") {
-            opts.migrate = true;
         } else if (a == "--filter") {
             auto *v = value();
             if (!v)
@@ -383,19 +383,13 @@ parseBenchCli(const std::vector<std::string> &args, std::string &error)
     return opts;
 }
 
-int
-runCli(const CliOptions &opts, std::ostream &os)
+namespace
 {
-    if (opts.help) {
-        os << cliUsage();
-        return 0;
-    }
-    if (opts.listBenchmarks) {
-        for (const auto &w : workloads::allWorkloads())
-            os << w.name << " - " << w.description << "\n";
-        return 0;
-    }
 
+/** Everything runCli does besides --help and --list. */
+int
+simulate(const CliOptions &opts, std::ostream &os)
+{
     isa::Program prog;
     if (!opts.asmFile.empty()) {
         prog = isa::assembleFile(opts.asmFile);
@@ -502,6 +496,30 @@ runCli(const CliOptions &opts, std::ostream &os)
       }
     }
     return 0;
+}
+
+} // namespace
+
+int
+runCli(const CliOptions &opts, std::ostream &os)
+{
+    if (opts.help) {
+        os << cliUsage();
+        return 0;
+    }
+    if (opts.listBenchmarks) {
+        for (const auto &w : workloads::allWorkloads())
+            os << w.name << " - " << w.description << "\n";
+        return 0;
+    }
+    // A program that runs off its code (no HALT, an empty file, a
+    // jump outside the program) is a user error, not a crash.
+    try {
+        return simulate(opts, os);
+    } catch (const SimError &e) {
+        os << "error: " << e.what() << "\n";
+        return 1;
+    }
 }
 
 } // namespace lvplib::sim

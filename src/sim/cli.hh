@@ -67,7 +67,6 @@ struct BenchOptions
     bool list = false;
     bool traceCache = true; ///< cleared by --no-trace-cache
     bool prune = false;
-    bool migrate = false; ///< --migrate: rewrite v2 traces as v3
     bool help = false;
     std::string verifyDir;      ///< --verify-trace-cache DIR
     std::string metricsOut;     ///< --metrics-out FILE.json

@@ -2,8 +2,8 @@
  * @file
  * Per-experiment runners: one function per table/figure of the paper,
  * each returning a TextTable whose rows mirror what the paper
- * reports. The bench binaries print these; the tests sanity-check
- * their shapes.
+ * reports. lvpbench prints these; the tests sanity-check their
+ * shapes.
  */
 
 #ifndef LVPLIB_SIM_EXPERIMENT_HH

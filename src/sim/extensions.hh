@@ -1,10 +1,9 @@
 /**
  * @file
- * Extension-study runners (ablations and Section 6.1/7 follow-ups)
- * that used to live in the bench binaries' main() functions, now
+ * Extension-study runners (ablations and Section 6.1/7 follow-ups),
  * routed through the parallel experiment engine and run-cache like
  * the paper runners in experiment.cc. Each returns the sections
- * (title, expectation, table) its binary prints.
+ * (title, expectation, table) lvpbench prints for it.
  */
 
 #ifndef LVPLIB_SIM_EXTENSIONS_HH

@@ -1,7 +1,7 @@
 /**
  * @file
- * Report helpers shared by the bench binaries: banner printing and a
- * standard "paper says / we measure" footer.
+ * Report helpers for lvpbench's experiment sections: banner printing
+ * and a standard "paper says / we measure" footer.
  */
 
 #ifndef LVPLIB_SIM_REPORT_HH

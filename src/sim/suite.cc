@@ -1,10 +1,7 @@
 #include "sim/suite.hh"
 
-#include <iostream>
-
 #include "core/value_predictor.hh"
 #include "sim/extensions.hh"
-#include "sim/report.hh"
 
 namespace lvplib::sim
 {
@@ -190,30 +187,6 @@ writeSuiteList(std::ostream &os)
     for (const auto &info : core::predictorRegistry())
         os << "predictor" << '\t' << info.name << '\t' << info.summary
            << '\n';
-}
-
-const ExperimentSpec *
-findExperiment(const std::string &idOrBinary)
-{
-    for (const auto &spec : experimentSuite())
-        if (spec.id == idOrBinary || spec.binary == idOrBinary)
-            return &spec;
-    return nullptr;
-}
-
-int
-runSuiteBinary(const std::string &id)
-{
-    const ExperimentSpec *spec = findExperiment(id);
-    if (!spec) {
-        std::cerr << "lvplib: unknown experiment '" << id << "'\n";
-        return 1;
-    }
-    auto opts = ExperimentOptions::fromEnv();
-    for (const auto &sec : spec->run(opts))
-        printExperiment(std::cout, sec.title, sec.expectation,
-                        sec.table, opts);
-    return 0;
 }
 
 } // namespace lvplib::sim

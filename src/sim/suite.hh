@@ -1,8 +1,8 @@
 /**
  * @file
  * The experiment suite registry: every table/figure the repo
- * reproduces, each as a named spec the lvpbench driver (and the thin
- * per-experiment bench binaries) run through the parallel engine.
+ * reproduces, each as a named spec the lvpbench driver runs through
+ * the parallel engine.
  */
 
 #ifndef LVPLIB_SIM_SUITE_HH
@@ -30,7 +30,7 @@ struct ExperimentSection
 struct ExperimentSpec
 {
     std::string id;      ///< short handle, e.g. "fig1"
-    std::string binary;  ///< historical bench binary name
+    std::string binary;  ///< long name, e.g. "fig1_value_locality"
     std::string summary; ///< one-line description for --list
     std::vector<ExperimentSection> (*run)(const ExperimentOptions &);
 };
@@ -38,24 +38,14 @@ struct ExperimentSpec
 /** Every table/figure, in paper-then-extensions order. */
 const std::vector<ExperimentSpec> &experimentSuite();
 
-/** Look up a spec by id or binary name; nullptr when unknown. */
-const ExperimentSpec *findExperiment(const std::string &idOrBinary);
-
 /**
  * Write the registry listing behind `lvpbench --list`: one
- * tab-separated line per experiment (id, binary, summary) in suite
+ * tab-separated line per experiment (id, long name, summary) in suite
  * order — unchanged from earlier releases, so scripts keyed on it
  * keep working — followed by one "predictor" line per registered
  * predictor (the championship contenders `--predictors` accepts).
  */
 void writeSuiteList(std::ostream &os);
-
-/**
- * Entry point for the thin bench binaries: run one experiment with
- * ExperimentOptions::fromEnv() and print every section to stdout.
- * Returns the process exit code.
- */
-int runSuiteBinary(const std::string &id);
 
 } // namespace lvplib::sim
 

@@ -27,7 +27,7 @@ fileAgeSeconds(const fs::path &p)
 } // namespace
 
 TraceDirScan
-scanTraceDir(const std::string &dir, bool prune, bool migrate,
+scanTraceDir(const std::string &dir, bool prune,
              double tempPruneAgeSeconds)
 {
     TraceDirScan scan;
@@ -61,20 +61,8 @@ scanTraceDir(const std::string &dir, bool prune, bool migrate,
 
     for (auto &e : scan.traces) {
         e.report = verifyTraceFile(e.path);
-        if (e.report.ok()) {
-            if (migrate &&
-                e.report.version != TraceFormatVersion) {
-                auto after = migrateTraceFile(e.path);
-                if (after.ok()) {
-                    e.report = after;
-                    e.migrated = true;
-                    ++scan.migratedCount;
-                }
-                // On failure the valid original is still in place;
-                // keep its report and move on.
-            }
+        if (e.report.ok())
             continue;
-        }
         ++scan.invalid;
         if (prune) {
             fs::remove(e.path, ec);

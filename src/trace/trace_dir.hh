@@ -35,7 +35,6 @@ struct TraceDirEntry
     std::string name;        ///< file name only
     bool isTemp = false;     ///< *.trace.tmp.<pid>.<seq>
     bool pruned = false;     ///< deleted by this scan
-    bool migrated = false;   ///< rewritten v2 -> v3 by this scan
     TraceVerifyReport report; ///< integrity (traces only)
     double ageSeconds = 0;   ///< since last modification (temps only)
 };
@@ -47,22 +46,16 @@ struct TraceDirScan
     std::vector<TraceDirEntry> temps;
     std::size_t invalid = 0;       ///< traces failing verification
     std::size_t prunedCount = 0;   ///< files deleted
-    std::size_t migratedCount = 0; ///< traces rewritten v2 -> v3
     bool ok = false;               ///< directory was readable
     std::string error;             ///< why not, when !ok
 };
 
 /**
  * Scan @p dir, verifying every trace file. With @p prune, delete
- * invalid traces and temp files older than @p tempPruneAgeSeconds.
- * With @p migrate, additionally rewrite every valid legacy-version
- * trace as the current format (atomic temp + rename; see
- * migrateTraceFile) — each entry's report reflects the file as left
- * on disk. A failed migration keeps the valid v2 original and is not
- * counted invalid.
+ * invalid traces (including intact files of another format version)
+ * and temp files older than @p tempPruneAgeSeconds.
  */
 TraceDirScan scanTraceDir(const std::string &dir, bool prune,
-                          bool migrate = false,
                           double tempPruneAgeSeconds =
                               TempPruneAgeSeconds);
 

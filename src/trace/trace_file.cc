@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstring>
-
-#include <unistd.h>
 
 #include "chaos/chaos.hh"
 #include "obs/metrics.hh"
 #include "trace/columnar.hh"
-#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace lvplib::trace
@@ -20,18 +16,11 @@ namespace lvplib::trace
 namespace
 {
 
-constexpr std::size_t RecordBytes = TraceRecordBytes;
-
 /**
- * Buffer sizing. The v2 reader fills up to ReaderBufRecords per
- * fread; v2 replay() decodes and forwards ReplayBatchRecords per
- * consumeBatch (v3 forwards whole decoded blocks); the writer flushes
- * its encode buffer once it holds WriterBufBytes. Sized so a buffer
- * comfortably exceeds the stdio / page-cache transfer granularity
- * while staying cache-friendly.
+ * The writer flushes its encode buffer once it holds WriterBufBytes:
+ * comfortably above the stdio / page-cache transfer granularity while
+ * staying cache-friendly.
  */
-constexpr std::size_t ReaderBufRecords = 64 * 1024;
-constexpr std::size_t ReplayBatchRecords = 4096;
 constexpr std::size_t WriterBufBytes = 1u << 20;
 
 constexpr char HeaderMagic[8] = {'L', 'V', 'P', 'T',
@@ -39,7 +28,7 @@ constexpr char HeaderMagic[8] = {'L', 'V', 'P', 'T',
 constexpr char FooterMagic[8] = {'E', 'C', 'A', 'R',
                                  'T', 'P', 'V', 'L'};
 
-/** The v3 decoders scatter the pc/effAddr/value columns straight into
+/** The decoders scatter the pc/effAddr/value columns straight into
  *  the TraceRecord array handed to consumeBatch; that requires the
  *  u64 fields to sit on u64-slot boundaries of the struct. */
 static_assert(sizeof(TraceRecord) % sizeof(std::uint64_t) == 0);
@@ -84,13 +73,6 @@ getU32(const std::uint8_t *p)
     return v;
 }
 
-/** True when a v2 record's one-byte fields decode to legal values. */
-bool
-recordBytesValid(const std::uint8_t *rec)
-{
-    return rec[24] <= 1 && rec[25] < NumPredStates;
-}
-
 /** Parsed header + footer of an open trace file. */
 struct Envelope
 {
@@ -98,9 +80,9 @@ struct Envelope
     std::uint64_t records = 0;
     std::uint64_t checksum = 0;
     std::uint32_t version = 0;
-    std::uint32_t blockRecords = 0; ///< v3 only
-    std::uint64_t numBlocks = 0;    ///< v3 only
-    std::uint64_t indexStart = 0;   ///< v3: file offset of the index
+    std::uint32_t blockRecords = 0;
+    std::uint64_t numBlocks = 0;
+    std::uint64_t indexStart = 0; ///< file offset of the index
     std::uint64_t fileBytes = 0;
 };
 
@@ -132,29 +114,17 @@ readEnvelope(std::FILE *f, Envelope &env, std::string &detail)
     if (std::memcmp(hdr.data(), HeaderMagic, sizeof(HeaderMagic)) != 0)
         return TraceFileStatus::BadMagic;
     env.version = getU32(&hdr[8]);
-    if (env.version != TraceFormatVersion &&
-        env.version != TraceFormatVersionV2) {
+    if (env.version != TraceFormatVersion) {
         detail = "file version " + std::to_string(env.version) +
-                 ", expected " +
-                 std::to_string(TraceFormatVersionV2) + " or " +
-                 std::to_string(TraceFormatVersion);
+                 ", expected " + std::to_string(TraceFormatVersion);
         return TraceFileStatus::BadVersion;
     }
-    std::uint32_t field = getU32(&hdr[12]);
-    if (env.version == TraceFormatVersionV2) {
-        if (field != RecordBytes) {
-            detail = "record size " + std::to_string(field) +
-                     ", expected " + std::to_string(RecordBytes);
-            return TraceFileStatus::BadRecordSize;
-        }
-    } else {
-        if (field < 1 || field > TraceMaxBlockRecords) {
-            detail = "block records " + std::to_string(field) +
-                     " outside [1, " +
-                     std::to_string(TraceMaxBlockRecords) + "]";
-            return TraceFileStatus::BadRecordSize;
-        }
-        env.blockRecords = field;
+    env.blockRecords = getU32(&hdr[12]);
+    if (env.blockRecords < 1 || env.blockRecords > TraceMaxBlockRecords) {
+        detail = "block records " + std::to_string(env.blockRecords) +
+                 " outside [1, " + std::to_string(TraceMaxBlockRecords) +
+                 "]";
+        return TraceFileStatus::BadRecordSize;
     }
     env.fingerprint = getU64(&hdr[16]);
 
@@ -173,43 +143,26 @@ readEnvelope(std::FILE *f, Envelope &env, std::string &detail)
 
     std::uint64_t payload = static_cast<std::uint64_t>(size) -
                             TraceHeaderBytes - TraceFooterBytes;
-    if (env.version == TraceFormatVersionV2) {
-        if (payload % RecordBytes != 0) {
-            detail = std::to_string(payload % RecordBytes) +
-                     " trailing bytes after " +
-                     std::to_string(payload / RecordBytes) +
-                     " whole records";
-            return TraceFileStatus::PartialRecord;
-        }
-        if (payload / RecordBytes != env.records) {
-            detail = "payload holds " +
-                     std::to_string(payload / RecordBytes) +
-                     " records, footer promises " +
-                     std::to_string(env.records);
-            return TraceFileStatus::CountMismatch;
-        }
-    } else {
-        env.numBlocks = env.records / env.blockRecords +
-                        (env.records % env.blockRecords != 0 ? 1 : 0);
-        if (env.numBlocks > payload / 8) {
-            detail = "file too small for a " +
-                     std::to_string(env.numBlocks) + "-block index";
-            return TraceFileStatus::BadBlock;
-        }
-        env.indexStart = static_cast<std::uint64_t>(size) -
-                         TraceFooterBytes - env.numBlocks * 8;
-        std::uint64_t blockArea = env.indexStart - TraceHeaderBytes;
-        if (env.numBlocks == 0 && blockArea != 0) {
-            detail = std::to_string(blockArea) +
-                     " payload bytes but zero records";
-            return TraceFileStatus::BadBlock;
-        }
-        if (blockArea / TraceBlockHeaderBytes < env.numBlocks) {
-            detail = std::to_string(blockArea) +
-                     " payload bytes cannot hold " +
-                     std::to_string(env.numBlocks) + " blocks";
-            return TraceFileStatus::BadBlock;
-        }
+    env.numBlocks = env.records / env.blockRecords +
+                    (env.records % env.blockRecords != 0 ? 1 : 0);
+    if (env.numBlocks > payload / 8) {
+        detail = "file too small for a " +
+                 std::to_string(env.numBlocks) + "-block index";
+        return TraceFileStatus::BadBlock;
+    }
+    env.indexStart = static_cast<std::uint64_t>(size) -
+                     TraceFooterBytes - env.numBlocks * 8;
+    std::uint64_t blockArea = env.indexStart - TraceHeaderBytes;
+    if (env.numBlocks == 0 && blockArea != 0) {
+        detail = std::to_string(blockArea) +
+                 " payload bytes but zero records";
+        return TraceFileStatus::BadBlock;
+    }
+    if (blockArea / TraceBlockHeaderBytes < env.numBlocks) {
+        detail = std::to_string(blockArea) +
+                 " payload bytes cannot hold " +
+                 std::to_string(env.numBlocks) + " blocks";
+        return TraceFileStatus::BadBlock;
     }
 
     if (std::fseek(f, static_cast<long>(TraceHeaderBytes),
@@ -219,7 +172,7 @@ readEnvelope(std::FILE *f, Envelope &env, std::string &detail)
 }
 
 /**
- * Read and structurally validate the v3 block index: offsets must
+ * Read and structurally validate the block index: offsets must
  * start at the first payload byte, strictly increase, and leave every
  * block at least a block header long, tiling [TraceHeaderBytes,
  * indexStart) exactly. Leaves the stream position unspecified.
@@ -259,7 +212,7 @@ loadBlockIndex(std::FILE *f, const Envelope &env,
     return TraceFileStatus::Ok;
 }
 
-/** Decoded v3 block header. */
+/** Decoded block header. */
 struct BlockHeader
 {
     std::uint32_t n = 0;
@@ -355,14 +308,10 @@ traceFileStatusName(TraceFileStatus s)
       case TraceFileStatus::BadRecordSize: return "bad-record-size";
       case TraceFileStatus::BadFingerprint: return "stale-fingerprint";
       case TraceFileStatus::BadFooter: return "bad-footer";
-      case TraceFileStatus::PartialRecord: return "partial-record";
-      case TraceFileStatus::CountMismatch: return "count-mismatch";
-      case TraceFileStatus::BadRecord: return "bad-record";
       case TraceFileStatus::BadBlock: return "bad-block";
       case TraceFileStatus::ChecksumMismatch:
         return "checksum-mismatch";
       case TraceFileStatus::ReadFailed: return "read-failed";
-      case TraceFileStatus::WriteFailed: return "write-failed";
     }
     return "?";
 }
@@ -393,35 +342,6 @@ verifyTraceFile(const std::string &path,
         std::fclose(f);
         return rep;
     }
-    if (env.version == TraceFormatVersionV2) {
-        std::uint64_t checksum = FnvOffset;
-        std::array<std::uint8_t, RecordBytes> buf;
-        for (std::uint64_t i = 0; i < env.records; ++i) {
-            if (std::fread(buf.data(), buf.size(), 1, f) != 1) {
-                rep.status = TraceFileStatus::ReadFailed;
-                rep.detail =
-                    "short read at record " + std::to_string(i);
-                std::fclose(f);
-                return rep;
-            }
-            if (!recordBytesValid(buf.data())) {
-                rep.status = TraceFileStatus::BadRecord;
-                rep.detail = "record " + std::to_string(i) +
-                             ": taken=" + std::to_string(buf[24]) +
-                             " pred=" + std::to_string(buf[25]);
-                std::fclose(f);
-                return rep;
-            }
-            checksum = fnv1a(buf.data(), buf.size(), checksum);
-        }
-        std::fclose(f);
-        if (checksum != env.checksum) {
-            rep.status = TraceFileStatus::ChecksumMismatch;
-            rep.detail = "payload bytes do not match footer checksum";
-        }
-        return rep;
-    }
-
     std::vector<std::uint64_t> index;
     rep.status = loadBlockIndex(f, env, index, rep.detail);
     if (rep.status != TraceFileStatus::Ok) {
@@ -477,63 +397,6 @@ verifyTraceFile(const std::string &path,
     return rep;
 }
 
-TraceVerifyReport
-migrateTraceFile(const std::string &path)
-{
-    TraceVerifyReport rep = verifyTraceFile(path);
-    if (!rep.ok() || rep.version == TraceFormatVersion)
-        return rep;
-
-    // Unique sibling temp, same `<name>.trace.tmp.<pid>.<n>` shape the
-    // run-cache writers publish through (and the cache scanner prunes).
-    static std::atomic<std::uint64_t> tempSeq{0};
-    std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
-                      "." + std::to_string(tempSeq.fetch_add(1));
-
-    std::FILE *in = std::fopen(path.c_str(), "rb");
-    if (!in) {
-        rep.status = TraceFileStatus::OpenFailed;
-        return rep;
-    }
-    Envelope env;
-    std::string detail;
-    TraceFileStatus st = readEnvelope(in, env, detail);
-    if (st != TraceFileStatus::Ok ||
-        env.version != TraceFormatVersionV2) {
-        // The file changed between verify and transcode; re-report.
-        std::fclose(in);
-        return verifyTraceFile(path);
-    }
-
-    TraceFileWriter out(tmp, env.fingerprint);
-    std::array<std::uint8_t, RecordBytes> buf;
-    bool readOk = true;
-    for (std::uint64_t i = 0; i < env.records; ++i) {
-        if (std::fread(buf.data(), buf.size(), 1, in) != 1) {
-            readOk = false;
-            break;
-        }
-        out.appendRaw(getU64(&buf[0]), getU64(&buf[8]),
-                      getU64(&buf[16]), buf[24] != 0,
-                      static_cast<PredState>(buf[25]));
-    }
-    std::fclose(in);
-    if (!readOk || !out.close()) {
-        std::remove(tmp.c_str());
-        rep.status = TraceFileStatus::WriteFailed;
-        rep.detail = !readOk ? "source shrank during transcode"
-                             : out.error();
-        return rep;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        rep.status = TraceFileStatus::WriteFailed;
-        rep.detail = "cannot rename temp over original";
-        return rep;
-    }
-    return verifyTraceFile(path);
-}
-
 TraceFileWriter::TraceFileWriter(const std::string &path,
                                  std::uint64_t fingerprint,
                                  const TraceWriterOptions &opts)
@@ -544,29 +407,24 @@ TraceFileWriter::TraceFileWriter(const std::string &path,
         fail("cannot open for writing");
         return;
     }
-    bool v2 = opts_.version == TraceFormatVersionV2;
-    if ((opts_.version != TraceFormatVersion && !v2) ||
-        (!v2 && (opts_.blockRecords < 1 ||
-                 opts_.blockRecords > TraceMaxBlockRecords))) {
+    if (opts_.blockRecords < 1 ||
+        opts_.blockRecords > TraceMaxBlockRecords) {
         fail("unsupported trace writer options");
         return;
     }
-    wbuf_.reserve(WriterBufBytes + RecordBytes);
-    if (!v2) {
-        std::size_t stage = std::min<std::size_t>(
-            opts_.blockRecords, TraceBlockRecords);
-        stagePc_.reserve(stage);
-        stageAddr_.reserve(stage);
-        stageVal_.reserve(stage);
-        stageTaken_.reserve(stage);
-        stagePred_.reserve(stage);
-    }
+    wbuf_.reserve(WriterBufBytes);
+    std::size_t stage =
+        std::min<std::size_t>(opts_.blockRecords, TraceBlockRecords);
+    stagePc_.reserve(stage);
+    stageAddr_.reserve(stage);
+    stageVal_.reserve(stage);
+    stageTaken_.reserve(stage);
+    stagePred_.reserve(stage);
     fileOffset_ = TraceHeaderBytes;
     std::array<std::uint8_t, TraceHeaderBytes> hdr;
     std::memcpy(hdr.data(), HeaderMagic, sizeof(HeaderMagic));
-    putU32(&hdr[8], opts_.version);
-    putU32(&hdr[12], v2 ? static_cast<std::uint32_t>(RecordBytes)
-                        : opts_.blockRecords);
+    putU32(&hdr[8], TraceFormatVersion);
+    putU32(&hdr[12], opts_.blockRecords);
     putU64(&hdr[16], fingerprint_);
     if (std::fwrite(hdr.data(), hdr.size(), 1, file_) != 1)
         fail("header write failed");
@@ -597,20 +455,6 @@ TraceFileWriter::appendRaw(Addr pc, Addr addrSlot, Word value,
     if (chaos::engine().shouldInject(chaos::Point::TraceWriteRecord,
                                      fingerprint_, written_)) {
         fail("chaos: injected record write failure");
-        return;
-    }
-    if (opts_.version == TraceFormatVersionV2) {
-        std::array<std::uint8_t, RecordBytes> buf;
-        putU64(&buf[0], pc);
-        putU64(&buf[8], addrSlot);
-        putU64(&buf[16], value);
-        buf[24] = taken ? 1 : 0;
-        buf[25] = static_cast<std::uint8_t>(pred);
-        wbuf_.insert(wbuf_.end(), buf.begin(), buf.end());
-        checksum_ = fnv1a(buf.data(), buf.size(), checksum_);
-        ++written_;
-        if (wbuf_.size() >= WriterBufBytes)
-            flushBuffer();
         return;
     }
     stagePc_.push_back(pc);
@@ -704,8 +548,7 @@ TraceFileWriter::finish()
     finished_ = true;
     if (failed_)
         return;
-    if (opts_.version == TraceFormatVersion)
-        encodeBlock(); // drain the partial tail block
+    encodeBlock(); // drain the partial tail block
     flushBuffer();
     if (failed_)
         return;
@@ -714,7 +557,7 @@ TraceFileWriter::finish()
         fail("chaos: injected footer write failure");
         return;
     }
-    if (opts_.version == TraceFormatVersion && !index_.empty()) {
+    if (!index_.empty()) {
         std::vector<std::uint8_t> idx(index_.size() * 8);
         for (std::size_t b = 0; b < index_.size(); ++b)
             putU64(&idx[b * 8], index_[b]);
@@ -790,16 +633,8 @@ TraceFileReader::TraceFileReader(
                 static_cast<unsigned long long>(*expectFingerprint)));
     }
     records_ = env.records;
-    version_ = env.version;
     fingerprint_ = env.fingerprint;
     expectChecksum_ = env.checksum;
-    if (version_ == TraceFormatVersionV2) {
-        iobuf_.resize(
-            static_cast<std::size_t>(std::min<std::uint64_t>(
-                records_, ReaderBufRecords)) *
-            RecordBytes);
-        return;
-    }
     blockRecords_ = env.blockRecords;
     indexStart_ = env.indexStart;
     st = loadBlockIndex(file_, env, index_, detailStr);
@@ -818,8 +653,6 @@ TraceFileReader::TraceFileReader(
                            detailStr.c_str()));
     }
     filePos_ = TraceHeaderBytes;
-    prefetch_ =
-        envUnsigned("LVPLIB_TRACE_PREFETCH").value_or(1) != 0;
     decoded_.reserve(static_cast<std::size_t>(
         std::min<std::uint64_t>(records_, blockRecords_)));
 }
@@ -838,86 +671,6 @@ TraceFileReader::corrupt(const std::string &what) const
                                      path_.c_str(), what.c_str()));
 }
 
-void
-TraceFileReader::fillBuffer()
-{
-    std::uint64_t want = std::min<std::uint64_t>(
-        records_ - seq_, ReaderBufRecords);
-    std::size_t got = std::fread(
-        iobuf_.data(), 1,
-        static_cast<std::size_t>(want) * RecordBytes, file_);
-    // The envelope fixed the file size at open, so a short fill
-    // means the file shrank underneath us. Hand back any whole
-    // records we did get; the next fill throws at the first record
-    // we cannot deliver. Re-align the stream past a partial tail so
-    // the failing position is reported exactly once.
-    if (std::size_t tail = got % RecordBytes; tail != 0)
-        std::fseek(file_, -static_cast<long>(tail), SEEK_CUR);
-    std::size_t whole = got / RecordBytes;
-    if (whole == 0)
-        corrupt(detail::formatMsg(
-            "truncated at record %llu of %llu",
-            static_cast<unsigned long long>(seq_),
-            static_cast<unsigned long long>(records_)));
-    bufPos_ = 0;
-    bufLen_ = whole * RecordBytes;
-}
-
-bool
-TraceFileReader::nextV2(TraceRecord &rec)
-{
-    if (bufPos_ == bufLen_)
-        fillBuffer();
-    std::uint8_t *buf = iobuf_.data() + bufPos_;
-    bufPos_ += RecordBytes;
-    if (chaos::engine().enabled() &&
-        chaos::engine().shouldInject(chaos::Point::TraceReadFlip,
-                                     fingerprint_, seq_)) {
-        // Flip one bit of the record as read; the flip is caught by
-        // record validation or by the end-of-trace checksum, never
-        // silently accepted.
-        std::uint64_t h = chaos::engine().faultHash(
-            chaos::Point::TraceReadFlip, fingerprint_, seq_);
-        buf[h % RecordBytes] ^=
-            static_cast<std::uint8_t>(1u << ((h >> 8) % 8));
-    }
-    if (!recordBytesValid(buf))
-        corrupt(detail::formatMsg(
-            "%s at record %llu (taken=%u pred=%u)",
-            traceFileStatusName(TraceFileStatus::BadRecord),
-            static_cast<unsigned long long>(seq_), buf[24], buf[25]));
-    checksum_ = fnv1a(buf, RecordBytes, checksum_);
-    rec.seq = seq_++;
-    rec.pc = getU64(&buf[0]);
-    rec.effAddr = getU64(&buf[8]);
-    rec.value = getU64(&buf[16]);
-    rec.destValue = 0;
-    rec.taken = buf[24] != 0;
-    rec.pred = static_cast<PredState>(buf[25]);
-    if (!prog_.validPc(rec.pc))
-        corrupt(detail::formatMsg(
-            "record %llu names pc 0x%llx outside the program",
-            static_cast<unsigned long long>(rec.seq),
-            static_cast<unsigned long long>(rec.pc)));
-    rec.inst = &prog_.fetch(rec.pc);
-    // Reconstruct the architectural successor.
-    if (rec.inst->op == isa::Opcode::HALT) {
-        rec.nextPc = rec.pc;
-    } else if (rec.inst->branch() && rec.taken) {
-        if (isa::isIndirectBranch(rec.inst->op)) {
-            // Indirect targets are not stored; they are only needed
-            // by the branch predictor, which reads nextPc. Recover
-            // it from the addr-slot convention above.
-            rec.nextPc = rec.effAddr;
-        } else {
-            rec.nextPc = static_cast<Addr>(rec.inst->imm);
-        }
-    } else {
-        rec.nextPc = rec.pc + isa::layout::InstBytes;
-    }
-    return true;
-}
-
 std::uint64_t
 TraceFileReader::blockBytes(std::uint64_t b) const
 {
@@ -930,59 +683,24 @@ TraceFileReader::loadBlockFor(std::uint64_t seq)
 {
     std::uint64_t b = seq / blockRecords_;
     std::uint64_t len = blockBytes(b);
-    if (pblockLen_ > 0 && pblockBlock_ == b) {
-        cblock_.swap(pblock_);
-        pblockLen_ = 0;
-    } else {
-        pblockLen_ = 0; // any read-ahead is for the wrong block now
-        if (filePos_ != index_[b]) {
-            if (std::fseek(file_, static_cast<long>(index_[b]),
-                           SEEK_SET) != 0)
-                throw SimError(
-                    ErrorKind::TraceIo,
-                    detail::formatMsg(
-                        "cannot seek to block %llu in '%s'",
-                        static_cast<unsigned long long>(b),
-                        path_.c_str()));
-            filePos_ = index_[b];
-        }
-        cblock_.resize(static_cast<std::size_t>(len));
-        if (std::fread(cblock_.data(), 1, cblock_.size(), file_) !=
-            cblock_.size())
-            corrupt(detail::formatMsg(
-                "truncated at block %llu of %llu",
-                static_cast<unsigned long long>(b),
-                static_cast<unsigned long long>(index_.size())));
-        filePos_ += len;
+    if (filePos_ != index_[b]) {
+        if (std::fseek(file_, static_cast<long>(index_[b]), SEEK_SET) !=
+            0)
+            throw SimError(ErrorKind::TraceIo,
+                           detail::formatMsg(
+                               "cannot seek to block %llu in '%s'",
+                               static_cast<unsigned long long>(b),
+                               path_.c_str()));
+        filePos_ = index_[b];
     }
-    // Read the next compressed block behind the current decode and
-    // sweep it into cache, so the fread + decode of block b+1 starts
-    // warm (LVPLIB_TRACE_PREFETCH=0 disables).
-    std::uint64_t nb = b + 1;
-    if (prefetch_ && nb < index_.size()) {
-        std::uint64_t plen = blockBytes(nb);
-        bool ok = filePos_ == index_[nb] ||
-                  std::fseek(file_, static_cast<long>(index_[nb]),
-                             SEEK_SET) == 0;
-        if (ok) {
-            filePos_ = index_[nb];
-            pblock_.resize(static_cast<std::size_t>(plen));
-            if (std::fread(pblock_.data(), 1, pblock_.size(),
-                           file_) == pblock_.size()) {
-                filePos_ += plen;
-                pblockLen_ = pblock_.size();
-                pblockBlock_ = nb;
-                for (std::size_t i = 0; i < pblock_.size(); i += 64)
-                    __builtin_prefetch(pblock_.data() + i);
-            }
-        }
-        if (pblockLen_ == 0) {
-            // Defer the error: the retry when the block is actually
-            // needed reports truncation with the right context.
-            std::clearerr(file_);
-            filePos_ = static_cast<std::uint64_t>(-1);
-        }
-    }
+    cblock_.resize(static_cast<std::size_t>(len));
+    if (std::fread(cblock_.data(), 1, cblock_.size(), file_) !=
+        cblock_.size())
+        corrupt(detail::formatMsg(
+            "truncated at block %llu of %llu",
+            static_cast<unsigned long long>(b),
+            static_cast<unsigned long long>(index_.size())));
+    filePos_ += len;
     decodeBlock(b, cblock_.data(), static_cast<std::size_t>(len));
     decPos_ = static_cast<std::size_t>(
         seq - b * static_cast<std::uint64_t>(blockRecords_));
@@ -1060,8 +778,7 @@ TraceFileReader::decodeBlock(std::uint64_t b, std::uint8_t *data,
                 static_cast<unsigned long long>(rec.seq),
                 static_cast<unsigned long long>(rec.pc)));
         rec.inst = &prog_.fetch(rec.pc);
-        // Reconstruct the architectural successor (identical to the
-        // v2 reader, so both formats replay the same stream).
+        // Reconstruct the architectural successor.
         if (rec.inst->op == isa::Opcode::HALT) {
             rec.nextPc = rec.pc;
         } else if (rec.inst->branch() && rec.taken) {
@@ -1075,16 +792,6 @@ TraceFileReader::decodeBlock(std::uint64_t b, std::uint8_t *data,
 }
 
 bool
-TraceFileReader::nextV3(TraceRecord &rec)
-{
-    if (decPos_ == decoded_.size())
-        loadBlockFor(seq_);
-    rec = decoded_[decPos_++];
-    ++seq_;
-    return true;
-}
-
-bool
 TraceFileReader::next(TraceRecord &rec)
 {
     if (seq_ == records_) {
@@ -1093,8 +800,11 @@ TraceFileReader::next(TraceRecord &rec)
                 TraceFileStatus::ChecksumMismatch));
         return false;
     }
-    return version_ == TraceFormatVersionV2 ? nextV2(rec)
-                                            : nextV3(rec);
+    if (decPos_ == decoded_.size())
+        loadBlockFor(seq_);
+    rec = decoded_[decPos_++];
+    ++seq_;
+    return true;
 }
 
 std::uint64_t
@@ -1104,32 +814,7 @@ TraceFileReader::replay(TraceSink &sink)
         obs::metrics().counter("trace.replay.batches");
     obs::Counter &batchRecords =
         obs::metrics().counter("trace.replay.batch_records");
-    if (version_ == TraceFormatVersionV2) {
-        // At least one slot so an empty trace still runs the
-        // end-of-trace checksum verification in next().
-        std::vector<TraceRecord> batch(static_cast<std::size_t>(
-            std::max<std::uint64_t>(
-                1, std::min<std::uint64_t>(records_ - seq_,
-                                           ReplayBatchRecords))));
-        std::uint64_t n = 0;
-        for (;;) {
-            std::size_t k = 0;
-            while (k < batch.size() && next(batch[k]))
-                ++k;
-            if (k == 0)
-                break;
-            sink.consumeBatch(std::span<const TraceRecord>(
-                batch.data(), k));
-            batches.add();
-            batchRecords.add(k);
-            n += k;
-            if (k < batch.size())
-                break;
-        }
-        sink.finish();
-        return n;
-    }
-    // v3: each decoded block IS the batch — consumeBatch sees spans
+    // Each decoded block is the batch: consumeBatch sees spans
     // of the reader's own block buffer, with no intermediate copy.
     std::uint64_t n = 0;
     while (seq_ < records_) {

@@ -8,17 +8,6 @@
 
 #include "util/logging.hh"
 
-// The computed-goto core needs the GNU labels-as-values extension and
-// is only compiled when the build opts in (CMake option
-// LVPLIB_THREADED_DISPATCH). Every other compiler gets the portable
-// predecoded switch core, which the goto mode silently falls back to.
-#if defined(LVPLIB_THREADED_DISPATCH) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define LVPLIB_VM_HAVE_GOTO 1
-#else
-#define LVPLIB_VM_HAVE_GOTO 0
-#endif
-
 namespace lvplib::vm
 {
 
@@ -45,22 +34,6 @@ Interpreter::reset()
     pc_ = prog_.entry();
     retired_ = 0;
     halted_ = false;
-}
-
-DispatchMode
-Interpreter::defaultDispatch()
-{
-#if LVPLIB_VM_HAVE_GOTO
-    return DispatchMode::ThreadedGoto;
-#else
-    return DispatchMode::Predecoded;
-#endif
-}
-
-bool
-Interpreter::threadedGotoAvailable()
-{
-    return LVPLIB_VM_HAVE_GOTO != 0;
 }
 
 void
@@ -184,19 +157,20 @@ condHolds(Cond c, Word cr)
 std::uint64_t
 Interpreter::run(trace::TraceSink *sink, std::uint64_t max_instrs)
 {
-    switch (dispatch_) {
-      case DispatchMode::LegacySwitch:
+    // Every control transfer is validated as it retires, so only the
+    // entry pc can be invalid here (an empty program's entry is its
+    // code end). Checking it once lets both cores index code without
+    // a per-step bounds test.
+    if (!halted_ && !prog_.validPc(pc_))
+        throw SimError(
+            ErrorKind::InvalidPc,
+            detail::formatMsg(
+                "run entered at invalid pc 0x%llx (program has %zu "
+                "instructions)",
+                static_cast<unsigned long long>(pc_), prog_.size()));
+    if (dispatch_ == DispatchMode::LegacySwitch)
         return runLegacy(sink, max_instrs);
-      case DispatchMode::Predecoded:
-        return runPredecoded(sink, max_instrs);
-      case DispatchMode::ThreadedGoto:
-#if LVPLIB_VM_HAVE_GOTO
-        return runThreaded(sink, max_instrs);
-#else
-        return runPredecoded(sink, max_instrs);
-#endif
-    }
-    return runLegacy(sink, max_instrs);
+    return runPredecoded(sink, max_instrs);
 }
 
 std::uint64_t
@@ -234,7 +208,7 @@ Interpreter::runLegacy(trace::TraceSink *sink, std::uint64_t max_instrs)
     return n;
 }
 
-// Operand access for the predecoded handler bodies. LVP_W preserves
+// Operand access for the predecoded core's case arms. LVP_W preserves
 // the r0-discards-writes rule; LVP_R relies on the invariant that
 // regs_[0] is never written, so it stays zero without a branch.
 #define LVP_R(r) regs[r]
@@ -251,126 +225,11 @@ Interpreter::runLegacy(trace::TraceSink *sink, std::uint64_t max_instrs)
 #define LVP_LOAD(sz)                                                   \
     rc.effAddr = LVP_R(di.rs1) + LVP_UIMM;                             \
     rc.value = mem_.read(rc.effAddr, sz);                              \
-    LVP_W(di.rd, rc.value);
+    LVP_W(di.rd, rc.value)
 #define LVP_STORE(sz)                                                  \
     rc.effAddr = LVP_R(di.rs1) + LVP_UIMM;                             \
     rc.value = LVP_R(di.rs2);                                          \
-    mem_.write(rc.effAddr, rc.value, sz);
-
-/**
- * X-macro naming every opcode handler body exactly once, in Opcode
- * enum order — the computed-goto label table is built positionally
- * from this list, so the order here MUST match isa::Opcode. Bodies
- * reference the per-step names `di` (current DecodedInst), `rc`
- * (current TraceRecord), `nextPc`, `regs`, and `pc`, which each
- * predecoded core establishes before expanding the list. Semantics
- * mirror Interpreter::execute() bit for bit.
- */
-#define LVPLIB_VM_FOREACH_OP(X)                                        \
-    X(ADD, LVP_W(di.rd, LVP_R(di.rs1) + LVP_R(di.rs2));)               \
-    X(SUB, LVP_W(di.rd, LVP_R(di.rs1) - LVP_R(di.rs2));)               \
-    X(AND, LVP_W(di.rd, LVP_R(di.rs1) & LVP_R(di.rs2));)               \
-    X(OR, LVP_W(di.rd, LVP_R(di.rs1) | LVP_R(di.rs2));)                \
-    X(XOR, LVP_W(di.rd, LVP_R(di.rs1) ^ LVP_R(di.rs2));)               \
-    X(SLD, Word sb = LVP_R(di.rs2);                                    \
-      LVP_W(di.rd, sb >= 64 ? 0 : LVP_R(di.rs1) << (sb & 63));)        \
-    X(SRD, Word sb = LVP_R(di.rs2);                                    \
-      LVP_W(di.rd, sb >= 64 ? 0 : LVP_R(di.rs1) >> (sb & 63));)        \
-    X(SRAD, Word sb = LVP_R(di.rs2);                                   \
-      LVP_W(di.rd,                                                     \
-            static_cast<Word>(static_cast<SWord>(LVP_R(di.rs1)) >>     \
-                              (sb >= 63 ? 63 : (sb & 63))));)          \
-    X(ADDI, LVP_W(di.rd, LVP_R(di.rs1) + LVP_UIMM);)                   \
-    X(ANDI, LVP_W(di.rd, LVP_R(di.rs1) & (LVP_UIMM & 0xffff));)        \
-    X(ORI, LVP_W(di.rd, LVP_R(di.rs1) | (LVP_UIMM & 0xffff));)         \
-    X(XORI, LVP_W(di.rd, LVP_R(di.rs1) ^ (LVP_UIMM & 0xffff));)        \
-    X(SLDI, LVP_W(di.rd, LVP_R(di.rs1) << di.imm);)                    \
-    X(SRDI, LVP_W(di.rd, LVP_R(di.rs1) >> di.imm);)                    \
-    X(SRADI,                                                           \
-      LVP_W(di.rd, static_cast<Word>(                                  \
-                       static_cast<SWord>(LVP_R(di.rs1)) >> di.imm));) \
-    X(CMP,                                                             \
-      LVP_W(di.rd, compareSigned(LVP_R(di.rs1), LVP_R(di.rs2)));)      \
-    X(CMPU,                                                            \
-      LVP_W(di.rd, compareUnsigned(LVP_R(di.rs1), LVP_R(di.rs2)));)    \
-    X(CMPI, LVP_W(di.rd, compareSigned(LVP_R(di.rs1), LVP_UIMM));)     \
-    X(NOP, ;)                                                          \
-    X(MULL, LVP_W(di.rd, LVP_R(di.rs1) * LVP_R(di.rs2));)              \
-    X(DIVD, auto dv = static_cast<SWord>(LVP_R(di.rs2));               \
-      LVP_W(di.rd,                                                     \
-            dv == 0 ? 0                                                \
-                    : static_cast<Word>(                               \
-                          static_cast<SWord>(LVP_R(di.rs1)) / dv));)   \
-    X(REMD, auto dv = static_cast<SWord>(LVP_R(di.rs2));               \
-      LVP_W(di.rd,                                                     \
-            dv == 0 ? LVP_R(di.rs1)                                    \
-                    : static_cast<Word>(                               \
-                          static_cast<SWord>(LVP_R(di.rs1)) % dv));)   \
-    X(MFLR, LVP_W(di.rd, LVP_R(isa::RegLr));)                          \
-    X(MTLR, regs[isa::RegLr] = LVP_R(di.rs1);)                         \
-    X(MFCTR, LVP_W(di.rd, LVP_R(isa::RegCtr));)                        \
-    X(MTCTR, regs[isa::RegCtr] = LVP_R(di.rs1);)                       \
-    X(FADD, LVP_WF(LVP_F1 + LVP_F2);)                                  \
-    X(FSUB, LVP_WF(LVP_F1 - LVP_F2);)                                  \
-    X(FMUL, LVP_WF(LVP_F1 * LVP_F2);)                                  \
-    X(FDIV, double fb = LVP_F2;                                        \
-      LVP_WF(fb == 0.0 ? 0.0 : LVP_F1 / fb);)                          \
-    X(FSQRT, double fa = LVP_F1;                                       \
-      LVP_WF(fa < 0.0 ? 0.0 : std::sqrt(fa));)                         \
-    X(FCMP, double fa = LVP_F1;                                        \
-      double fb = LVP_F2;                                              \
-      LVP_W(di.rd,                                                     \
-            fa < fb ? isa::CrLt : fa > fb ? isa::CrGt : isa::CrEq);)   \
-    X(FCFID,                                                           \
-      LVP_WF(static_cast<double>(                                      \
-          static_cast<SWord>(LVP_R(di.rs1))));)                        \
-    X(FCTID, /* saturating, NaN -> 0, as execute() defines it */       \
-      double fv = LVP_F1;                                              \
-      SWord out;                                                       \
-      if (std::isnan(fv))                                              \
-          out = 0;                                                     \
-      else if (fv >= 0x1p63)                                           \
-          out = std::numeric_limits<SWord>::max();                     \
-      else if (fv < -0x1p63)                                           \
-          out = std::numeric_limits<SWord>::min();                     \
-      else                                                             \
-          out = static_cast<SWord>(fv);                                \
-      LVP_W(di.rd, static_cast<Word>(out));)                           \
-    X(FMR, LVP_W(di.rd, LVP_R(di.rs1));)                               \
-    X(FNEG, LVP_WF(-LVP_F1);)                                          \
-    X(FABS, LVP_WF(std::fabs(LVP_F1));)                                \
-    X(LD, LVP_LOAD(8))                                                 \
-    X(LWZ, LVP_LOAD(4))                                                \
-    X(LBZ, LVP_LOAD(1))                                                \
-    X(LFD, LVP_LOAD(8))                                                \
-    X(STD, LVP_STORE(8))                                               \
-    X(STW, LVP_STORE(4))                                               \
-    X(STB, LVP_STORE(1))                                               \
-    X(STFD, LVP_STORE(8))                                              \
-    X(B, rc.taken = true;                                              \
-      nextPc = static_cast<Addr>(di.imm);)                             \
-    X(BC,                                                              \
-      rc.taken =                                                       \
-          ((LVP_R(di.rs1) & di.crMask) != 0) == di.crExpect;           \
-      if (rc.taken)                                                    \
-          nextPc = static_cast<Addr>(di.imm);)                         \
-    X(BL, rc.taken = true;                                             \
-      regs[isa::RegLr] = pc + InstBytes;                               \
-      nextPc = static_cast<Addr>(di.imm);)                             \
-    X(BLR, rc.taken = true;                                            \
-      nextPc = LVP_R(isa::RegLr);)                                     \
-    X(BCTR, rc.taken = true;                                           \
-      nextPc = LVP_R(isa::RegCtr);)                                    \
-    X(BCTRL, rc.taken = true;                                          \
-      regs[isa::RegLr] = pc + InstBytes;                               \
-      nextPc = LVP_R(isa::RegCtr);)                                    \
-    X(HALT, halted_ = true;                                            \
-      nextPc = pc;)
-
-#define LVPLIB_VM_CASE(NAME, ...)                                      \
-  case Opcode::NAME: {                                                 \
-    __VA_ARGS__                                                        \
-  } break;
+    mem_.write(rc.effAddr, rc.value, sz)
 
 std::uint64_t
 Interpreter::runPredecoded(trace::TraceSink *sink,
@@ -407,8 +266,204 @@ Interpreter::runPredecoded(trace::TraceSink *sink,
             rc.pc = pc;
             rc.inst = di.src;
             Addr nextPc = pc + InstBytes;
+            // Semantics mirror Interpreter::execute() bit for bit.
             switch (di.op) {
-                LVPLIB_VM_FOREACH_OP(LVPLIB_VM_CASE)
+              case Opcode::ADD:
+                LVP_W(di.rd, LVP_R(di.rs1) + LVP_R(di.rs2));
+                break;
+              case Opcode::SUB:
+                LVP_W(di.rd, LVP_R(di.rs1) - LVP_R(di.rs2));
+                break;
+              case Opcode::AND:
+                LVP_W(di.rd, LVP_R(di.rs1) & LVP_R(di.rs2));
+                break;
+              case Opcode::OR:
+                LVP_W(di.rd, LVP_R(di.rs1) | LVP_R(di.rs2));
+                break;
+              case Opcode::XOR:
+                LVP_W(di.rd, LVP_R(di.rs1) ^ LVP_R(di.rs2));
+                break;
+              case Opcode::SLD: {
+                Word sb = LVP_R(di.rs2);
+                LVP_W(di.rd, sb >= 64 ? 0 : LVP_R(di.rs1) << (sb & 63));
+                break;
+              }
+              case Opcode::SRD: {
+                Word sb = LVP_R(di.rs2);
+                LVP_W(di.rd, sb >= 64 ? 0 : LVP_R(di.rs1) >> (sb & 63));
+                break;
+              }
+              case Opcode::SRAD: {
+                Word sb = LVP_R(di.rs2);
+                LVP_W(di.rd, static_cast<Word>(
+                                 static_cast<SWord>(LVP_R(di.rs1)) >>
+                                 (sb >= 63 ? 63 : (sb & 63))));
+                break;
+              }
+              case Opcode::ADDI:
+                LVP_W(di.rd, LVP_R(di.rs1) + LVP_UIMM);
+                break;
+              case Opcode::ANDI:
+                LVP_W(di.rd, LVP_R(di.rs1) & (LVP_UIMM & 0xffff));
+                break;
+              case Opcode::ORI:
+                LVP_W(di.rd, LVP_R(di.rs1) | (LVP_UIMM & 0xffff));
+                break;
+              case Opcode::XORI:
+                LVP_W(di.rd, LVP_R(di.rs1) ^ (LVP_UIMM & 0xffff));
+                break;
+              case Opcode::SLDI:
+                LVP_W(di.rd, LVP_R(di.rs1) << di.imm);
+                break;
+              case Opcode::SRDI:
+                LVP_W(di.rd, LVP_R(di.rs1) >> di.imm);
+                break;
+              case Opcode::SRADI:
+                LVP_W(di.rd, static_cast<Word>(
+                                 static_cast<SWord>(LVP_R(di.rs1)) >>
+                                 di.imm));
+                break;
+              case Opcode::CMP:
+                LVP_W(di.rd,
+                      compareSigned(LVP_R(di.rs1), LVP_R(di.rs2)));
+                break;
+              case Opcode::CMPU:
+                LVP_W(di.rd,
+                      compareUnsigned(LVP_R(di.rs1), LVP_R(di.rs2)));
+                break;
+              case Opcode::CMPI:
+                LVP_W(di.rd, compareSigned(LVP_R(di.rs1), LVP_UIMM));
+                break;
+              case Opcode::NOP:
+                break;
+              case Opcode::MULL:
+                LVP_W(di.rd, LVP_R(di.rs1) * LVP_R(di.rs2));
+                break;
+              case Opcode::DIVD: {
+                auto dv = static_cast<SWord>(LVP_R(di.rs2));
+                LVP_W(di.rd, dv == 0 ? 0
+                                     : static_cast<Word>(
+                                           static_cast<SWord>(
+                                               LVP_R(di.rs1)) /
+                                           dv));
+                break;
+              }
+              case Opcode::REMD: {
+                auto dv = static_cast<SWord>(LVP_R(di.rs2));
+                LVP_W(di.rd, dv == 0 ? LVP_R(di.rs1)
+                                     : static_cast<Word>(
+                                           static_cast<SWord>(
+                                               LVP_R(di.rs1)) %
+                                           dv));
+                break;
+              }
+              case Opcode::MFLR:
+                LVP_W(di.rd, LVP_R(isa::RegLr));
+                break;
+              case Opcode::MTLR:
+                regs[isa::RegLr] = LVP_R(di.rs1);
+                break;
+              case Opcode::MFCTR:
+                LVP_W(di.rd, LVP_R(isa::RegCtr));
+                break;
+              case Opcode::MTCTR:
+                regs[isa::RegCtr] = LVP_R(di.rs1);
+                break;
+              case Opcode::FADD:
+                LVP_WF(LVP_F1 + LVP_F2);
+                break;
+              case Opcode::FSUB:
+                LVP_WF(LVP_F1 - LVP_F2);
+                break;
+              case Opcode::FMUL:
+                LVP_WF(LVP_F1 * LVP_F2);
+                break;
+              case Opcode::FDIV: {
+                double fb = LVP_F2;
+                LVP_WF(fb == 0.0 ? 0.0 : LVP_F1 / fb);
+                break;
+              }
+              case Opcode::FSQRT: {
+                double fa = LVP_F1;
+                LVP_WF(fa < 0.0 ? 0.0 : std::sqrt(fa));
+                break;
+              }
+              case Opcode::FCMP: {
+                double fa = LVP_F1;
+                double fb = LVP_F2;
+                LVP_W(di.rd, fa < fb   ? isa::CrLt
+                             : fa > fb ? isa::CrGt
+                                       : isa::CrEq);
+                break;
+              }
+              case Opcode::FCFID:
+                LVP_WF(static_cast<double>(
+                    static_cast<SWord>(LVP_R(di.rs1))));
+                break;
+              case Opcode::FCTID: {
+                // Saturating, NaN -> 0, as execute() defines it.
+                double fv = LVP_F1;
+                SWord out;
+                if (std::isnan(fv))
+                    out = 0;
+                else if (fv >= 0x1p63)
+                    out = std::numeric_limits<SWord>::max();
+                else if (fv < -0x1p63)
+                    out = std::numeric_limits<SWord>::min();
+                else
+                    out = static_cast<SWord>(fv);
+                LVP_W(di.rd, static_cast<Word>(out));
+                break;
+              }
+              case Opcode::FMR:
+                LVP_W(di.rd, LVP_R(di.rs1));
+                break;
+              case Opcode::FNEG:
+                LVP_WF(-LVP_F1);
+                break;
+              case Opcode::FABS:
+                LVP_WF(std::fabs(LVP_F1));
+                break;
+              case Opcode::LD: LVP_LOAD(8); break;
+              case Opcode::LWZ: LVP_LOAD(4); break;
+              case Opcode::LBZ: LVP_LOAD(1); break;
+              case Opcode::LFD: LVP_LOAD(8); break;
+              case Opcode::STD: LVP_STORE(8); break;
+              case Opcode::STW: LVP_STORE(4); break;
+              case Opcode::STB: LVP_STORE(1); break;
+              case Opcode::STFD: LVP_STORE(8); break;
+              case Opcode::B:
+                rc.taken = true;
+                nextPc = static_cast<Addr>(di.imm);
+                break;
+              case Opcode::BC:
+                rc.taken =
+                    ((LVP_R(di.rs1) & di.crMask) != 0) == di.crExpect;
+                if (rc.taken)
+                    nextPc = static_cast<Addr>(di.imm);
+                break;
+              case Opcode::BL:
+                rc.taken = true;
+                regs[isa::RegLr] = pc + InstBytes;
+                nextPc = static_cast<Addr>(di.imm);
+                break;
+              case Opcode::BLR:
+                rc.taken = true;
+                nextPc = LVP_R(isa::RegLr);
+                break;
+              case Opcode::BCTR:
+                rc.taken = true;
+                nextPc = LVP_R(isa::RegCtr);
+                break;
+              case Opcode::BCTRL:
+                rc.taken = true;
+                regs[isa::RegLr] = pc + InstBytes;
+                nextPc = LVP_R(isa::RegCtr);
+                break;
+              case Opcode::HALT:
+                halted_ = true;
+                nextPc = pc;
+                break;
               case Opcode::NumOpcodes:
                 lvp_panic("bad opcode");
             }
@@ -440,132 +495,6 @@ Interpreter::runPredecoded(trace::TraceSink *sink,
         sink->finish();
     return n;
 }
-
-#if LVPLIB_VM_HAVE_GOTO
-
-std::uint64_t
-Interpreter::runThreaded(trace::TraceSink *sink,
-                         std::uint64_t max_instrs)
-{
-    if (dcode_.size() != prog_.code().size())
-        predecode();
-    std::uint64_t n = 0;
-    std::vector<trace::TraceRecord> batch(
-        static_cast<std::size_t>(std::min<std::uint64_t>(
-            max_instrs, sink ? RetireBatchRecords : 1)));
-    const std::size_t recMask =
-        sink ? std::numeric_limits<std::size_t>::max() : 0;
-    Word *const regs = regs_.data();
-    const DecodedInst *const code = dcode_.data();
-    const Addr codeEnd = prog_.codeEnd();
-
-    // One label per opcode, positionally aligned with the Opcode
-    // enum via LVPLIB_VM_FOREACH_OP's ordering guarantee.
-#define LVPLIB_VM_LABEL(NAME, ...) &&L_##NAME,
-    static const void *const kLabels[] = {
-        LVPLIB_VM_FOREACH_OP(LVPLIB_VM_LABEL)
-    };
-#undef LVPLIB_VM_LABEL
-    static_assert(sizeof(kLabels) / sizeof(kLabels[0]) ==
-                      static_cast<std::size_t>(Opcode::NumOpcodes),
-                  "label table out of sync with Opcode enum");
-
-    Addr pc = pc_;
-    std::uint64_t retired = retired_;
-    const DecodedInst *dip = nullptr;
-    trace::TraceRecord *rcp = nullptr;
-    Addr nextPc = 0;
-    std::size_t cap = 0;
-    std::size_t k = 0;
-
-// The threaded inner loop: every handler ends by jumping straight to
-// the next instruction's handler, so the only per-step branches are
-// the batch-full check and the indirect goto itself.
-#define LVPLIB_VM_DISPATCH()                                           \
-    do {                                                               \
-        if (k == cap || halted_)                                       \
-            goto batch_done;                                           \
-        rcp = &batch[k & recMask];                                     \
-        *rcp = trace::TraceRecord{};                                   \
-        dip = &code[(pc - CodeBase) / InstBytes];                      \
-        rcp->seq = retired;                                            \
-        rcp->pc = pc;                                                  \
-        rcp->inst = dip->src;                                          \
-        nextPc = pc + InstBytes;                                       \
-        goto *kLabels[static_cast<std::size_t>(dip->op)];              \
-    } while (0)
-
-#define LVPLIB_VM_EPILOGUE()                                           \
-    do {                                                               \
-        rcp->nextPc = nextPc;                                          \
-        if (nextPc != pc &&                                            \
-            (nextPc < CodeBase || nextPc >= codeEnd ||                 \
-             (nextPc - CodeBase) % InstBytes != 0) &&                  \
-            !halted_) {                                                \
-            pc_ = pc;                                                  \
-            retired_ = retired;                                        \
-            throwInvalidPc(nextPc, pc);                                \
-        }                                                              \
-        if (dip->dest != isa::NoReg)                                   \
-            rcp->destValue = regs[dip->dest];                          \
-        pc = nextPc;                                                   \
-        ++retired;                                                     \
-        ++k;                                                           \
-    } while (0)
-
-    while (!halted_ && n < max_instrs) {
-        cap = static_cast<std::size_t>(std::min<std::uint64_t>(
-            max_instrs - n, RetireBatchRecords));
-        k = 0;
-
-        LVPLIB_VM_DISPATCH();
-
-// Handler bodies are written against the names `di` and `rc`; in this
-// core they alias the per-step pointers the dispatcher maintains.
-#define di (*dip)
-#define rc (*rcp)
-#define LVPLIB_VM_HANDLER(NAME, ...)                                   \
-  L_##NAME: {                                                          \
-        __VA_ARGS__                                                    \
-    }                                                                  \
-    LVPLIB_VM_EPILOGUE();                                              \
-    LVPLIB_VM_DISPATCH();
-
-        LVPLIB_VM_FOREACH_OP(LVPLIB_VM_HANDLER)
-
-#undef LVPLIB_VM_HANDLER
-#undef di
-#undef rc
-
-    batch_done:
-        n += k;
-        pc_ = pc;
-        retired_ = retired;
-        if (sink && k > 0)
-            sink->consumeBatch(
-                std::span<const trace::TraceRecord>(batch.data(), k));
-    }
-
-#undef LVPLIB_VM_DISPATCH
-#undef LVPLIB_VM_EPILOGUE
-
-    pc_ = pc;
-    retired_ = retired;
-    if (sink && halted_)
-        sink->finish();
-    return n;
-}
-
-#else // !LVPLIB_VM_HAVE_GOTO
-
-std::uint64_t
-Interpreter::runThreaded(trace::TraceSink *sink,
-                         std::uint64_t max_instrs)
-{
-    return runPredecoded(sink, max_instrs);
-}
-
-#endif // LVPLIB_VM_HAVE_GOTO
 
 #undef LVP_R
 #undef LVP_W

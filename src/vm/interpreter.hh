@@ -30,19 +30,15 @@ enum class DispatchMode : std::uint8_t
      *  and the dispatch baseline for BM_InterpreterDispatch. */
     LegacySwitch,
     /** Execute from the predecoded DecodedInst array through a dense
-     *  switch — portable to any compiler. */
+     *  switch (the default). */
     Predecoded,
-    /** Predecoded array + computed-goto threading (GNU/Clang label
-     *  addresses). Falls back to Predecoded when the build has no
-     *  computed-goto core (see threadedGotoAvailable()). */
-    ThreadedGoto,
 };
 
 /**
  * One statically predecoded instruction. Everything run() needs per
  * step — operands, cached destination register, pre-resolved BC
  * condition test, immediate — lives in this flat 32-byte record, so
- * the execution cores touch neither Instruction::destReg() nor
+ * the predecoded core touches neither Instruction::destReg() nor
  * condHolds() on the hot path. Built once per Interpreter from the
  * bound Program; `src` points back at the program's Instruction so
  * emitted TraceRecords are indistinguishable from the legacy core's.
@@ -87,10 +83,13 @@ class Interpreter
      * further instructions into the undelivered tail of the buffer,
      * which callers discard along with the failed run.
      *
-     * All three dispatch modes produce bit-identical record streams,
+     * Both dispatch modes produce bit-identical record streams,
      * register files, and memory images; they differ only in speed.
      *
      * @return Number of instructions retired by this call.
+     * @throws SimError(InvalidPc) when entered, not halted, at a pc
+     * outside the program (an empty program has no valid entry), or
+     * when an instruction transfers control outside it.
      */
     std::uint64_t run(trace::TraceSink *sink = nullptr,
                       std::uint64_t max_instrs =
@@ -104,13 +103,6 @@ class Interpreter
 
     /** The core run() currently uses. */
     DispatchMode dispatch() const { return dispatch_; }
-
-    /** Fastest core compiled into this build. */
-    static DispatchMode defaultDispatch();
-
-    /** True when the computed-goto core was compiled in
-     *  (LVPLIB_THREADED_DISPATCH on a GNU-compatible compiler). */
-    static bool threadedGotoAvailable();
 
     /** True once HALT has retired. */
     bool halted() const { return halted_; }
@@ -150,8 +142,6 @@ class Interpreter
                             std::uint64_t max_instrs);
     std::uint64_t runPredecoded(trace::TraceSink *sink,
                                 std::uint64_t max_instrs);
-    std::uint64_t runThreaded(trace::TraceSink *sink,
-                              std::uint64_t max_instrs);
 
     const isa::Program &prog_;
     SparseMemory mem_;
@@ -160,7 +150,7 @@ class Interpreter
     Addr pc_;
     std::uint64_t retired_ = 0;
     bool halted_ = false;
-    DispatchMode dispatch_ = defaultDispatch();
+    DispatchMode dispatch_ = DispatchMode::Predecoded;
 };
 
 } // namespace lvplib::vm

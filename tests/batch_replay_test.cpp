@@ -168,9 +168,9 @@ TEST(BatchReplay, BatchedReplayIdenticalToRecordAtATime)
 
 TEST(BatchReplay, BatchBoundaryStraddlingTracesIdentical)
 {
-    // Counts chosen around the replay batch size (4096 records) and
-    // the reader's block buffer: one short, one exact multiple, one
-    // straddling, and one spanning several batches with a tail.
+    // Counts chosen around batch edges: 4096 is four whole retire
+    // batches of the writing interpreter, 4095 one short and 4097 one
+    // over, and 9000 spans a full 8 Ki-record trace block plus a tail.
     const std::uint64_t counts[] = {1, 4095, 4096, 4097, 9000};
     auto prog = demoProgram();
     for (std::uint64_t want : counts) {

@@ -3,7 +3,7 @@
  * Shape checks for the experiment runners: every table/figure
  * function must produce the right number of rows for the paper's
  * benchmark suite. (The heavyweight timing sweeps are exercised by
- * the bench binaries; here we verify the cheap ones fully and the
+ * lvpbench; here we verify the cheap ones fully and the
  * configuration tables exactly.)
  */
 

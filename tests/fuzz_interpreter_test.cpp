@@ -332,12 +332,10 @@ TEST_P(InterpreterFuzz, RandomStraightLineProgramsAgree)
 
 TEST_P(InterpreterFuzz, DispatchCoresProduceIdenticalRuns)
 {
-    // Differential check of the three dispatch cores on the same
-    // random program: every core must emit the exact same trace
-    // stream (every field, destValue included) and end with the same
-    // architectural state. ThreadedGoto silently falls back to the
-    // predecoded core on toolchains without computed goto, which
-    // still exercises the mode-selection path.
+    // Differential check of the two dispatch cores on the same random
+    // program: the predecoded core must emit the exact same trace
+    // stream as the legacy switch oracle (every field, destValue
+    // included) and end with the same architectural state.
     Program p = randomProgram(GetParam());
 
     struct Capture : trace::TraceSink
@@ -357,8 +355,7 @@ TEST_P(InterpreterFuzz, DispatchCoresProduceIdenticalRuns)
     };
     std::vector<Run> runs;
     for (auto mode :
-         {vm::DispatchMode::LegacySwitch, vm::DispatchMode::Predecoded,
-          vm::DispatchMode::ThreadedGoto}) {
+         {vm::DispatchMode::LegacySwitch, vm::DispatchMode::Predecoded}) {
         vm::Interpreter interp(p);
         interp.setDispatch(mode);
         Capture cap;

@@ -233,7 +233,7 @@ TEST(EnvTest, EnvUnsignedParsesStrictly)
     EXPECT_FALSE(lvplib::envUnsigned("LVPLIB_TEST_ENV").has_value());
 }
 
-/** Render one experiment's table exactly as the bench binary would. */
+/** Render one experiment's table exactly as lvpbench would. */
 std::string
 renderFig1()
 {
@@ -484,76 +484,23 @@ TEST(RunCacheTest, UnknownVersionCountsAsFormatUpgradeNotCorruption)
     cache.lvpOnly(w, workloads::CodeGen::Ppc, opts.scale, cfg, rc);
     auto path = tmp.onlyTrace();
 
-    // Stamp a future format version into the header: the file is not
-    // corrupt, just unreadable by this build. The miss must be
-    // counted as migration churn, not corruption.
-    setByteAt(path, 8, 0x7f);
-    EXPECT_EQ(trace::verifyTraceFile(path.string()).status,
-              trace::TraceFileStatus::BadVersion);
-    cache.clear();
-    cache.lvpOnly(w, workloads::CodeGen::Ppc, opts.scale, cfg, rc);
-    auto stats = cache.stats();
-    EXPECT_EQ(stats.traceFormatUpgrade, 1u);
-    EXPECT_EQ(stats.traceInvalid, 0u)
-        << "a version mismatch is not corruption";
-    EXPECT_EQ(stats.traceWrites, 1u) << "and the trace regenerated";
-    EXPECT_TRUE(trace::verifyTraceFile(path.string()).ok());
-
-    cache.setTraceDir("");
-    cache.clear();
-}
-
-TEST(RunCacheTest, LegacyV2TraceReplaysWithoutRegeneration)
-{
-    // A mixed-version cache: a valid v2 file left behind by an older
-    // build keeps replaying as-is (no regeneration, no upgrade churn)
-    // until lvpbench --verify-trace-cache --migrate rewrites it.
-    const auto &w = workloads::allWorkloads().front();
-    auto opts = smallOpts();
-    sim::RunConfig rc{opts.maxInstructions};
-    auto cfg = core::LvpConfig::simple();
-    auto &cache = RunCache::instance();
-
-    TempTraceDir tmp("v2-compat-trace");
-    cache.clear();
-    cache.setTraceDir(tmp.dir.string());
-    auto cold = cache.lvpOnly(w, workloads::CodeGen::Ppc, opts.scale,
-                              cfg, rc);
-    auto path = tmp.onlyTrace();
-
-    // Transcode the cached v3 file to v2 in place, keeping the
-    // fingerprint the cache expects.
-    auto rep = trace::verifyTraceFile(path.string());
-    ASSERT_TRUE(rep.ok());
-    auto prog = w.build(workloads::CodeGen::Ppc, opts.scale);
-    {
-        std::vector<trace::TraceRecord> records;
-        trace::TraceFileReader reader(path.string(), prog);
-        trace::TraceRecord rec;
-        while (reader.next(rec))
-            records.push_back(rec);
-        trace::TraceWriterOptions v2;
-        v2.version = trace::TraceFormatVersionV2;
-        trace::TraceFileWriter writer(path.string(), rep.fingerprint,
-                                      v2);
-        for (const auto &r : records)
-            writer.consume(r);
-        ASSERT_TRUE(writer.close()) << writer.error();
+    // Stamp another format version into the header, the retired v2
+    // and a future one: the file is not corrupt, just unreadable by
+    // this build. The miss must be counted as a format upgrade, not
+    // corruption, and the trace regenerated in the current format.
+    for (std::uint8_t version : {std::uint8_t{2}, std::uint8_t{0x7f}}) {
+        setByteAt(path, 8, version);
+        EXPECT_EQ(trace::verifyTraceFile(path.string()).status,
+                  trace::TraceFileStatus::BadVersion);
+        cache.clear();
+        cache.lvpOnly(w, workloads::CodeGen::Ppc, opts.scale, cfg, rc);
+        auto stats = cache.stats();
+        EXPECT_EQ(stats.traceFormatUpgrade, 1u) << int(version);
+        EXPECT_EQ(stats.traceInvalid, 0u)
+            << "a version mismatch is not corruption";
+        EXPECT_EQ(stats.traceWrites, 1u) << "and the trace regenerated";
+        EXPECT_TRUE(trace::verifyTraceFile(path.string()).ok());
     }
-    ASSERT_EQ(trace::verifyTraceFile(path.string()).version,
-              trace::TraceFormatVersionV2);
-
-    cache.clear();
-    auto warm = cache.lvpOnly(w, workloads::CodeGen::Ppc, opts.scale,
-                              cfg, rc);
-    auto stats = cache.stats();
-    EXPECT_EQ(stats.traceReplays, 1u);
-    EXPECT_EQ(stats.traceWrites, 0u) << "v2 replays without rewrite";
-    EXPECT_EQ(stats.traceInvalid, 0u);
-    EXPECT_EQ(stats.traceFormatUpgrade, 0u);
-    EXPECT_EQ(cold.loads, warm.loads);
-    EXPECT_EQ(cold.correct, warm.correct);
-    EXPECT_EQ(cold.incorrect, warm.incorrect);
 
     cache.setTraceDir("");
     cache.clear();

@@ -28,6 +28,7 @@
 
 #include "chaos/chaos.hh"
 #include "core/value_predictor.hh"
+#include "obs/metrics.hh"
 #include "serve/client.hh"
 #include "serve/loadgen.hh"
 #include "serve/server.hh"
@@ -578,10 +579,15 @@ TEST(Serve, ParkedSessionsAreBoundedByCapAndTtl)
     };
     auto first = crashOne();
     awaitParked(server, 1);
+    // The park count, not the parked-set size, says when the second
+    // checkpoint has landed: the size is already 1 before it does.
+    obs::Counter &parks = obs::metrics().counter("serve.resume.parked");
+    const std::uint64_t parksBefore = parks.value();
     auto second = crashOne();
-    // The cap evicted the first checkpoint to make room.
-    for (int i = 0; i < 400 && server.parkedSessions() != 1; ++i)
+    for (int i = 0; i < 400 && parks.value() == parksBefore; ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_GT(parks.value(), parksBefore);
+    // The cap evicted the first checkpoint to make room.
     EXPECT_EQ(server.parkedSessions(), 1u);
 
     ServeClient back =

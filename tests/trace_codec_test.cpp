@@ -2,8 +2,7 @@
  * @file
  * Tests for the v3 columnar trace machinery: the shared column codecs
  * (trace/columnar.hh) under round-trip fuzz and adversarial inputs,
- * block-structured v3 files with tiny blocks, v2 read compatibility,
- * and v2 -> v3 migration (single file and directory scan).
+ * and block-structured v3 files with tiny blocks.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 
 #include "sim/pipeline_driver.hh"
 #include "trace/columnar.hh"
-#include "trace/trace_dir.hh"
 #include "trace/trace_file.hh"
 #include "trace/trace_stats.hh"
 #include "vm/interpreter.hh"
@@ -291,14 +289,6 @@ tinyBlocks(std::uint32_t blockRecords = 64)
     return opts;
 }
 
-trace::TraceWriterOptions
-v2Opts()
-{
-    trace::TraceWriterOptions opts;
-    opts.version = trace::TraceFormatVersionV2;
-    return opts;
-}
-
 std::uint64_t
 writeDemoTrace(const std::string &path, const isa::Program &prog,
                std::uint64_t fingerprint,
@@ -309,18 +299,6 @@ writeDemoTrace(const std::string &path, const isa::Program &prog,
     interp.run(&writer);
     EXPECT_TRUE(writer.close()) << writer.error();
     return writer.recordsWritten();
-}
-
-/** All records of @p path as read by a full-file reader. */
-std::vector<trace::TraceRecord>
-readAllRecords(const std::string &path, const isa::Program &prog)
-{
-    TraceFileReader reader(path, prog);
-    std::vector<trace::TraceRecord> out;
-    trace::TraceRecord rec;
-    while (reader.next(rec))
-        out.push_back(rec);
-    return out;
 }
 
 TEST(TraceV3, TinyBlockFileRoundTripsAndCompresses)
@@ -341,7 +319,6 @@ TEST(TraceV3, TinyBlockFileRoundTripsAndCompresses)
     auto live = sim::runFunctional(prog);
     trace::TraceStats replayed;
     TraceFileReader reader(tmp.path, prog, fp);
-    EXPECT_EQ(reader.version(), trace::TraceFormatVersion);
     EXPECT_EQ(reader.replay(replayed), n);
     EXPECT_EQ(replayed.instructions(), live.stats.instructions());
     EXPECT_EQ(replayed.loads(), live.stats.loads());
@@ -397,113 +374,6 @@ TEST(TraceV3, TruncationDetected)
     EXPECT_FALSE(rep.ok());
     expectSimError([&] { TraceFileReader r(tmp.path, prog); },
                    ErrorKind::TraceCorrupt, "invalid trace file");
-}
-
-// ---- v2 compatibility and migration -------------------------------
-
-TEST(TraceV2Compat, LegacyFilesStillReadAndReplay)
-{
-    TempPath tmp("lvplib_v2_compat.trace");
-    auto prog = demoProgram();
-    std::uint64_t fp = trace::programFingerprint(prog);
-    std::uint64_t n = writeDemoTrace(tmp.path, prog, fp, v2Opts());
-
-    auto rep = trace::verifyTraceFile(tmp.path, fp);
-    ASSERT_TRUE(rep.ok()) << rep.detail;
-    EXPECT_EQ(rep.version, trace::TraceFormatVersionV2);
-
-    auto live = sim::runFunctional(prog);
-    trace::TraceStats replayed;
-    TraceFileReader reader(tmp.path, prog, fp);
-    EXPECT_EQ(reader.version(), trace::TraceFormatVersionV2);
-    EXPECT_EQ(reader.replay(replayed), n);
-    EXPECT_EQ(replayed.instructions(), live.stats.instructions());
-    EXPECT_EQ(replayed.loads(), live.stats.loads());
-}
-
-TEST(TraceMigrate, V2BecomesV3WithIdenticalRecords)
-{
-    TempPath tmp("lvplib_migrate.trace");
-    auto prog = demoProgram();
-    std::uint64_t fp = trace::programFingerprint(prog);
-    std::uint64_t n = writeDemoTrace(tmp.path, prog, fp, v2Opts());
-    auto before = readAllRecords(tmp.path, prog);
-    auto v2Bytes = std::filesystem::file_size(tmp.path);
-
-    auto rep = trace::migrateTraceFile(tmp.path);
-    ASSERT_TRUE(rep.ok()) << rep.detail;
-    EXPECT_EQ(rep.version, trace::TraceFormatVersion);
-    EXPECT_EQ(rep.records, n);
-    EXPECT_EQ(rep.fingerprint, fp);
-    EXPECT_LT(std::filesystem::file_size(tmp.path), v2Bytes);
-
-    auto after = readAllRecords(tmp.path, prog);
-    ASSERT_EQ(after.size(), before.size());
-    for (std::size_t i = 0; i < after.size(); ++i) {
-        ASSERT_EQ(after[i].pc, before[i].pc) << i;
-        ASSERT_EQ(after[i].effAddr, before[i].effAddr) << i;
-        ASSERT_EQ(after[i].value, before[i].value) << i;
-        ASSERT_EQ(after[i].taken, before[i].taken) << i;
-        ASSERT_EQ(after[i].nextPc, before[i].nextPc) << i;
-        ASSERT_EQ(after[i].inst, before[i].inst) << i;
-    }
-
-    // Migrating a current-format file is a no-op that reports ok.
-    auto again = trace::migrateTraceFile(tmp.path);
-    EXPECT_TRUE(again.ok());
-    EXPECT_EQ(again.version, trace::TraceFormatVersion);
-}
-
-TEST(TraceMigrate, CorruptFileIsLeftAlone)
-{
-    TempPath tmp("lvplib_migrate_bad.trace");
-    auto prog = demoProgram();
-    writeDemoTrace(tmp.path, prog, 7, v2Opts());
-    auto bytes = std::filesystem::file_size(tmp.path);
-    // Destroy the footer: verification fails, migration must refuse.
-    std::filesystem::resize_file(tmp.path, bytes - 5);
-
-    auto rep = trace::migrateTraceFile(tmp.path);
-    EXPECT_FALSE(rep.ok());
-    EXPECT_EQ(std::filesystem::file_size(tmp.path), bytes - 5)
-        << "a failed migration must not touch the file";
-}
-
-TEST(TraceMigrate, ScanTraceDirMigratesOnlyLegacyTraces)
-{
-    namespace fs = std::filesystem;
-    fs::path dir = fs::path(::testing::TempDir()) /
-                   "lvplib_migrate_scan";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    auto prog = demoProgram();
-
-    std::string legacy = (dir / "old.trace").string();
-    std::string current = (dir / "new.trace").string();
-    writeDemoTrace(legacy, prog, 1, v2Opts());
-    writeDemoTrace(current, prog, 2);
-    auto currentBytes = fs::file_size(current);
-
-    // Without --migrate, both verify and nothing is rewritten.
-    auto scan = trace::scanTraceDir(dir.string(), /*prune=*/false);
-    ASSERT_TRUE(scan.ok) << scan.error;
-    EXPECT_EQ(scan.migratedCount, 0u);
-
-    scan = trace::scanTraceDir(dir.string(), /*prune=*/false,
-                               /*migrate=*/true);
-    ASSERT_TRUE(scan.ok) << scan.error;
-    EXPECT_EQ(scan.migratedCount, 1u);
-    ASSERT_EQ(scan.traces.size(), 2u);
-    for (const auto &e : scan.traces) {
-        EXPECT_TRUE(e.report.ok()) << e.path;
-        EXPECT_EQ(e.report.version, trace::TraceFormatVersion)
-            << e.path;
-        EXPECT_EQ(e.migrated, e.name == "old.trace") << e.path;
-    }
-    EXPECT_EQ(fs::file_size(current), currentBytes)
-        << "the already-v3 file must be untouched";
-
-    fs::remove_all(dir);
 }
 
 } // namespace

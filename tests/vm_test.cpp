@@ -12,6 +12,7 @@
 
 #include "isa/assembler.hh"
 #include "trace/trace.hh"
+#include "util/logging.hh"
 #include "vm/interpreter.hh"
 #include "vm/memory.hh"
 
@@ -455,6 +456,28 @@ TEST(Interpreter, StackPointerInitialized)
     Program p = makeProgram([](Assembler &a) { a.halt(); });
     Interpreter in(p);
     EXPECT_EQ(in.reg(1), isa::layout::StackTop);
+}
+
+TEST(Interpreter, EmptyProgramThrowsInvalidPcOnBothCores)
+{
+    // An empty program's entry pc is its code end: run() must report
+    // it as a typed error, not fetch past the (empty) code array.
+    Program p;
+    for (auto mode :
+         {vm::DispatchMode::LegacySwitch, vm::DispatchMode::Predecoded}) {
+        Interpreter in(p);
+        in.setDispatch(mode);
+        RecordingSink sink;
+        try {
+            in.run(&sink);
+            ADD_FAILURE() << "expected SimError, mode "
+                          << static_cast<int>(mode);
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::InvalidPc) << e.what();
+        }
+        EXPECT_TRUE(sink.records.empty());
+        EXPECT_EQ(in.retired(), 0u);
+    }
 }
 
 } // namespace

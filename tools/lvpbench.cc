@@ -2,15 +2,15 @@
  * @file
  * lvpbench: regenerate every table and figure in one process.
  *
- * Replaces running each build/bench binary serially: all experiments run
- * through the shared TaskPool (LVPLIB_JOBS or --jobs) and the
- * process-wide RunCache, so common sub-runs (the same workload under
- * the same machine/LVP configuration) simulate exactly once, and
- * phase-1 traces are written to an on-disk cache and replayed by
- * every later phase-2/3 run instead of re-interpreting.
+ * Every experiment in the suite registry (sim/suite.hh) runs through
+ * the shared TaskPool (LVPLIB_JOBS or --jobs) and the process-wide
+ * RunCache, so common sub-runs (the same workload under the same
+ * machine/LVP configuration) simulate exactly once, and phase-1
+ * traces are written to an on-disk cache and replayed by every later
+ * phase-2/3 run instead of re-interpreting.
  *
  *   lvpbench                  # everything, human-readable
- *   lvpbench --filter fig     # experiments whose id/binary matches
+ *   lvpbench --filter fig     # experiments whose id/long name matches
  *   lvpbench --jobs 8         # override LVPLIB_JOBS
  *   lvpbench --shards 8       # override LVPLIB_SHARDS (replay fan-out)
  *   lvpbench --scale 2        # override LVPLIB_SCALE
@@ -24,7 +24,7 @@
  *   lvpbench --check bench/golden/metrics.json [--rel-tol X]
  *                             # diff this run against the golden
  *                             # baseline; exit 3 on drift
- *   lvpbench --verify-trace-cache DIR [--prune] [--migrate]
+ *   lvpbench --verify-trace-cache DIR [--prune]
  *                             # scan a trace directory and exit
  *   lvpbench --chaos 1        # seeded fault-injection campaign
  *   lvpbench --retries 3      # extra attempts per failed experiment
@@ -38,12 +38,12 @@
  * regenerated automatically and counted as trace_invalid in the
  * run-cache stats. --verify-trace-cache reports each file's status
  * without running any experiment, including each file's format
- * version and compression ratio (v3 stores column-major
- * delta-compressed blocks, v2 the legacy flat records); with --prune,
- * invalid trace files and leftover *.tmp.* files are deleted, and
- * with --migrate, valid v2 files are rewritten as v3 in place. An
- * intact cache file from an older format version is regenerated and
- * counted as trace_format_upgrade, separate from trace_invalid.
+ * version and compression ratio; with --prune, invalid trace files
+ * and leftover *.tmp.* files are deleted. An intact cache file from
+ * another format version is reported as bad-version by
+ * --verify-trace-cache (and deleted with --prune); a run regenerates
+ * it and counts it as trace_format_upgrade, separate from
+ * trace_invalid.
  *
  * Exit status: 0 success; 1 usage or file errors; 2 when
  * --verify-trace-cache finds an invalid trace; 3 when --check finds
@@ -145,16 +145,15 @@ usage(int code)
  * version, and compression ratio, and (with @p prune) delete the
  * invalid ones plus abandoned temp files. Temps are age-gated
  * (trace::TempPruneAgeSeconds): a young temp may belong to a live
- * concurrent writer and is never deleted. With @p migrate, valid v2
- * files are rewritten as v3 in place (atomic temp + rename).
- * Fingerprints are reported but not matched against a program: the
- * full stale-program check happens when the run-cache reuses a file.
+ * concurrent writer and is never deleted. Fingerprints are reported
+ * but not matched against a program: the full stale-program check
+ * happens when the run-cache reuses a file.
  * @return 0 when every trace verifies, 2 otherwise.
  */
 int
-verifyTraceCacheDir(const std::string &dir, bool prune, bool migrate)
+verifyTraceCacheDir(const std::string &dir, bool prune)
 {
-    auto scan = trace::scanTraceDir(dir, prune, migrate);
+    auto scan = trace::scanTraceDir(dir, prune);
     if (!scan.ok) {
         std::cerr << "lvpbench: cannot read directory '" << dir
                   << "': " << scan.error << '\n';
@@ -172,8 +171,7 @@ verifyTraceCacheDir(const std::string &dir, bool prune, bool migrate)
             std::cout << "ok       " << e.name << "  "
                       << e.report.records << " records  v"
                       << e.report.version << "  " << ratio
-                      << "  fp " << fp
-                      << (e.migrated ? "  [migrated]" : "") << '\n';
+                      << "  fp " << fp << '\n';
             continue;
         }
         std::cout << "INVALID  " << e.name << "  "
@@ -197,10 +195,6 @@ verifyTraceCacheDir(const std::string &dir, bool prune, bool migrate)
               << (scan.prunedCount
                       ? ", " + std::to_string(scan.prunedCount) +
                             " pruned"
-                      : "")
-              << (scan.migratedCount
-                      ? ", " + std::to_string(scan.migratedCount) +
-                            " migrated"
                       : "")
               << '\n';
     return scan.invalid == 0 ? 0 : 2;
@@ -299,8 +293,7 @@ main(int argc, char **argv)
         return usage(0);
 
     if (!bench.verifyDir.empty())
-        return verifyTraceCacheDir(bench.verifyDir, bench.prune,
-                                   bench.migrate);
+        return verifyTraceCacheDir(bench.verifyDir, bench.prune);
 
     if (bench.list) {
         sim::writeSuiteList(std::cout);

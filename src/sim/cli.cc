@@ -2,12 +2,15 @@
 
 #include <cstdlib>
 #include <limits>
+#include <set>
+#include <string_view>
 
 #include "core/stride_unit.hh"
 #include "core/value_predictor.hh"
 #include "isa/text_asm.hh"
 #include "sim/pipeline_driver.hh"
 #include "uarch/machine_config.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 #include "workloads/workload.hh"
 
@@ -50,6 +53,22 @@ lvpConfigByName(const std::string &s)
     return std::nullopt; // "none" and "stride"
 }
 
+/**
+ * Read the value of flag args[i] into @p v and step past it; false,
+ * with "FLAG needs a value" in @p error, when the flag is last.
+ */
+bool
+flagValue(const std::vector<std::string> &args, std::size_t &i,
+          std::string &v, std::string &error)
+{
+    if (i + 1 >= args.size()) {
+        error = args[i] + " needs a value";
+        return false;
+    }
+    v = args[++i];
+    return true;
+}
+
 void
 printLvpStats(std::ostream &os, const char *title,
               const core::LvpStats &st)
@@ -85,16 +104,14 @@ cliUsage()
 std::optional<CliOptions>
 parseCli(const std::vector<std::string> &args, std::string &error)
 {
+    static const std::set<std::string> valued = {
+        "--bench", "--asm", "--machine", "--lvp", "--scale", "--codegen"};
     CliOptions opts;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &a = args[i];
-        auto value = [&](const char *flag) -> const std::string * {
-            if (i + 1 >= args.size()) {
-                error = std::string(flag) + " needs a value";
-                return nullptr;
-            }
-            return &args[++i];
-        };
+        std::string v;
+        if (valued.count(a) && !flagValue(args, i, v, error))
+            return std::nullopt;
         if (a == "--help" || a == "-h") {
             opts.help = true;
         } else if (a == "--list") {
@@ -102,51 +119,34 @@ parseCli(const std::vector<std::string> &args, std::string &error)
         } else if (a == "--locality") {
             opts.profileLocality = true;
         } else if (a == "--bench") {
-            auto *v = value("--bench");
-            if (!v)
-                return std::nullopt;
-            opts.benchmark = *v;
+            opts.benchmark = v;
         } else if (a == "--asm") {
-            auto *v = value("--asm");
-            if (!v)
-                return std::nullopt;
-            opts.asmFile = *v;
+            opts.asmFile = v;
         } else if (a == "--machine") {
-            auto *v = value("--machine");
-            if (!v)
-                return std::nullopt;
-            if (!parseMachine(*v, opts.machine)) {
-                error = "unknown machine '" + *v + "'";
+            if (!parseMachine(v, opts.machine)) {
+                error = "unknown machine '" + v + "'";
                 return std::nullopt;
             }
         } else if (a == "--lvp") {
-            auto *v = value("--lvp");
-            if (!v)
-                return std::nullopt;
-            if (!validLvp(*v)) {
-                error = "unknown LVP config '" + *v + "'";
+            if (!validLvp(v)) {
+                error = "unknown LVP config '" + v + "'";
                 return std::nullopt;
             }
-            opts.lvpConfig = *v;
+            opts.lvpConfig = v;
         } else if (a == "--scale") {
-            auto *v = value("--scale");
-            if (!v)
-                return std::nullopt;
-            int n = std::atoi(v->c_str());
-            if (n < 1) {
-                error = "bad scale '" + *v + "'";
+            auto n = parseUnsigned(v, 1,
+                                   std::numeric_limits<unsigned>::max());
+            if (!n) {
+                error = "bad scale '" + v + "'";
                 return std::nullopt;
             }
-            opts.scale = static_cast<unsigned>(n);
+            opts.scale = static_cast<unsigned>(*n);
         } else if (a == "--codegen") {
-            auto *v = value("--codegen");
-            if (!v)
-                return std::nullopt;
-            if (*v != "ppc" && *v != "alpha") {
+            if (v != "ppc" && v != "alpha") {
                 error = "codegen must be ppc or alpha";
                 return std::nullopt;
             }
-            opts.codegen = *v;
+            opts.codegen = v;
         } else {
             error = "unknown option '" + a + "'";
             return std::nullopt;
@@ -162,11 +162,8 @@ benchUsage()
   --filter SUBSTR   run experiments whose id or long name contains
                     SUBSTR
                     (repeatable; matches are OR-ed)
-  --jobs N          worker threads (1..1024; default LVPLIB_JOBS or
-                    hardware concurrency)
-  --shards N        most variant groups one sweep replays in parallel
-                    (1..1024; default LVPLIB_SHARDS or the
-                    worker-thread count; 1 replays each sweep serially)
+  --jobs N          simulation threads (1..1024; default LVPLIB_JOBS
+                    or hardware concurrency)
   --scale N         workload input scale (default LVPLIB_SCALE or 4)
   --predictors L    championship contenders: comma-separated registry
                     names, e.g. lvp,vtage (default LVPLIB_PREDICTORS
@@ -212,29 +209,24 @@ kills immediately.
 std::optional<BenchOptions>
 parseBenchCli(const std::vector<std::string> &args, std::string &error)
 {
+    static const std::set<std::string> valued = {
+        "--filter",      "--jobs",        "--scale",
+        "--predictors",  "--verify-trace-cache",
+        "--metrics-out", "--bench-out",   "--timeline-out",
+        "--check",       "--rel-tol",     "--retries",
+        "--watchdog-ms", "--chaos"};
     BenchOptions opts;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &a = args[i];
-        auto value = [&]() -> const std::string * {
-            if (i + 1 >= args.size()) {
-                error = a + " needs a value";
-                return nullptr;
-            }
-            return &args[++i];
-        };
-        auto unsignedValue =
-            [&](unsigned long min,
-                unsigned long max) -> std::optional<unsigned> {
-            const std::string *v = value();
-            if (!v)
-                return std::nullopt;
-            char *end = nullptr;
-            unsigned long n = std::strtoul(v->c_str(), &end, 10);
-            if (v->empty() || !end || *end || n < min || n > max) {
-                error = "bad " + a + " value '" + *v + "'";
-                return std::nullopt;
-            }
-            return static_cast<unsigned>(n);
+        std::string v;
+        if (valued.count(a) && !flagValue(args, i, v, error))
+            return std::nullopt;
+        bool ok = true; // cleared by a value that does not parse
+        // Every numeric flag: a whole decimal in [min, max].
+        auto number = [&](unsigned long long min, unsigned long long max) {
+            auto n = parseUnsigned(v, min, max);
+            ok = n.has_value();
+            return n.value_or(0);
         };
         if (a == "--help" || a == "-h") {
             opts.help = true;
@@ -247,33 +239,16 @@ parseBenchCli(const std::vector<std::string> &args, std::string &error)
         } else if (a == "--prune") {
             opts.prune = true;
         } else if (a == "--filter") {
-            auto *v = value();
-            if (!v)
-                return std::nullopt;
-            opts.filters.push_back(*v);
+            opts.filters.push_back(v);
         } else if (a == "--jobs") {
-            auto n = unsignedValue(1, 1024);
-            if (!n)
-                return std::nullopt;
-            opts.jobs = n;
-        } else if (a == "--shards") {
-            auto n = unsignedValue(1, 1024);
-            if (!n)
-                return std::nullopt;
-            opts.shards = n;
+            opts.jobs = static_cast<unsigned>(number(1, 1024));
         } else if (a == "--scale") {
-            auto n = unsignedValue(
-                1, std::numeric_limits<unsigned>::max());
-            if (!n)
-                return std::nullopt;
-            opts.scale = n;
+            opts.scale = static_cast<unsigned>(
+                number(1, std::numeric_limits<unsigned>::max()));
         } else if (a == "--predictors") {
-            auto *v = value();
-            if (!v)
-                return std::nullopt;
             // Validate names here so a typo fails before any
             // experiment runs rather than mid-suite.
-            std::string rest = *v;
+            std::string rest = v;
             bool any = false;
             while (!rest.empty()) {
                 auto comma = rest.find(',');
@@ -289,94 +264,44 @@ parseBenchCli(const std::vector<std::string> &args, std::string &error)
                 }
                 any = true;
             }
-            if (!any) {
-                error = "bad --predictors value '" + *v + "'";
-                return std::nullopt;
-            }
-            opts.predictors = *v;
+            ok = any;
+            opts.predictors = v;
         } else if (a == "--verify-trace-cache") {
-            auto *v = value();
-            if (!v)
-                return std::nullopt;
-            opts.verifyDir = *v;
+            opts.verifyDir = v;
         } else if (a == "--metrics-out") {
-            auto *v = value();
-            if (!v)
-                return std::nullopt;
-            opts.metricsOut = *v;
+            opts.metricsOut = v;
         } else if (a == "--bench-out") {
-            auto *v = value();
-            if (!v)
-                return std::nullopt;
-            opts.benchOut = *v;
+            opts.benchOut = v;
         } else if (a == "--timeline-out") {
-            auto *v = value();
-            if (!v)
-                return std::nullopt;
-            opts.timelineOut = *v;
+            opts.timelineOut = v;
         } else if (a == "--check") {
-            auto *v = value();
-            if (!v)
-                return std::nullopt;
-            opts.checkBaseline = *v;
+            opts.checkBaseline = v;
         } else if (a == "--rel-tol") {
-            auto *v = value();
-            if (!v)
-                return std::nullopt;
             char *end = nullptr;
-            double x = std::strtod(v->c_str(), &end);
-            if (v->empty() || !end || *end || !(x >= 0.0)) {
-                error = "bad --rel-tol value '" + *v + "'";
-                return std::nullopt;
-            }
-            opts.relTol = x;
+            opts.relTol = std::strtod(v.c_str(), &end);
+            ok = !v.empty() && !*end && opts.relTol >= 0.0;
         } else if (a == "--retries") {
-            auto n = unsignedValue(0, 8);
-            if (!n)
-                return std::nullopt;
-            opts.retries = *n;
+            opts.retries = static_cast<unsigned>(number(0, 8));
         } else if (a == "--watchdog-ms") {
-            auto *v = value();
-            if (!v)
-                return std::nullopt;
-            char *end = nullptr;
-            unsigned long long n = std::strtoull(v->c_str(), &end, 10);
-            if (v->empty() || !end || *end) {
-                error = "bad --watchdog-ms value '" + *v + "'";
-                return std::nullopt;
-            }
-            opts.watchdogMs = n;
+            opts.watchdogMs =
+                number(0, std::numeric_limits<std::uint64_t>::max());
         } else if (a == "--chaos") {
-            auto *v = value();
-            if (!v)
-                return std::nullopt;
-            // SEED or SEED,N — both strict unsigned decimals.
-            std::string seedPart = *v, faultPart;
-            if (auto comma = v->find(','); comma != std::string::npos) {
-                seedPart = v->substr(0, comma);
-                faultPart = v->substr(comma + 1);
-            }
-            char *end = nullptr;
-            unsigned long long seed =
-                std::strtoull(seedPart.c_str(), &end, 10);
-            bool ok = !seedPart.empty() && end && !*end;
-            if (ok && !faultPart.empty()) {
-                unsigned long long n =
-                    std::strtoull(faultPart.c_str(), &end, 10);
-                ok = end && !*end && n > 0;
-                if (ok)
-                    opts.chaosFaults = n;
-            } else if (ok && faultPart.empty() &&
-                       v->find(',') != std::string::npos) {
-                ok = false; // "--chaos 1," is malformed
-            }
-            if (!ok) {
-                error = "bad --chaos value '" + *v + "'";
-                return std::nullopt;
-            }
+            // SEED or SEED,N — both strict decimals, N at least 1.
+            const std::string_view sv = v;
+            const auto comma = sv.find(',');
+            auto seed = parseUnsigned(sv.substr(0, comma));
+            auto faults = comma == std::string_view::npos
+                              ? opts.chaosFaults
+                              : parseUnsigned(sv.substr(comma + 1), 1);
+            ok = seed && faults;
             opts.chaosSeed = seed;
+            opts.chaosFaults = faults.value_or(0);
         } else {
             error = "unknown option '" + a + "'";
+            return std::nullopt;
+        }
+        if (!ok) {
+            error = "bad " + a + " value '" + v + "'";
             return std::nullopt;
         }
     }

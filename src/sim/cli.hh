@@ -58,7 +58,6 @@ struct BenchOptions
 {
     std::vector<std::string> filters; ///< --filter, OR-matched
     std::optional<unsigned> jobs;     ///< --jobs (1..1024)
-    std::optional<unsigned> shards;   ///< --shards (1..1024)
     std::optional<unsigned> scale;    ///< --scale (>= 1)
     /** --predictors LIST: championship contenders, comma-separated
      *  registry names ("" = every registered predictor). */

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <memory>
-#include <optional>
 
 #include "chaos/chaos.hh"
 #include "obs/metrics.hh"
@@ -20,6 +19,7 @@ TaskPool::TaskPool(unsigned jobs)
 {
     if (jobs == 0)
         jobs = defaultJobs();
+    idle_ = jobs;
     workers_.reserve(jobs);
     for (unsigned i = 0; i < jobs; ++i)
         workers_.emplace_back(
@@ -35,6 +35,15 @@ TaskPool::~TaskPool()
         w.request_stop();
     cv_.notify_all();
     // std::jthread joins in its destructor.
+}
+
+unsigned
+TaskPool::idle() const
+{
+    std::lock_guard<std::mutex> lock(m_);
+    return idle_ > queue_.size()
+               ? idle_ - static_cast<unsigned>(queue_.size())
+               : 0;
 }
 
 std::future<void>
@@ -83,10 +92,12 @@ TaskPool::worker(std::stop_token st)
             return; // stop requested and nothing left to drain
         auto task = std::move(queue_.front());
         queue_.pop_front();
+        --idle_;
         lock.unlock();
         task();
         executed_.add();
         lock.lock();
+        ++idle_;
     }
 }
 
@@ -105,58 +116,28 @@ namespace
 std::mutex g_pool_mutex;
 std::unique_ptr<TaskPool> g_pool;
 
-std::mutex g_shard_mutex;
-std::unique_ptr<TaskPool> g_shard_pool;
-unsigned g_shard_override = 0; ///< 0 = no setShardJobs() override
+std::atomic<unsigned> g_replay_limit{0}; ///< setShardJobs(); 0 = no limit
 
 /**
  * Join every pool worker before the metric registry can be torn
- * down. The pools' namespace-scope statics are constructed at load
- * time, but the registry their workers' counters live in is
+ * down. The pool's namespace-scope static is constructed at load
+ * time, but the registry its workers' counters live in is
  * constructed lazily, later — so plain static destruction destroys
  * the registry FIRST, and a worker still draining its queue would
  * touch a freed counter (a use-after-free that surfaced as flaky
- * teardown aborts in shard-replay tests). An atexit handler
- * registered AFTER the registry exists runs before the registry's
- * destructor, closing the window.
+ * teardown aborts in replay tests). An atexit handler registered
+ * AFTER the registry exists runs before the registry's destructor,
+ * closing the window: force the registry into existence, THEN
+ * register the handler.
  */
-void
-joinPoolsAtExit()
-{
-    {
-        std::lock_guard<std::mutex> lock(g_pool_mutex);
-        g_pool.reset();
-    }
-    {
-        std::lock_guard<std::mutex> lock(g_shard_mutex);
-        g_shard_pool.reset();
-    }
-}
-
 void
 registerPoolTeardown()
 {
-    // Sequence matters: force the registry into existence, THEN
-    // register the handler, so the handler precedes the registry's
-    // destructor in the common teardown order.
-    static const int once =
-        (obs::metrics(), std::atexit(joinPoolsAtExit));
+    static const int once = (obs::metrics(), std::atexit([] {
+        std::lock_guard<std::mutex> lock(g_pool_mutex);
+        g_pool.reset();
+    }));
     (void)once;
-}
-
-/** shardJobs() with g_shard_mutex already held. */
-unsigned
-shardJobsLocked()
-{
-    if (g_shard_override != 0)
-        return g_shard_override;
-    // shardJobs() runs once per replay; parse the environment once so
-    // a malformed LVPLIB_SHARDS warns once, not once per experiment.
-    static const std::optional<unsigned long long> env =
-        envUnsigned("LVPLIB_SHARDS", 1, 1024);
-    if (env)
-        return static_cast<unsigned>(*env);
-    return TaskPool::defaultJobs();
 }
 
 } // namespace
@@ -180,29 +161,53 @@ setExperimentJobs(unsigned jobs)
     g_pool = std::make_unique<TaskPool>(jobs);
 }
 
-TaskPool &
-shardPool()
-{
-    registerPoolTeardown();
-    std::lock_guard<std::mutex> lock(g_shard_mutex);
-    if (!g_shard_pool)
-        g_shard_pool = std::make_unique<TaskPool>(shardJobsLocked());
-    return *g_shard_pool;
-}
-
 unsigned
 shardJobs()
 {
-    std::lock_guard<std::mutex> lock(g_shard_mutex);
-    return shardJobsLocked();
+    return g_replay_limit.load(std::memory_order_relaxed);
 }
 
 void
 setShardJobs(unsigned jobs)
 {
-    std::lock_guard<std::mutex> lock(g_shard_mutex);
-    g_shard_override = jobs;
-    g_shard_pool.reset(); // rebuilt at the new width on next use
+    g_replay_limit.store(jobs, std::memory_order_relaxed);
+}
+
+struct HandOff::State
+{
+    std::atomic<bool> claimed{false};
+    std::function<void()> fn;
+    std::exception_ptr error;
+
+    void
+    run()
+    {
+        try {
+            fn();
+        } catch (...) {
+            error = std::current_exception();
+        }
+    }
+};
+
+HandOff::HandOff(TaskPool &pool, std::function<void()> fn)
+    : state_(std::make_shared<State>())
+{
+    state_->fn = std::move(fn);
+    done_ = pool.submit([s = state_] {
+        if (!s->claimed.exchange(true))
+            s->run();
+    });
+}
+
+std::exception_ptr
+HandOff::settle()
+{
+    if (!state_->claimed.exchange(true))
+        state_->run();
+    else
+        done_.wait();
+    return state_->error;
 }
 
 } // namespace lvplib::sim

@@ -1,10 +1,12 @@
 /**
  * @file
- * The parallel experiment engine's task pool: a fixed set of
+ * The parallel experiment engine's one thread pool: a fixed set of
  * std::jthread workers draining a FIFO queue, plus a deterministic
  * map() that fans work items out across the pool and hands results
  * back in submission order — so a table assembled from map() output
- * is byte-identical no matter how many workers ran it.
+ * is byte-identical no matter how many workers ran it — and HandOff,
+ * the task a trace replay gives an idle worker (replayHandingOff in
+ * sim/run_cache.hh).
  *
  * Sizing: LVPLIB_JOBS when set (parsed strictly, see util/env.hh),
  * otherwise std::thread::hardware_concurrency().
@@ -20,6 +22,7 @@
 #include <exception>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -54,6 +57,10 @@ class TaskPool
     {
         return static_cast<unsigned>(workers_.size());
     }
+
+    /** Workers not running a task, less the tasks queued for them:
+     *  a task submitted while idle() > 0 starts at once. */
+    unsigned idle() const;
 
     /**
      * Enqueue one task. The returned future becomes ready when the
@@ -132,9 +139,10 @@ class TaskPool
   private:
     void worker(std::stop_token st);
 
-    std::mutex m_;
+    mutable std::mutex m_;
     std::condition_variable_any cv_;
     std::deque<std::packaged_task<void()>> queue_;
+    unsigned idle_ = 0; ///< workers not running a task; guarded by m_
     std::vector<std::jthread> workers_;
 
     // Pool telemetry (taskpool.* in the metric registry), resolved
@@ -160,32 +168,33 @@ TaskPool &experimentPool();
  */
 void setExperimentJobs(unsigned jobs);
 
-/**
- * The pool a RunCache sweep's variant groups replay on. Kept separate
- * from experimentPool() because shard fan-out happens from *inside*
- * an experiment task, and TaskPool::map must not be called from a
- * task running on the same pool (the mapping task would wait on
- * workers that are all busy waiting on it).
- * Created on first use with shardJobs() workers.
- */
-TaskPool &shardPool();
-
-/**
- * The most variant groups one sweep replays in parallel: the explicit
- * override from setShardJobs() when set, otherwise LVPLIB_SHARDS when
- * validly set (1..1024, strict parse — see util/env.hh), otherwise
- * TaskPool::defaultJobs(). A value of 1 disables sharding entirely
- * (serial replay, shard pool untouched).
- */
+/** The most replays one replayHandingOff() may run at once: 0 (the
+ *  default) means no limit, and 1 means it never hands off. */
 unsigned shardJobs();
 
-/**
- * Override the shard count (0 restores the LVPLIB_SHARDS /
- * defaultJobs() resolution) and drop any existing shard pool so the
- * next shardPool() call rebuilds it at the new width. Call between
- * runs, like setExperimentJobs().
- */
+/** Set shardJobs(). Call between runs, like setExperimentJobs(). */
 void setShardJobs(unsigned jobs);
+
+/**
+ * A task handed to a pool worker that its submitter can claim back.
+ * The constructor submits it. settle() runs it on the calling thread
+ * if no worker has started it, else waits for the worker, so settling
+ * never waits on a queued task. A worker that dequeues a task already
+ * settled finds it claimed and returns at once.
+ */
+class HandOff
+{
+  public:
+    HandOff(TaskPool &pool, std::function<void()> fn);
+
+    /** @return the exception the task threw, if any. */
+    std::exception_ptr settle();
+
+  private:
+    struct State;
+    std::shared_ptr<State> state_;
+    std::future<void> done_;
+};
 
 } // namespace lvplib::sim
 

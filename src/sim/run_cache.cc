@@ -1,8 +1,8 @@
 #include "sim/run_cache.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <deque>
 #include <utility>
 #include <functional>
 #include <future>
@@ -119,28 +119,94 @@ fp(const std::optional<core::LvpConfig> &c)
     return c ? core::fingerprint(*c) : std::string("nolvp");
 }
 
-/**
- * Contiguous near-equal partition of [0, n) into at most @p g
- * non-empty [lo, hi) groups, for fanning one sweep's variants out
- * across the shard pool. Contiguity keeps the group→variant mapping
- * order-preserving, so results can be stitched back by walking
- * groups in order.
- */
-std::vector<std::pair<std::size_t, std::size_t>>
-partitionGroups(std::size_t n, std::size_t g)
+/** What every replay of one replayHandingOff() call shares. */
+struct Replays
 {
-    std::vector<std::pair<std::size_t, std::size_t>> out;
-    out.reserve(g);
-    for (std::size_t i = 0; i < g; ++i) {
-        std::size_t lo = i * n / g;
-        std::size_t hi = (i + 1) * n / g;
-        if (lo != hi)
-            out.emplace_back(lo, hi);
+    TaskPool &pool;
+    const std::string &path;
+    const isa::Program &prog;
+    const std::string &span;
+    const unsigned limit = shardJobs() != 0 ? shardJobs() : ~0u;
+    std::atomic<unsigned> running{1}; ///< replays still reading
+    std::atomic<unsigned> passes{0};  ///< reader passes completed
+};
+
+std::uint64_t replayFrom(Replays &r, std::vector<trace::TraceSink *> sinks,
+                         std::uint64_t from);
+
+/** A MultiSink that may hand the back half of its sinks to an idle
+ *  worker after each block (the reader's batches are its blocks). */
+struct HandOffSink : trace::MultiSink
+{
+    Replays &r;
+    std::uint64_t records = 0;
+    std::deque<HandOff> handOffs;
+
+    HandOffSink(Replays &r, std::vector<trace::TraceSink *> sinks)
+        : MultiSink(std::move(sinks)), r(r)
+    {}
+
+    void
+    consumeBatch(std::span<const trace::TraceRecord> recs) override
+    {
+        MultiSink::consumeBatch(recs);
+        const std::uint64_t next = recs.back().seq + 1;
+        if (sinks_.size() < 2 || next >= records ||
+            chaos::engine().enabled() || r.pool.idle() == 0)
+            return;
+        if (r.running.fetch_add(1) >= r.limit) {
+            r.running.fetch_sub(1);
+            return;
+        }
+        const auto half = sinks_.begin() + sinks_.size() / 2;
+        handOffs.emplace_back(
+            r.pool, [&r = r, back = std::vector(half, sinks_.end()), next] {
+                obs::Timeline::Scope scope(r.span, "sim");
+                replayFrom(r, back, next);
+            });
+        sinks_.erase(half, sinks_.end());
     }
-    return out;
+};
+
+/** One reader pass over records [from, end) into @p sinks; settles
+ *  its hand-offs before it returns or throws. */
+std::uint64_t
+replayFrom(Replays &r, std::vector<trace::TraceSink *> sinks,
+           std::uint64_t from)
+{
+    HandOffSink sink(r, std::move(sinks));
+    std::exception_ptr error;
+    std::uint64_t n = 0;
+    try {
+        trace::TraceFileReader reader(r.path, r.prog);
+        reader.skipTo(from);
+        sink.records = reader.records();
+        n = reader.replay(sink);
+    } catch (...) {
+        error = std::current_exception();
+    }
+    r.running.fetch_sub(1);
+    for (auto &h : sink.handOffs)
+        if (auto e = h.settle(); e && !error)
+            error = e;
+    if (error)
+        std::rethrow_exception(error);
+    r.passes.fetch_add(1);
+    return n;
 }
 
 } // namespace
+
+HandOffReplay
+replayHandingOff(TaskPool &pool, const std::string &path,
+                 const isa::Program &prog,
+                 std::vector<trace::TraceSink *> sinks,
+                 const std::string &span)
+{
+    Replays r{pool, path, prog, span};
+    std::uint64_t n = replayFrom(r, std::move(sinks), 0);
+    return {n, r.passes.load()};
+}
 
 struct RunCache::Impl
 {
@@ -203,16 +269,6 @@ struct RunCache::Impl
         consecutiveTraceFailures.store(0, std::memory_order_relaxed);
     }
 
-    /** One single-pass fan-out replay served @p sinks variants. */
-    void
-    noteFanoutReplay(std::size_t sinks)
-    {
-        traceReplays.fetch_add(1, std::memory_order_relaxed);
-        obsTraceReplays.add();
-        obsFanoutPasses.add();
-        obsFanoutSinks.add(sinks);
-    }
-
     /**
      * A trace write or publish failed (the run itself fell back to
      * in-memory interpretation, so this is recovered, not fatal). A
@@ -262,66 +318,19 @@ struct RunCache::Impl
     }
 
     /**
-     * Return the memoized value for @p key, computing it with
-     * @p make exactly once: the first requester publishes a future
-     * under the lock and computes outside it; concurrent requesters
-     * block on that future.
-     */
-    template <typename V>
-    V
-    getOrCompute(std::map<std::string, std::shared_future<V>> &map,
-                 const std::string &key,
-                 const std::function<V()> &make)
-    {
-        std::promise<V> prom;
-        std::shared_future<V> fut;
-        bool owner = false;
-        {
-            std::lock_guard<std::mutex> lock(m);
-            auto it = map.find(key);
-            if (it != map.end()) {
-                fut = it->second;
-            } else {
-                fut = prom.get_future().share();
-                map.emplace(key, fut);
-                owner = true;
-            }
-        }
-        if (owner) {
-            misses.fetch_add(1, std::memory_order_relaxed);
-            obsMisses.add();
-            try {
-                prom.set_value(make());
-            } catch (...) {
-                // Failures are not memoized: drop the future before
-                // publishing the exception so current waiters see it
-                // but a later request recomputes from scratch.
-                {
-                    std::lock_guard<std::mutex> lock(m);
-                    map.erase(key);
-                }
-                prom.set_exception(std::current_exception());
-            }
-        } else {
-            hits.fetch_add(1, std::memory_order_relaxed);
-            obsHits.add();
-        }
-        return fut.get();
-    }
-
-    /**
-     * Fan-out variant of getOrCompute(): resolve @p keys together.
-     * Already-memoized keys are hits; the rest are claimed under one
-     * lock (so concurrent sweeps block on our futures instead of
-     * recomputing) and handed as index lists to @p batch, which
-     * computes them in one shared trace replay, filling vals[k] for
-     * owned[k]. Any owned variant @p batch could not serve (no trace,
-     * replay failed and was reported, or batch threw) is computed by
-     * the per-variant @p fallback. Every claimed promise is settled —
-     * value, or key erased then exception, mirroring getOrCompute's
-     * no-memoized-failures rule — before results are collected, and
-     * the first failing variant's exception (in variant order)
-     * propagates to the caller.
+     * Resolve @p keys against @p map, computing each missing value
+     * exactly once. Already-memoized keys are hits; the rest are
+     * claimed under one lock (so concurrent requesters block on our
+     * futures instead of recomputing) and handed as index lists to
+     * @p batch, which computes them together (a sweep: one shared
+     * trace replay), filling vals[k] for owned[k]. Any owned key
+     * @p batch could not serve (no trace, replay failed and was
+     * reported, or batch threw) is computed by the per-key
+     * @p fallback. Every claimed promise is settled — value, or key
+     * erased then exception, so failures are never memoized and a
+     * later request recomputes — before results are collected, and
+     * the first failing key's exception (in key order) propagates to
+     * the caller.
      */
     template <typename V>
     std::vector<V>
@@ -398,21 +407,36 @@ struct RunCache::Impl
         return out;
     }
 
+    /** fanOutCompute() for one key, computed by @p make. */
+    template <typename V>
+    V
+    getOrCompute(std::map<std::string, std::shared_future<V>> &map,
+                 const std::string &key,
+                 const std::function<V()> &make)
+    {
+        return std::move(
+            fanOutCompute<V>(
+                map, {key},
+                [&](const std::vector<std::size_t> &,
+                    std::vector<std::optional<V>> &vals) {
+                    vals[0] = make();
+                },
+                {})
+                .front());
+    }
+
     /**
      * The one sweep behind every predictor-only and timing entry
      * point. fanOutCompute claims the keys still missing from @p memo;
      * the claimed variants are then served from the shared phase-1
-     * trace, cut into G = min(shardJobs(), claimed) contiguous groups,
-     * each replaying the trace once through a MultiSink over its
-     * variants' chains (@p make builds variant i's chain). Groups run
-     * concurrently on the shard pool; G = 1 is a plain serial pass in
-     * the calling thread. Grouping is off while chaos is armed:
-     * shard-pool tasks would consume its TaskThrow stream and shift
-     * which faults later campaign runs observe. Results stitch back in
-     * variant order and each is published once. If the trace is
-     * unusable, or a replay fails (reported through onReplayError),
-     * every claimed variant falls back to an in-memory run of the same
-     * chain. @p kind names the variants' timeline spans.
+     * trace by one replayHandingOff() over their chains (@p make
+     * builds variant i's chain), which hands chains to idle
+     * experimentPool() workers at block boundaries. Results are
+     * collected from the chains in variant order and each is
+     * published once. If the trace is unusable, or a replay fails
+     * (reported through onReplayError), every claimed variant falls
+     * back to an in-memory run of the same chain. @p kind names the
+     * variants' timeline spans.
      */
     template <typename Chain, typename Make>
     std::vector<typename Chain::Result>
@@ -434,52 +458,31 @@ struct RunCache::Impl
                 if (tr.empty())
                     return;
                 obs::Timeline::Scope scope(span, "sim");
-                struct GroupOut
-                {
-                    std::vector<V> vals;
-                    std::uint64_t n = 0;
-                };
-                auto replayGroup =
-                    [&](const std::pair<std::size_t, std::size_t> &g) {
-                        std::vector<std::unique_ptr<Chain>> chains;
-                        std::vector<trace::TraceSink *> tops;
-                        for (std::size_t k = g.first; k < g.second; ++k) {
-                            chains.push_back(make(owned[k]));
-                            tops.push_back(&chains.back()->top());
-                        }
-                        trace::TraceFileReader reader(tr, *prog);
-                        trace::MultiSink multi(std::move(tops));
-                        GroupOut out;
-                        out.n = reader.replay(multi);
-                        for (const auto &c : chains)
-                            out.vals.push_back(c->collect());
-                        return out;
-                    };
-                std::size_t G =
-                    chaos::engine().enabled()
-                        ? 1
-                        : std::min<std::size_t>(shardJobs(),
-                                                owned.size());
-                auto groups = partitionGroups(owned.size(), G);
-                std::vector<GroupOut> outs;
+                std::vector<std::unique_ptr<Chain>> chains;
+                std::vector<trace::TraceSink *> tops;
+                for (std::size_t i : owned) {
+                    chains.push_back(make(i));
+                    tops.push_back(&chains.back()->top());
+                }
+                HandOffReplay replay;
                 try {
-                    if (groups.size() == 1)
-                        outs.push_back(replayGroup(groups.front()));
-                    else
-                        outs = shardPool().map(groups, replayGroup);
+                    replay = replayHandingOff(experimentPool(), tr,
+                                              *prog, std::move(tops),
+                                              span);
                 } catch (const SimError &e) {
                     onReplayError(tr, e);
                     return;
                 }
-                std::size_t k = 0;
-                for (auto &o : outs) {
-                    noteFanoutReplay(o.vals.size());
-                    for (auto &v : o.vals) {
-                        Chain::publish(v);
-                        vals[k++] = std::move(v);
-                    }
+                traceReplays.fetch_add(replay.passes,
+                                       std::memory_order_relaxed);
+                obsTraceReplays.add(replay.passes);
+                obsFanoutPasses.add(replay.passes);
+                obsFanoutSinks.add(chains.size());
+                for (std::size_t k = 0; k < chains.size(); ++k) {
+                    vals[k] = chains[k]->collect();
+                    Chain::publish(*vals[k]);
                 }
-                addInstructionsProcessed(outs.front().n * owned.size());
+                addInstructionsProcessed(replay.records * owned.size());
             },
             [&](std::size_t i) {
                 auto prog = cache.program(w, cg, scale);

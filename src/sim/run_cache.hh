@@ -151,14 +151,15 @@ class RunCache
      * invoking the matching singular method once per variant, in
      * order — same keys, same memoized values, same exceptions — and
      * the singular methods are sweeps of one. Every variant still
-     * missing from the cache is computed from the shared phase-1
-     * trace: the missing variants are cut into min(shardJobs(),
-     * missing) contiguous groups (one group while chaos is armed),
-     * and each group is served by ONE replay fanned out through a
-     * MultiSink, the groups running concurrently on shardPool()
-     * (runcache.trace_replays counts one replay per group, not per
-     * variant). If the trace is unusable the un-memoized variants
-     * fall back to per-variant in-memory runs.
+     * missing from the cache is computed from ONE replay of the
+     * shared phase-1 trace in the calling thread, fanned out to all
+     * of them; at block boundaries the replay hands half of its
+     * variants to any idle experimentPool() worker, which replays
+     * the rest of the trace for them (replayHandingOff() below;
+     * never while chaos is armed).
+     * runcache.trace_replays counts reader passes: one per sweep
+     * plus one per hand-off. If the trace is unusable the
+     * un-memoized variants fall back to per-variant in-memory runs.
      *
      * Predictor-only results are keyed on core::fingerprint(spec), so
      * one configured predictor is one entry however it is reached.
@@ -226,6 +227,31 @@ class RunCache
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
+
+class TaskPool;
+
+/** What replayHandingOff() did. */
+struct HandOffReplay
+{
+    std::uint64_t records; ///< records in the trace
+    unsigned passes;       ///< reader passes: 1 + hand-offs
+};
+
+/**
+ * Replay the trace at @p path (of @p prog) once into every sink of
+ * @p sinks, in the calling thread: the fan-out behind every sweep.
+ * After each block, if chaos is disarmed, two or more sinks remain,
+ * records remain, fewer than shardJobs() replays run and @p pool has
+ * an idle worker, the replay hands the back half of its sinks to that
+ * worker (a HandOff), which replays the rest of the trace on its own
+ * reader inside timeline span @p span and may hand off again. Every
+ * sink sees exactly a serial replay's stream.
+ * @throws the first exception of any replay, once all have settled.
+ */
+HandOffReplay replayHandingOff(TaskPool &pool, const std::string &path,
+                               const isa::Program &prog,
+                               std::vector<trace::TraceSink *> sinks,
+                               const std::string &span);
 
 } // namespace lvplib::sim
 

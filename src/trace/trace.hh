@@ -164,7 +164,7 @@ class MultiSink : public TraceSink
             s->finish();
     }
 
-  private:
+  protected:
     std::vector<TraceSink *> sinks_;
 };
 

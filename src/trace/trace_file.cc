@@ -4,6 +4,7 @@
 #include <array>
 #include <cstddef>
 #include <cstring>
+#include <memory>
 
 #include "chaos/chaos.hh"
 #include "obs/metrics.hh"
@@ -321,7 +322,9 @@ verifyTraceFile(const std::string &path,
                 std::optional<std::uint64_t> expectFingerprint)
 {
     TraceVerifyReport rep;
-    std::FILE *f = std::fopen(path.c_str(), "rb");
+    std::unique_ptr<std::FILE, int (*)(std::FILE *)> file(
+        std::fopen(path.c_str(), "rb"), &std::fclose);
+    std::FILE *f = file.get();
     if (!f) {
         rep.status = TraceFileStatus::OpenFailed;
         return rep;
@@ -332,26 +335,20 @@ verifyTraceFile(const std::string &path,
     rep.records = env.records;
     rep.version = env.version;
     rep.fileBytes = env.fileBytes;
-    if (rep.status != TraceFileStatus::Ok) {
-        std::fclose(f);
+    if (rep.status != TraceFileStatus::Ok)
         return rep;
-    }
     if (expectFingerprint && env.fingerprint != *expectFingerprint) {
         rep.status = TraceFileStatus::BadFingerprint;
         rep.detail = "generating program or run key changed";
-        std::fclose(f);
         return rep;
     }
     std::vector<std::uint64_t> index;
     rep.status = loadBlockIndex(f, env, index, rep.detail);
-    if (rep.status != TraceFileStatus::Ok) {
-        std::fclose(f);
+    if (rep.status != TraceFileStatus::Ok)
         return rep;
-    }
     if (std::fseek(f, static_cast<long>(TraceHeaderBytes),
                    SEEK_SET) != 0) {
         rep.status = TraceFileStatus::ReadFailed;
-        std::fclose(f);
         return rep;
     }
     std::uint64_t checksum = FnvOffset;
@@ -364,7 +361,6 @@ verifyTraceFile(const std::string &path,
         if (std::fread(buf.data(), 1, buf.size(), f) != buf.size()) {
             rep.status = TraceFileStatus::ReadFailed;
             rep.detail = "short read at block " + std::to_string(b);
-            std::fclose(f);
             return rep;
         }
         std::uint64_t first =
@@ -376,7 +372,6 @@ verifyTraceFile(const std::string &path,
         if (!parseBlockHeader(buf.data(), len, expectN, bh, d)) {
             rep.status = TraceFileStatus::BadBlock;
             rep.detail = "block " + std::to_string(b) + ": " + d;
-            std::fclose(f);
             return rep;
         }
         if (fnv1a(buf.data() + TraceBlockHeaderBytes,
@@ -384,12 +379,10 @@ verifyTraceFile(const std::string &path,
             rep.status = TraceFileStatus::ChecksumMismatch;
             rep.detail = "block " + std::to_string(b) +
                          " payload does not match its checksum";
-            std::fclose(f);
             return rep;
         }
         checksum = fnv1a(buf.data(), buf.size(), checksum);
     }
-    std::fclose(f);
     if (checksum != env.checksum) {
         rep.status = TraceFileStatus::ChecksumMismatch;
         rep.detail = "payload bytes do not match footer checksum";
@@ -606,32 +599,22 @@ TraceFileReader::TraceFileReader(
                            path.c_str()));
     Envelope env;
     std::string detailStr;
+    // The destructor will not run when the constructor throws: close
+    // the stream first.
+    auto invalid = [&](TraceFileStatus st, const std::string &more) {
+        std::fclose(file_);
+        file_ = nullptr;
+        corrupt(traceFileStatusName(st) + more);
+    };
     TraceFileStatus st = readEnvelope(file_, env, detailStr);
-    if (st != TraceFileStatus::Ok) {
-        // The destructor will not run when the constructor throws:
-        // close the stream here.
-        std::fclose(file_);
-        file_ = nullptr;
-        throw SimError(ErrorKind::TraceCorrupt,
-                       detail::formatMsg(
-                           "invalid trace file '%s': %s%s%s",
-                           path.c_str(), traceFileStatusName(st),
-                           detailStr.empty() ? "" : ": ",
-                           detailStr.c_str()));
-    }
-    if (expectFingerprint && env.fingerprint != *expectFingerprint) {
-        std::fclose(file_);
-        file_ = nullptr;
-        throw SimError(
-            ErrorKind::TraceCorrupt,
-            detail::formatMsg(
-                "invalid trace file '%s': %s (have %016llx, "
-                "expected %016llx)",
-                path.c_str(),
-                traceFileStatusName(TraceFileStatus::BadFingerprint),
-                static_cast<unsigned long long>(env.fingerprint),
-                static_cast<unsigned long long>(*expectFingerprint)));
-    }
+    if (st != TraceFileStatus::Ok)
+        invalid(st, detailStr.empty() ? "" : ": " + detailStr);
+    if (expectFingerprint && env.fingerprint != *expectFingerprint)
+        invalid(TraceFileStatus::BadFingerprint,
+                detail::formatMsg(
+                    " (have %016llx, expected %016llx)",
+                    static_cast<unsigned long long>(env.fingerprint),
+                    static_cast<unsigned long long>(*expectFingerprint)));
     records_ = env.records;
     fingerprint_ = env.fingerprint;
     expectChecksum_ = env.checksum;
@@ -642,16 +625,8 @@ TraceFileReader::TraceFileReader(
         std::fseek(file_, static_cast<long>(TraceHeaderBytes),
                    SEEK_SET) != 0)
         st = TraceFileStatus::ReadFailed;
-    if (st != TraceFileStatus::Ok) {
-        std::fclose(file_);
-        file_ = nullptr;
-        throw SimError(ErrorKind::TraceCorrupt,
-                       detail::formatMsg(
-                           "invalid trace file '%s': %s%s%s",
-                           path.c_str(), traceFileStatusName(st),
-                           detailStr.empty() ? "" : ": ",
-                           detailStr.c_str()));
-    }
+    if (st != TraceFileStatus::Ok)
+        invalid(st, detailStr.empty() ? "" : ": " + detailStr);
     filePos_ = TraceHeaderBytes;
     decoded_.reserve(static_cast<std::size_t>(
         std::min<std::uint64_t>(records_, blockRecords_)));
@@ -679,9 +654,8 @@ TraceFileReader::blockBytes(std::uint64_t b) const
 }
 
 void
-TraceFileReader::loadBlockFor(std::uint64_t seq)
+TraceFileReader::readBlock(std::uint64_t b)
 {
-    std::uint64_t b = seq / blockRecords_;
     std::uint64_t len = blockBytes(b);
     if (filePos_ != index_[b]) {
         if (std::fseek(file_, static_cast<long>(index_[b]), SEEK_SET) !=
@@ -701,9 +675,30 @@ TraceFileReader::loadBlockFor(std::uint64_t seq)
             static_cast<unsigned long long>(b),
             static_cast<unsigned long long>(index_.size())));
     filePos_ += len;
-    decodeBlock(b, cblock_.data(), static_cast<std::size_t>(len));
+}
+
+void
+TraceFileReader::loadBlockFor(std::uint64_t seq)
+{
+    std::uint64_t b = seq / blockRecords_;
+    readBlock(b);
+    decodeBlock(b, cblock_.data(), cblock_.size());
     decPos_ = static_cast<std::size_t>(
         seq - b * static_cast<std::uint64_t>(blockRecords_));
+}
+
+void
+TraceFileReader::skipTo(std::uint64_t seq)
+{
+    lvp_assert(seq >= seq_ && seq <= records_ &&
+               decPos_ == decoded_.size() &&
+               (seq % blockRecords_ == 0 || seq == records_));
+    for (std::uint64_t b = seq_ / blockRecords_; b * blockRecords_ < seq;
+         ++b) {
+        readBlock(b);
+        checksum_ = fnv1a(cblock_.data(), cblock_.size(), checksum_);
+    }
+    seq_ = seq;
 }
 
 void

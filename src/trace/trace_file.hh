@@ -298,7 +298,15 @@ class TraceFileReader
      */
     bool next(TraceRecord &rec);
 
-    /** Stream the whole file into @p sink (calls finish()). */
+    /**
+     * Skip forward from a block boundary to record @p seq, a later
+     * block boundary (or records()). Skipped blocks are folded into
+     * the payload checksum without being decoded, so a replay from
+     * @p seq still ends with the whole-file checksum check.
+     */
+    void skipTo(std::uint64_t seq);
+
+    /** Stream the rest of the file into @p sink (calls finish()). */
     std::uint64_t replay(TraceSink &sink);
 
     /** Total records promised by the footer. */
@@ -310,6 +318,7 @@ class TraceFileReader
   private:
     [[noreturn]] void corrupt(const std::string &what) const;
     std::uint64_t blockBytes(std::uint64_t b) const;
+    void readBlock(std::uint64_t b); ///< block b's bytes into cblock_
     void loadBlockFor(std::uint64_t seq);
     void decodeBlock(std::uint64_t b, std::uint8_t *data,
                      std::size_t len);

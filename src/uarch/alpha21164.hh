@@ -53,7 +53,7 @@ struct InOrderStats
     /** L1 misses per instruction, in percent (paper Section 6.1). */
     double missRatePerInst() const;
 
-    /** Field-wise equality (group-sharded vs serial sweeps). */
+    /** Field-wise equality (hand-off vs serial sweeps). */
     bool operator==(const InOrderStats &o) const = default;
 };
 

@@ -73,7 +73,7 @@ struct OooStats
     /** Bank-conflict cycles as a percentage of all cycles. */
     double bankConflictPct() const;
 
-    /** Field-wise equality (group-sharded vs serial sweeps). */
+    /** Field-wise equality (hand-off vs serial sweeps). */
     bool operator==(const OooStats &o) const = default;
 };
 

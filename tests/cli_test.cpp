@@ -76,6 +76,14 @@ TEST(Cli, RejectsBadInput)
     EXPECT_NE(err.find("unknown machine"), std::string::npos);
     EXPECT_FALSE(parse({"--lvp", "psychic"}, &err));
     EXPECT_FALSE(parse({"--scale", "0"}, &err));
+    // Strict parse: no trailing text, no sign, no truncation.
+    EXPECT_FALSE(parse({"--scale", "1x"}, &err));
+    EXPECT_NE(err.find("bad scale '1x'"), std::string::npos);
+    EXPECT_FALSE(parse({"--scale", "99999999999"}, &err));
+    EXPECT_NE(err.find("bad scale '99999999999'"), std::string::npos);
+    EXPECT_FALSE(parse({"--scale", "-1"}, &err));
+    EXPECT_FALSE(parse({"--scale", "+2"}, &err));
+    EXPECT_FALSE(parse({"--scale", " 2"}, &err));
     EXPECT_FALSE(parse({"--scale"}, &err));
     EXPECT_NE(err.find("needs a value"), std::string::npos);
     EXPECT_FALSE(parse({"--frobnicate"}, &err));
@@ -180,7 +188,6 @@ TEST(BenchCli, Defaults)
     ASSERT_TRUE(o);
     EXPECT_TRUE(o->filters.empty());
     EXPECT_FALSE(o->jobs.has_value());
-    EXPECT_FALSE(o->shards.has_value());
     EXPECT_FALSE(o->scale.has_value());
     EXPECT_FALSE(o->json);
     EXPECT_FALSE(o->list);
@@ -200,8 +207,8 @@ TEST(BenchCli, Defaults)
 TEST(BenchCli, ParsesEveryOption)
 {
     auto o = parseBench({"--filter", "fig1", "--filter", "table6",
-                         "--jobs", "8", "--shards", "4", "--scale",
-                         "3", "--json", "--no-trace-cache", "--prune",
+                         "--jobs", "8", "--scale", "3", "--json",
+                         "--no-trace-cache", "--prune",
                          "--metrics-out", "m.json", "--timeline-out",
                          "t.json", "--check", "golden.json",
                          "--rel-tol", "0.01"});
@@ -209,7 +216,6 @@ TEST(BenchCli, ParsesEveryOption)
     EXPECT_EQ(o->filters,
               (std::vector<std::string>{"fig1", "table6"}));
     EXPECT_EQ(o->jobs, 8u);
-    EXPECT_EQ(o->shards, 4u);
     EXPECT_EQ(o->scale, 3u);
     EXPECT_TRUE(o->json);
     EXPECT_FALSE(o->traceCache);
@@ -260,12 +266,23 @@ TEST(BenchCli, ChaosRetriesAndWatchdog)
     EXPECT_FALSE(parseBench({"--chaos", "1,"}, &err));
     EXPECT_FALSE(parseBench({"--chaos", "1,0"}, &err));
     EXPECT_FALSE(parseBench({"--chaos", "1,x"}, &err));
+    // A negative quota must not wrap to 2^64 - 5.
+    EXPECT_FALSE(parseBench({"--chaos", "1,-5"}, &err));
+    EXPECT_NE(err.find("bad --chaos value '1,-5'"), std::string::npos);
+    EXPECT_FALSE(parseBench({"--chaos", "-1"}, &err));
+    EXPECT_FALSE(parseBench({"--chaos", "+1"}, &err));
+    EXPECT_FALSE(parseBench({"--chaos", ",5"}, &err));
     EXPECT_FALSE(parseBench({"--retries", "9"}, &err));
     EXPECT_NE(err.find("bad --retries value '9'"), std::string::npos);
     EXPECT_FALSE(parseBench({"--retries", "abc"}, &err));
+    EXPECT_FALSE(parseBench({"--retries", "-1"}, &err));
     EXPECT_FALSE(parseBench({"--watchdog-ms", "5s"}, &err));
     EXPECT_NE(err.find("bad --watchdog-ms value '5s'"),
               std::string::npos);
+    EXPECT_FALSE(parseBench({"--watchdog-ms", "-1"}, &err));
+    EXPECT_NE(err.find("bad --watchdog-ms value '-1'"),
+              std::string::npos);
+    EXPECT_FALSE(parseBench({"--watchdog-ms", ""}, &err));
 }
 
 TEST(BenchCli, UnknownOptionNamesTheToken)
@@ -282,6 +299,10 @@ TEST(BenchCli, UnknownOptionNamesTheToken)
     EXPECT_FALSE(parseBench({"--" "migrate"}, &err));
     EXPECT_NE(err.find("unknown option '--" "migrate'"),
               std::string::npos);
+    // So is the deleted replay-group width (one scheduler, --jobs).
+    EXPECT_FALSE(parseBench({"--" "shards", "4"}, &err));
+    EXPECT_NE(err.find("unknown option '--" "shards'"),
+              std::string::npos);
 }
 
 TEST(BenchCli, MissingValueNamesTheFlag)
@@ -291,8 +312,6 @@ TEST(BenchCli, MissingValueNamesTheFlag)
     EXPECT_NE(err.find("--filter needs a value"), std::string::npos);
     EXPECT_FALSE(parseBench({"--jobs"}, &err));
     EXPECT_NE(err.find("--jobs needs a value"), std::string::npos);
-    EXPECT_FALSE(parseBench({"--shards"}, &err));
-    EXPECT_NE(err.find("--shards needs a value"), std::string::npos);
     EXPECT_FALSE(parseBench({"--metrics-out"}, &err));
     EXPECT_NE(err.find("--metrics-out needs a value"),
               std::string::npos);
@@ -310,14 +329,18 @@ TEST(BenchCli, MalformedValuesNameTheToken)
     EXPECT_FALSE(parseBench({"--jobs", "0"}, &err));
     EXPECT_NE(err.find("'0'"), std::string::npos);
     EXPECT_FALSE(parseBench({"--jobs", "9999"}, &err));
-    EXPECT_FALSE(parseBench({"--shards", "abc"}, &err));
-    EXPECT_NE(err.find("bad --shards value 'abc'"),
-              std::string::npos);
-    EXPECT_FALSE(parseBench({"--shards", "0"}, &err));
-    EXPECT_FALSE(parseBench({"--shards", "9999"}, &err));
+    // strtoul accepted a sign and leading spaces; the strict parser
+    // takes digits only.
+    EXPECT_FALSE(parseBench({"--jobs", "+4"}, &err));
+    EXPECT_NE(err.find("bad --jobs value '+4'"), std::string::npos);
+    EXPECT_FALSE(parseBench({"--jobs", " 4"}, &err));
+    EXPECT_NE(err.find("bad --jobs value ' 4'"), std::string::npos);
+    EXPECT_FALSE(parseBench({"--jobs", "-1"}, &err));
+    EXPECT_FALSE(parseBench({"--jobs", ""}, &err));
     EXPECT_FALSE(parseBench({"--scale", "0"}, &err));
     EXPECT_NE(err.find("bad --scale value '0'"), std::string::npos);
     EXPECT_FALSE(parseBench({"--scale", "12x"}, &err));
+    EXPECT_FALSE(parseBench({"--scale", "99999999999"}, &err));
     EXPECT_FALSE(parseBench({"--rel-tol", "nope"}, &err));
     EXPECT_NE(err.find("bad --rel-tol value 'nope'"),
               std::string::npos);
@@ -352,7 +375,7 @@ TEST(BenchCli, UsageMentionsEveryFlag)
 {
     std::string u = benchUsage();
     for (const char *flag :
-         {"--filter", "--jobs", "--shards", "--scale", "--json",
+         {"--filter", "--jobs", "--scale", "--json",
           "--list",
           "--no-trace-cache", "--prune", "--verify-trace-cache", "--metrics-out", "--timeline-out",
           "--check", "--rel-tol", "--chaos", "--retries",

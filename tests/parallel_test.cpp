@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <latch>
@@ -164,6 +165,38 @@ TEST(TaskPoolTest, SingleWorkerPoolStillCompletes)
     std::vector<int> items{5, 6, 7};
     auto out = pool.map(items, [](const int &v) { return v + 1; });
     EXPECT_EQ(out, (std::vector<int>{6, 7, 8}));
+}
+
+TEST(TaskPoolTest, IdleCountsWorkersWithoutATask)
+{
+    TaskPool pool(3);
+    EXPECT_EQ(pool.idle(), pool.jobs()) << "a new pool is quiescent";
+
+    // Hold every worker: none is idle, and a task queued behind them
+    // does not make one so.
+    std::latch started(3);
+    std::latch release(1);
+    std::vector<std::future<void>> done;
+    for (int i = 0; i < 3; ++i)
+        done.push_back(pool.submit([&] {
+            started.count_down();
+            release.wait();
+        }));
+    started.wait();
+    EXPECT_EQ(pool.idle(), 0u);
+    done.push_back(pool.submit([] {}));
+    EXPECT_EQ(pool.idle(), 0u);
+    release.count_down();
+    for (auto &f : done)
+        f.get();
+
+    // A worker is counted again once it is back at the queue.
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (pool.idle() != pool.jobs() &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+    EXPECT_EQ(pool.idle(), pool.jobs());
 }
 
 TEST(TaskPoolTest, DefaultJobsPositive)

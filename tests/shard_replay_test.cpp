@@ -1,32 +1,44 @@
 /**
  * @file
- * Byte-identity proof for variant-group sharding, the one replay
- * sharding mechanism: a RunCache sweep cuts its missing variants into
- * contiguous groups, each replaying the shared trace once on the
- * shard pool, and must return EXACTLY the results of one serial
- * MultiSink pass — for every kind of variant a sweep holds (every
- * registry predictor, a branch-history LVP unit, the 620 and 620+
- * with and without LVP, the 21164 with and without LVP), at several
- * shard counts, every statistics field compared, on a cold cache.
- * With chaos predictor faults armed a sweep must not group at all and
- * still match the serial pass fault for fault.
+ * Byte-identity proof for the hand-off replay, the one way a sweep
+ * runs in parallel: a RunCache sweep replays the shared trace once
+ * and, at block boundaries, hands half of its variants to idle pool
+ * workers that replay the rest of the trace on their own readers. It
+ * must return EXACTLY the results of one serial MultiSink pass — for
+ * every kind of variant a sweep holds (every registry predictor, a
+ * branch-history LVP unit, the 620 and 620+ with and without LVP, the
+ * 21164 with and without LVP), at several pool widths, every
+ * statistics field compared, on a cold cache. With chaos predictor
+ * faults armed a sweep must not hand off at all and still match the
+ * serial pass fault for fault. Below the sweep: many hand-offs over
+ * 64-record blocks, claim-back of a hand-off no worker started, a
+ * corrupt block past a hand-off boundary, and the reader's skipTo().
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <latch>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "chaos/chaos.hh"
 #include "core/config.hh"
 #include "core/value_predictor.hh"
+#include "obs/metrics.hh"
 #include "sim/parallel.hh"
+#include "sim/pipeline_driver.hh"
 #include "sim/run_cache.hh"
+#include "trace/trace_file.hh"
 #include "uarch/machine_config.hh"
+#include "vm/interpreter.hh"
 #include "workloads/workload.hh"
 
 namespace lvplib
@@ -116,6 +128,7 @@ class ShardReplay : public ::testing::Test
     TearDown() override
     {
         sim::setShardJobs(0);
+        sim::setExperimentJobs(0);
         cache().clear();
         cache().setTraceDir(saved_);
         fs::remove_all(dir_);
@@ -123,11 +136,10 @@ class ShardReplay : public ::testing::Test
 
     static sim::RunCache &cache() { return sim::RunCache::instance(); }
 
-    /** Forget every memo and trace, then pin the shard count. */
+    /** Forget every memo and trace. */
     void
-    coldCache(unsigned shards)
+    coldCache()
     {
-        sim::setShardJobs(shards);
         cache().clear();
         fs::remove_all(dir_);
         fs::create_directories(dir_);
@@ -135,27 +147,31 @@ class ShardReplay : public ::testing::Test
     }
 
     /**
-     * Run @p fn's sweep from a cold cache at @p shards; it must replay
-     * the trace once per variant group, and only once while chaos is
-     * armed.
+     * Run @p fn's sweep from a cold cache. With @p jobs = 0 it is the
+     * serial reference (setShardJobs(1): never hand off) and must
+     * replay the trace exactly once; otherwise it may hand off to a
+     * pool of @p jobs workers and replays at least once — exactly once
+     * while chaos is armed.
      */
     template <typename Fn>
     auto
-    sweepAt(unsigned shards, Fn fn)
+    sweepAt(unsigned jobs, Fn fn)
     {
-        coldCache(shards);
+        sim::setShardJobs(jobs == 0 ? 1 : 0);
+        if (jobs != 0)
+            sim::setExperimentJobs(jobs);
+        coldCache();
         auto before = cache().stats();
         auto out = fn();
         auto after = cache().stats();
-        const std::size_t groups =
-            chaos::engine().enabled()
-                ? 1
-                : std::min<std::size_t>(shards, out.size());
         EXPECT_EQ(after.misses - before.misses, out.size() + 2)
             << "each variant computed once (plus program and trace)";
         EXPECT_EQ(after.traceWrites - before.traceWrites, 1u);
-        EXPECT_EQ(after.traceReplays - before.traceReplays, groups)
-            << "one replay per variant group";
+        const auto replays = after.traceReplays - before.traceReplays;
+        if (jobs == 0 || chaos::engine().enabled())
+            EXPECT_EQ(replays, 1u) << "one serial pass";
+        else
+            EXPECT_GE(replays, 1u);
         return out;
     }
 
@@ -170,7 +186,10 @@ class GroupSharding
 
 TEST_P(GroupSharding, MatchesSerialOnEveryStatsField)
 {
-    const auto [sweep, shards] = GetParam();
+    // The parameter is the pool width of the hand-off run; grep at
+    // scale 1 spans two trace blocks, so an idle pool takes a
+    // hand-off at the boundary.
+    const auto [sweep, jobs] = GetParam();
     const auto &w = workloads::findWorkload("grep");
     const sim::RunConfig rc;
     switch (sweep) {
@@ -180,8 +199,8 @@ TEST_P(GroupSharding, MatchesSerialOnEveryStatsField)
             return cache().predictorOnlyMany(w, workloads::CodeGen::Ppc,
                                              1, specs, rc);
         };
-        auto serial = sweepAt(1, run);
-        auto sharded = sweepAt(shards, run);
+        auto serial = sweepAt(0, run);
+        auto sharded = sweepAt(jobs, run);
         ASSERT_EQ(serial.size(), specs.size());
         ASSERT_EQ(sharded.size(), specs.size());
         for (std::size_t i = 0; i < specs.size(); ++i)
@@ -195,8 +214,8 @@ TEST_P(GroupSharding, MatchesSerialOnEveryStatsField)
             return cache().ppc620Many(w, workloads::CodeGen::Ppc, 1,
                                       variants, rc);
         };
-        auto serial = sweepAt(1, run);
-        auto sharded = sweepAt(shards, run);
+        auto serial = sweepAt(0, run);
+        auto sharded = sweepAt(jobs, run);
         ASSERT_EQ(serial.size(), variants.size());
         ASSERT_EQ(sharded.size(), variants.size());
         for (std::size_t i = 0; i < variants.size(); ++i) {
@@ -211,8 +230,8 @@ TEST_P(GroupSharding, MatchesSerialOnEveryStatsField)
             return cache().alpha21164Many(w, workloads::CodeGen::Alpha,
                                           1, variants, rc);
         };
-        auto serial = sweepAt(1, run);
-        auto sharded = sweepAt(shards, run);
+        auto serial = sweepAt(0, run);
+        auto sharded = sweepAt(jobs, run);
         ASSERT_EQ(serial.size(), variants.size());
         ASSERT_EQ(sharded.size(), variants.size());
         for (std::size_t i = 0; i < variants.size(); ++i) {
@@ -228,8 +247,8 @@ TEST_F(ShardReplay, ChaosArmedShardingMatchesSerial)
 {
     // Predictor faults are keyed on (config name, per-unit load
     // counter), so a sweep is reproducible while they are armed. The
-    // mask arms ONLY predictor points: TaskThrow would fail shard-pool
-    // tasks and TraceReadFlip is exercised by batch_replay_test.
+    // mask arms ONLY predictor points: TaskThrow would fail pool tasks
+    // and TraceReadFlip is exercised by batch_replay_test.
     const auto &w = workloads::findWorkload("grep");
     const sim::RunConfig rc;
     const auto specs = predictorVariants();
@@ -245,7 +264,7 @@ TEST_F(ShardReplay, ChaosArmedShardingMatchesSerial)
     ce.arm({99, chaos::PredictorPoints, 512});
     try {
         const std::uint64_t base = ce.injectedTotal();
-        serial = sweepAt(1, run);
+        serial = sweepAt(0, run);
         const std::uint64_t mid = ce.injectedTotal();
         sharded = sweepAt(5, run);
         serialFaults = mid - base;
@@ -262,6 +281,274 @@ TEST_F(ShardReplay, ChaosArmedShardingMatchesSerial)
     ASSERT_EQ(sharded.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i)
         EXPECT_EQ(serial[i], sharded[i]) << core::fingerprint(specs[i]);
+}
+
+/** Fresh chains for every predictor and 620 variant, and their tops
+ *  in that order (so hand-offs split the 620 chains off first). */
+struct Chains
+{
+    std::vector<std::unique_ptr<sim::PredictorChain>> preds;
+    std::vector<std::unique_ptr<sim::PpcChain>> ppcs;
+    std::vector<trace::TraceSink *> tops;
+
+    Chains()
+    {
+        for (const auto &spec : predictorVariants()) {
+            preds.push_back(std::make_unique<sim::PredictorChain>(spec));
+            tops.push_back(&preds.back()->top());
+        }
+        for (const auto &v : ppcVariants()) {
+            ppcs.push_back(std::make_unique<sim::PpcChain>(v.mc, v.lvp));
+            tops.push_back(&ppcs.back()->top());
+        }
+    }
+};
+
+void
+expectSameResults(const Chains &a, const Chains &b)
+{
+    for (std::size_t i = 0; i < a.preds.size(); ++i)
+        EXPECT_EQ(a.preds[i]->collect(), b.preds[i]->collect()) << i;
+    for (std::size_t i = 0; i < a.ppcs.size(); ++i) {
+        EXPECT_EQ(a.ppcs[i]->collect().timing,
+                  b.ppcs[i]->collect().timing)
+            << i;
+        EXPECT_EQ(a.ppcs[i]->collect().lvp, b.ppcs[i]->collect().lvp)
+            << i;
+    }
+}
+
+isa::Program
+grepProgram()
+{
+    return workloads::findWorkload("grep").build(workloads::CodeGen::Ppc,
+                                                 1);
+}
+
+/** Write @p prog's trace to @p path in @p blockRecords-record
+ *  blocks; returns the record count. */
+std::uint64_t
+writeTrace(const std::string &path, const isa::Program &prog,
+           std::uint32_t blockRecords)
+{
+    trace::TraceFileWriter writer(path, 0,
+                                  trace::TraceWriterOptions{blockRecords});
+    vm::Interpreter interp(prog);
+    interp.run(&writer, sim::RunConfig{}.maxInstructions);
+    EXPECT_TRUE(writer.close()) << writer.error();
+    return writer.recordsWritten();
+}
+
+/** Flip one payload bit of block @p block of the trace at @p path,
+ *  locating the block through the file's block index. */
+void
+flipPayloadBit(const std::string &path, std::uint64_t block)
+{
+    std::vector<unsigned char> b;
+    {
+        std::ifstream in(path, std::ios::binary);
+        b.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    auto u64 = [&b](std::size_t at) {
+        std::uint64_t v = 0;
+        for (unsigned i = 0; i < 8; ++i)
+            v |= static_cast<std::uint64_t>(b[at + i]) << (8 * i);
+        return v;
+    };
+    const std::uint64_t perBlock = b[12] | b[13] << 8 | b[14] << 16 |
+                                   static_cast<std::uint64_t>(b[15])
+                                       << 24;
+    const std::uint64_t records = u64(b.size() - 16);
+    const std::uint64_t blocks = (records + perBlock - 1) / perBlock;
+    ASSERT_LT(block, blocks);
+    const std::size_t index = b.size() - trace::TraceFooterBytes -
+                              static_cast<std::size_t>(blocks) * 8;
+    b[u64(index + block * 8) + trace::TraceBlockHeaderBytes] ^= 1;
+    std::ofstream(path, std::ios::binary)
+        .write(reinterpret_cast<const char *>(b.data()),
+               static_cast<std::streamsize>(b.size()));
+}
+
+TEST_F(ShardReplay, ManyHandOffsMatchOneSerialReplay)
+{
+    // 64-record blocks give a hand-off chance every 64 records, and an
+    // idle pool takes every one it can: the chains are split again
+    // and again across readers that each skip to their own boundary.
+    fs::create_directories(dir_);
+    const auto prog = grepProgram();
+    const std::string path = (dir_ / "grep-64.trace").string();
+    const std::uint64_t records = writeTrace(path, prog, 64);
+    ASSERT_GT(records, 64u * 100);
+
+    Chains serial;
+    {
+        trace::TraceFileReader reader(path, prog);
+        trace::MultiSink multi(serial.tops);
+        EXPECT_EQ(reader.replay(multi), records);
+    }
+    sim::TaskPool pool(4);
+    Chains handedOff;
+    auto r = sim::replayHandingOff(pool, path, prog, handedOff.tops,
+                                   "test:grep");
+    EXPECT_EQ(r.records, records);
+    EXPECT_GT(r.passes, 1u) << "an idle pool takes hand-offs";
+    EXPECT_LE(r.passes, handedOff.tops.size());
+    expectSameResults(serial, handedOff);
+}
+
+TEST_F(ShardReplay, ClaimBackRunsAHandOffNoWorkerStarted)
+{
+    fs::create_directories(dir_);
+    const auto prog = grepProgram();
+    const std::string path = (dir_ / "grep-64.trace").string();
+    writeTrace(path, prog, 64);
+    Chains serial;
+    {
+        trace::TraceFileReader reader(path, prog);
+        trace::MultiSink multi(serial.tops);
+        reader.replay(multi);
+    }
+
+    // Hold the pool's only worker.
+    sim::TaskPool pool(1);
+    std::latch held(1);
+    std::latch release(1);
+    auto blocker = pool.submit([&] {
+        held.count_down();
+        release.wait();
+    });
+    held.wait();
+    EXPECT_EQ(pool.idle(), 0u);
+
+    // A sweep never waits on a worker it cannot get: it replays alone
+    // and returns.
+    Chains alone;
+    auto r = sim::replayHandingOff(pool, path, prog, alone.tops,
+                                   "test:grep");
+    EXPECT_EQ(r.passes, 1u);
+    expectSameResults(serial, alone);
+
+    // A hand-off queued behind the held worker is claimed back and run
+    // by the thread that settles it.
+    int runs = 0;
+    std::thread::id ranOn;
+    sim::HandOff h(pool, [&] {
+        ++runs;
+        ranOn = std::this_thread::get_id();
+    });
+    EXPECT_FALSE(h.settle());
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(ranOn, std::this_thread::get_id());
+
+    // Once freed, the worker dequeues the settled task, finds it
+    // claimed and does not run it again.
+    release.count_down();
+    blocker.get();
+    pool.submit([] {}).get();
+    EXPECT_EQ(runs, 1);
+}
+
+TEST_F(ShardReplay, CorruptBlockAfterHandOffFallsBack)
+{
+    // grep at scale 1 spans two trace blocks, so a sweep on an idle
+    // pool hands off at the boundary between them. A bit flipped in
+    // the second block after the trace was verified reaches both
+    // readers: the sweep must report the trace once and fall back to
+    // in-memory runs that equal the serial reference.
+    const auto &w = workloads::findWorkload("grep");
+    const sim::RunConfig rc;
+    const auto specs = predictorVariants();
+    auto reference = sweepAt(0, [&] {
+        return cache().predictorOnlyMany(w, workloads::CodeGen::Ppc, 1,
+                                         specs, rc);
+    });
+
+    sim::setShardJobs(0);
+    sim::setExperimentJobs(2);
+    coldCache();
+    // Write and verify the trace through a one-variant sweep, which
+    // leaves the path memoized, then corrupt the file under it.
+    cache().predictorOnlyMany(w, workloads::CodeGen::Ppc, 1,
+                              {specs.front()}, rc);
+    std::vector<fs::path> traces;
+    for (const auto &e : fs::directory_iterator(dir_))
+        if (e.path().extension() == ".trace")
+            traces.push_back(e.path());
+    ASSERT_EQ(traces.size(), 1u);
+    flipPayloadBit(traces.front().string(), 1);
+
+    const std::vector<core::PredictorSpec> rest(specs.begin() + 1,
+                                                specs.end());
+    auto &submitted = obs::metrics().counter("taskpool.submitted");
+    const auto submitted0 = submitted.value();
+    const auto before = cache().stats();
+    auto got = cache().predictorOnlyMany(w, workloads::CodeGen::Ppc, 1,
+                                         rest, rc);
+    const auto after = cache().stats();
+    EXPECT_GE(submitted.value() - submitted0, 1u)
+        << "the sweep handed off before reaching the corrupt block";
+    EXPECT_EQ(after.traceInvalid - before.traceInvalid, 1u);
+    EXPECT_EQ(after.traceReplays, before.traceReplays)
+        << "a failed replay is not counted";
+    ASSERT_EQ(got.size(), rest.size());
+    for (std::size_t i = 0; i < rest.size(); ++i)
+        EXPECT_EQ(got[i], reference[i + 1]) << core::fingerprint(rest[i]);
+}
+
+TEST_F(ShardReplay, SkipToYieldsTheTailAndKeepsTheChecksum)
+{
+    fs::create_directories(dir_);
+    const auto prog = grepProgram();
+    const std::string path = (dir_ / "grep-64.trace").string();
+    const std::uint64_t records = writeTrace(path, prog, 64);
+
+    struct Capture : trace::TraceSink
+    {
+        std::vector<std::uint64_t> seqs, pcs;
+        void
+        consume(const trace::TraceRecord &rec) override
+        {
+            seqs.push_back(rec.seq);
+            pcs.push_back(rec.pc);
+        }
+    };
+    Capture whole;
+    trace::TraceFileReader(path, prog).replay(whole);
+    ASSERT_EQ(whole.seqs.size(), records);
+
+    // A replay after skipTo() yields exactly the tail records.
+    for (std::uint64_t from : {std::uint64_t{0}, std::uint64_t{64},
+                               std::uint64_t{64 * 7}, records}) {
+        trace::TraceFileReader reader(path, prog);
+        reader.skipTo(from);
+        Capture tail;
+        EXPECT_EQ(reader.replay(tail), records - from) << from;
+        EXPECT_EQ(tail.seqs, std::vector<std::uint64_t>(
+                                 whole.seqs.begin() + from,
+                                 whole.seqs.end()))
+            << from;
+        EXPECT_EQ(tail.pcs, std::vector<std::uint64_t>(
+                                whole.pcs.begin() + from,
+                                whole.pcs.end()))
+            << from;
+    }
+
+    // A skipped block is not decoded, but its bytes still count
+    // toward the whole-file checksum.
+    flipPayloadBit(path, 2);
+    trace::TraceFileReader reader(path, prog);
+    reader.skipTo(64 * 7);
+    Capture tail;
+    try {
+        reader.replay(tail);
+        ADD_FAILURE() << "a flipped skipped block must not replay clean";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::TraceCorrupt);
+        EXPECT_NE(std::string(e.what()).find(trace::traceFileStatusName(
+                      trace::TraceFileStatus::ChecksumMismatch)),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 
 #include "core/config.hh"
 #include "isa/assembler.hh"
@@ -406,6 +407,14 @@ std::string
 zeroFieldName(const ::testing::TestParamInfo<ZeroField> &info)
 {
     return info.param.name;
+}
+
+/** Print a case as its field name, so CTest's test names (which carry
+ *  the printed parameter) do not depend on where the name lives. */
+void
+PrintTo(const ZeroField &f, std::ostream *os)
+{
+    *os << f.name;
 }
 
 class MachineConfigDeathTest : public ::testing::TestWithParam<ZeroField>

@@ -7,12 +7,12 @@
  * RunCache, so common sub-runs (the same workload under the same
  * machine/LVP configuration) simulate exactly once, and phase-1
  * traces are written to an on-disk cache and replayed by every later
- * phase-2/3 run instead of re-interpreting.
+ * phase-2/3 run instead of re-interpreting. --jobs bounds every
+ * simulation thread (replays split only onto idle workers).
  *
  *   lvpbench                  # everything, human-readable
  *   lvpbench --filter fig     # experiments whose id/long name matches
  *   lvpbench --jobs 8         # override LVPLIB_JOBS
- *   lvpbench --shards 8       # override LVPLIB_SHARDS (replay fan-out)
  *   lvpbench --scale 2        # override LVPLIB_SCALE
  *   lvpbench --json           # machine-readable timings on stdout
  *   lvpbench --list           # show experiment ids and exit
@@ -302,8 +302,6 @@ main(int argc, char **argv)
 
     if (bench.jobs)
         sim::setExperimentJobs(*bench.jobs);
-    if (bench.shards)
-        sim::setShardJobs(*bench.shards);
     auto opts = sim::ExperimentOptions::fromEnv();
     if (bench.scale)
         opts.scale = *bench.scale;
@@ -428,8 +426,6 @@ main(int argc, char **argv)
         w.member("scale", static_cast<std::uint64_t>(opts.scale));
         w.member("jobs", static_cast<std::uint64_t>(
                              sim::experimentPool().jobs()));
-        w.member("shards",
-                 static_cast<std::uint64_t>(sim::shardJobs()));
         w.key("experiments");
         w.beginArray();
         for (const auto &tm : timings) {

@@ -33,19 +33,22 @@ using namespace lvplib;
 constexpr Addr Pc0 = isa::layout::CodeBase;
 
 void
-BM_LvptUpdateLookup(benchmark::State &state)
+BM_LvptProbeUpdate(benchmark::State &state)
 {
     core::Lvpt t(static_cast<std::uint32_t>(state.range(0)),
                  static_cast<std::uint32_t>(state.range(1)));
     Rng rng(1);
     for (auto _ : state) {
+        // One scan per load, as in LvpUnit::onLoad: probe, judge, train.
         Addr pc = Pc0 + rng.below(4096) * 4;
-        t.update(pc, rng.below(16));
-        benchmark::DoNotOptimize(t.lookup(pc));
+        Word v = rng.below(16);
+        core::LvptProbe p = t.probe(pc, v);
+        benchmark::DoNotOptimize(t.hit(p));
+        t.update(p, pc, v);
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_LvptUpdateLookup)
+BENCHMARK(BM_LvptProbeUpdate)
     ->Args({1024, 1})
     ->Args({4096, 16});
 

@@ -1,7 +1,5 @@
 #include "core/cvu.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
 
 namespace lvplib::core
@@ -30,7 +28,8 @@ Cvu::Cvu(std::uint32_t entries, std::uint32_t ways)
                       entries, ways);
         }
     }
-    sets_.resize(numSets_);
+    slots_.resize(std::size_t{numSets_} * ways_);
+    fill_.assign(numSets_, 0);
 }
 
 std::size_t
@@ -42,22 +41,17 @@ Cvu::setOf(Addr addr) const
     return static_cast<std::size_t>((addr >> 3) & (numSets_ - 1));
 }
 
-std::size_t
-Cvu::size() const
-{
-    std::size_t n = 0;
-    for (const auto &s : sets_)
-        n += s.size();
-    return n;
-}
-
 bool
-Cvu::lookup(Addr addr, std::uint32_t lvpt_index)
+Cvu::lookupSet(Addr addr, std::uint32_t lvpt_index)
 {
-    auto &set = sets_[setOf(addr)];
-    for (auto it = set.begin(); it != set.end(); ++it) {
-        if (it->addr == addr && it->lvptIndex == lvpt_index) {
-            set.splice(set.begin(), set, it);
+    const std::size_t s = setOf(addr);
+    Entry *set = slots(s);
+    for (std::uint32_t i = 0; i < fill_[s]; ++i) {
+        if (set[i].addr == addr && set[i].lvptIndex == lvpt_index) {
+            const Entry hit = set[i];
+            for (; i > 0; --i)
+                set[i] = set[i - 1];
+            set[0] = hit;
             return true;
         }
     }
@@ -69,104 +63,110 @@ Cvu::insert(Addr addr, std::uint32_t lvpt_index, unsigned size)
 {
     if (capacity_ == 0)
         return;
-    auto &set = sets_[setOf(addr)];
-    // Refresh an existing identical entry instead of duplicating it.
-    for (auto it = set.begin(); it != set.end(); ++it) {
-        if (it->addr == addr && it->lvptIndex == lvpt_index) {
-            it->size = size;
-            set.splice(set.begin(), set, it);
-            return;
+    const std::size_t s = setOf(addr);
+    Entry *set = slots(s);
+    std::uint32_t &n = fill_[s];
+    // Refresh an existing identical entry instead of duplicating it;
+    // otherwise shift the set down one slot, dropping the LRU entry of
+    // a full set.
+    std::uint32_t pos = 0;
+    while (pos < n &&
+           !(set[pos].addr == addr && set[pos].lvptIndex == lvpt_index))
+        ++pos;
+    if (pos == n) {
+        if (n < ways_) {
+            ++n;
+            ++size_;
+        } else {
+            pos = n - 1;
         }
     }
-    if (set.size() == ways_)
-        set.pop_back();
-    set.push_front({addr, lvpt_index, size});
+    for (; pos > 0; --pos)
+        set[pos] = set[pos - 1];
+    set[0] = {addr, lvpt_index, size};
+}
+
+template <typename Match>
+unsigned
+Cvu::purge(std::size_t s, Match match)
+{
+    Entry *set = slots(s);
+    std::uint32_t &n = fill_[s];
+    std::uint32_t kept = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        if (!match(set[i]))
+            set[kept++] = set[i];
+    }
+    const unsigned removed = n - kept;
+    n = kept;
+    size_ -= removed;
+    return removed;
 }
 
 unsigned
-Cvu::storeInvalidate(Addr store_addr, unsigned store_size)
+Cvu::purgeStore(Addr store_addr, unsigned store_size)
 {
-    if (capacity_ == 0)
-        return 0;
-    unsigned n = 0;
-    auto purge = [&](std::list<Entry> &set) {
-        for (auto it = set.begin(); it != set.end();) {
-            if (rangesOverlap(it->addr, it->size, store_addr,
-                              store_size)) {
-                it = set.erase(it);
-                ++n;
-            } else {
-                ++it;
-            }
-        }
+    auto overlaps = [&](const Entry &e) {
+        return rangesOverlap(e.addr, e.size, store_addr, store_size);
     };
-    if (numSets_ == 1) {
-        purge(sets_[0]);
-        return n;
-    }
+    if (numSets_ == 1)
+        return purge(0, overlaps);
     // An overlapping entry's base address lies in
     // [store_addr - 7, store_addr + store_size): probe exactly the
-    // granule-sets that range can touch.
+    // granule-sets that range can touch. Fewer granules than sets map
+    // to distinct sets, so none is probed twice.
     Addr lo = (store_addr >= 7 ? store_addr - 7 : 0) >> 3;
     Addr hi = (store_addr + store_size - 1) >> 3;
     std::size_t span = static_cast<std::size_t>(hi - lo) + 1;
+    unsigned n = 0;
     if (span >= numSets_) {
-        for (auto &set : sets_)
-            purge(set);
+        for (std::size_t s = 0; s < numSets_; ++s)
+            n += purge(s, overlaps);
         return n;
     }
-    std::vector<std::size_t> seen;
-    for (Addr g = lo; g <= hi; ++g) {
-        auto s = static_cast<std::size_t>(g & (numSets_ - 1));
-        if (std::find(seen.begin(), seen.end(), s) == seen.end()) {
-            seen.push_back(s);
-            purge(sets_[s]);
-        }
-    }
+    for (Addr g = lo; g <= hi; ++g)
+        n += purge(static_cast<std::size_t>(g & (numSets_ - 1)),
+                   overlaps);
+    return n;
+}
+
+unsigned
+Cvu::purgeIndex(std::uint32_t lvpt_index)
+{
+    unsigned n = 0;
+    for (std::size_t s = 0; s < numSets_; ++s)
+        n += purge(s, [&](const Entry &e) {
+            return e.lvptIndex == lvpt_index;
+        });
     return n;
 }
 
 bool
 Cvu::corruptEvict(std::uint64_t which)
 {
-    std::size_t total = size();
-    if (total == 0)
+    if (size_ == 0)
         return false;
-    std::size_t target = static_cast<std::size_t>(which % total);
-    for (auto &set : sets_) {
-        if (target < set.size()) {
-            auto it = set.begin();
-            std::advance(it, static_cast<std::ptrdiff_t>(target));
-            set.erase(it);
+    // Entries are numbered set by set, MRU first within a set.
+    std::size_t target = static_cast<std::size_t>(which % size_);
+    for (std::size_t s = 0; s < numSets_; ++s) {
+        if (target < fill_[s]) {
+            Entry *set = slots(s);
+            for (std::size_t i = target; i + 1 < fill_[s]; ++i)
+                set[i] = set[i + 1];
+            --fill_[s];
+            --size_;
             return true;
         }
-        target -= set.size();
+        target -= fill_[s];
     }
     return false; // unreachable
-}
-
-unsigned
-Cvu::displaceInvalidate(std::uint32_t lvpt_index)
-{
-    unsigned n = 0;
-    for (auto &set : sets_) {
-        for (auto it = set.begin(); it != set.end();) {
-            if (it->lvptIndex == lvpt_index) {
-                it = set.erase(it);
-                ++n;
-            } else {
-                ++it;
-            }
-        }
-    }
-    return n;
 }
 
 void
 Cvu::reset()
 {
-    for (auto &s : sets_)
-        s.clear();
+    fill_.assign(numSets_, 0);
+    size_ = 0;
 }
 
 } // namespace lvplib::core

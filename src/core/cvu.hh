@@ -21,7 +21,6 @@
 #define LVPLIB_CORE_CVU_HH
 
 #include <cstdint>
-#include <list>
 #include <vector>
 
 #include "util/types.hh"
@@ -44,7 +43,11 @@ class Cvu
      * present, meaning the LVPT value is guaranteed coherent. A hit
      * refreshes the entry's LRU position.
      */
-    bool lookup(Addr addr, std::uint32_t lvpt_index);
+    bool
+    lookup(Addr addr, std::uint32_t lvpt_index)
+    {
+        return size_ != 0 && lookupSet(addr, lvpt_index);
+    }
 
     /**
      * Install a verified constant. Called after a constant-classified
@@ -64,7 +67,12 @@ class Cvu
      *
      * @return Number of entries invalidated.
      */
-    unsigned storeInvalidate(Addr store_addr, unsigned store_size);
+    unsigned
+    storeInvalidate(Addr store_addr, unsigned store_size)
+    {
+        // Most stores find the unit empty: answer them inline.
+        return size_ == 0 ? 0 : purgeStore(store_addr, store_size);
+    }
 
     /**
      * LVPT-displacement invalidation: the LVPT entry at @p lvpt_index
@@ -73,7 +81,11 @@ class Cvu
      *
      * @return Number of entries invalidated.
      */
-    unsigned displaceInvalidate(std::uint32_t lvpt_index);
+    unsigned
+    displaceInvalidate(std::uint32_t lvpt_index)
+    {
+        return size_ == 0 ? 0 : purgeIndex(lvpt_index);
+    }
 
     /**
      * Fault injection (lvpchaos): evict entry number (@p which mod
@@ -88,7 +100,7 @@ class Cvu
 
     std::uint32_t capacity() const { return capacity_; }
     std::uint32_t ways() const { return ways_; }
-    std::size_t size() const;
+    std::size_t size() const { return size_; }
     bool enabled() const { return capacity_ != 0; }
 
     void reset();
@@ -104,12 +116,28 @@ class Cvu
     /** Set holding entries whose base address is @p addr. */
     std::size_t setOf(Addr addr) const;
 
+    /** First slot of set @p s. */
+    Entry *slots(std::size_t s) { return &slots_[s * ways_]; }
+
+    bool lookupSet(Addr addr, std::uint32_t lvpt_index);
+    unsigned purgeStore(Addr store_addr, unsigned store_size);
+    unsigned purgeIndex(std::uint32_t lvpt_index);
+
+    /** Remove every entry of set @p s that @p match selects, keeping
+     *  the rest in MRU order. @return the number removed. */
+    template <typename Match>
+    unsigned purge(std::size_t s, Match match);
+
     std::uint32_t capacity_;
     std::uint32_t ways_;     ///< entries per set (capacity_ when FA)
     std::uint32_t numSets_;  ///< 1 when fully associative
-    /** MRU-first lists; fully-associative search is a linear scan,
-     *  faithful to a CAM (capacities are small: 32-128). */
-    std::vector<std::list<Entry>> sets_;
+    std::uint32_t size_ = 0; ///< live entries over all sets
+    /** numSets_ x ways_ slots: set s holds its fill_[s] live entries
+     *  MRU first from slot s * ways_. A fully-associative search is a
+     *  linear scan, faithful to a CAM (capacities are small: 32-128);
+     *  nothing is allocated after construction. */
+    std::vector<Entry> slots_;
+    std::vector<std::uint32_t> fill_;
 };
 
 } // namespace lvplib::core

@@ -1,6 +1,5 @@
 #include "core/lct.hh"
 
-#include "isa/program.hh"
 #include "util/logging.hh"
 
 namespace lvplib::core
@@ -25,50 +24,11 @@ Lct::Lct(std::uint32_t entries, unsigned bits)
     table_.assign(entries, SatCounter(bits));
 }
 
-std::uint32_t
-Lct::index(Addr pc) const
-{
-    return static_cast<std::uint32_t>(pc / isa::layout::InstBytes) & mask_;
-}
-
-LoadClass
-Lct::classify(Addr pc) const
-{
-    const SatCounter &c = table_[index(pc)];
-    if (bits_ == 1)
-        return c.value() == 0 ? LoadClass::DontPredict
-                              : LoadClass::Constant;
-    // For n >= 2 bits: the top state is "constant", the state below it
-    // is "predict", everything else is "don't predict" (generalizes
-    // the paper's 2-bit assignment 0,1,2,3 = dp,dp,p,c).
-    if (c.value() == c.maxValue())
-        return LoadClass::Constant;
-    if (c.value() == c.maxValue() - 1)
-        return LoadClass::Predict;
-    return LoadClass::DontPredict;
-}
-
-void
-Lct::update(Addr pc, bool prediction_correct)
-{
-    SatCounter &c = table_[index(pc)];
-    if (prediction_correct)
-        c.increment();
-    else
-        c.decrement();
-}
-
 void
 Lct::corruptCounter(std::uint32_t idx)
 {
     SatCounter &c = table_[idx & mask_];
     c.set(static_cast<std::uint8_t>(c.value() ^ 1));
-}
-
-std::uint8_t
-Lct::counter(Addr pc) const
-{
-    return table_[index(pc)].value();
 }
 
 void

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "isa/program.hh"
 #include "util/sat_counter.hh"
 #include "util/types.hh"
 
@@ -46,19 +47,48 @@ class Lct
     Lct(std::uint32_t entries, unsigned bits);
 
     /** Table index for a load at @p pc. */
-    std::uint32_t index(Addr pc) const;
+    std::uint32_t
+    index(Addr pc) const
+    {
+        return static_cast<std::uint32_t>(pc / isa::layout::InstBytes) &
+               mask_;
+    }
 
     /** Classify the load at @p pc from its counter state. */
-    LoadClass classify(Addr pc) const;
+    LoadClass
+    classify(Addr pc) const
+    {
+        const SatCounter &c = table_[index(pc)];
+        if (bits_ == 1)
+            return c.value() == 0 ? LoadClass::DontPredict
+                                  : LoadClass::Constant;
+        // For n >= 2 bits: the top state is "constant", the state
+        // below it is "predict", everything else is "don't predict"
+        // (generalizes the paper's 2-bit assignment 0,1,2,3 =
+        // dp,dp,p,c).
+        if (c.value() == c.maxValue())
+            return LoadClass::Constant;
+        if (c.value() == c.maxValue() - 1)
+            return LoadClass::Predict;
+        return LoadClass::DontPredict;
+    }
 
     /**
      * Train the counter: increment when the LVPT prediction was
      * correct for this dynamic load, decrement otherwise.
      */
-    void update(Addr pc, bool prediction_correct);
+    void
+    update(Addr pc, bool prediction_correct)
+    {
+        SatCounter &c = table_[index(pc)];
+        if (prediction_correct)
+            c.increment();
+        else
+            c.decrement();
+    }
 
     /** Raw counter value, for tests and diagnostics. */
-    std::uint8_t counter(Addr pc) const;
+    std::uint8_t counter(Addr pc) const { return table_[index(pc)].value(); }
 
     std::uint32_t entries() const { return mask_ + 1; }
     unsigned bits() const { return bits_; }

@@ -21,12 +21,11 @@ LocalityCounts::pctDepthN() const
 
 ValueLocalityProfiler::ValueLocalityProfiler(std::uint32_t entries,
                                              std::uint32_t deep_depth)
-    : mask_(entries - 1), deepDepth_(deep_depth)
+    : mask_(entries - 1), deepDepth_(deep_depth),
+      table_(entries, deep_depth)
 {
     lvp_assert(entries != 0 && (entries & (entries - 1)) == 0,
                "entries=%u", entries);
-    lvp_assert(deep_depth >= 1);
-    table_.assign(entries, LruStack<Word>(deep_depth));
 }
 
 void
@@ -38,34 +37,27 @@ ValueLocalityProfiler::consume(const trace::TraceRecord &rec)
 
     auto idx = static_cast<std::uint32_t>(
                    rec.pc / isa::layout::InstBytes) & mask_;
-    auto &hist = table_[idx];
-
-    bool hit1 = !hist.empty() && hist.mru() == rec.value;
-    bool hitN = hist.contains(rec.value);
-    hist.touch(rec.value);
+    // One scan: position 0 is a depth-1 hit, any position a depth-N
+    // hit.
+    std::uint32_t pos = table_.find(idx, rec.value);
+    bool hit1 = pos == 0;
+    bool hitN = pos != deepDepth_;
+    table_.promote(idx, pos, rec.value);
 
     auto bump = [&](LocalityCounts &c) {
         ++c.loads;
         c.hitsDepth1 += hit1 ? 1 : 0;
         c.hitsDepthN += hitN ? 1 : 0;
     };
-    bump(total_);
-    bump(byClass_[static_cast<std::size_t>(inst.dataClass)]);
-}
-
-const LocalityCounts &
-ValueLocalityProfiler::byClass(isa::DataClass c) const
-{
-    return byClass_[static_cast<std::size_t>(c)];
+    bump(counts_.total);
+    bump(counts_.classes[static_cast<std::size_t>(inst.dataClass)]);
 }
 
 void
 ValueLocalityProfiler::reset()
 {
-    for (auto &h : table_)
-        h.clear();
-    total_ = LocalityCounts();
-    byClass_.fill(LocalityCounts());
+    table_.clear();
+    counts_ = LoadLocality();
 }
 
 } // namespace lvplib::core

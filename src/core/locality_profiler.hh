@@ -16,11 +16,10 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "trace/trace.hh"
-#include "util/lru_stack.hh"
 #include "util/types.hh"
+#include "util/value_history.hh"
 
 namespace lvplib::core
 {
@@ -34,6 +33,24 @@ struct LocalityCounts
 
     double pctDepth1() const;
     double pctDepthN() const;
+};
+
+/**
+ * What a ValueLocalityProfiler measured. Callers that keep results
+ * (the run cache keeps one per program) keep this, not the profiler
+ * and its value histories.
+ */
+struct LoadLocality
+{
+    LocalityCounts total;                  ///< all loads (Figure 1)
+    std::array<LocalityCounts, 4> classes; ///< by isa::DataClass
+
+    /** Per data class (Figure 2). */
+    const LocalityCounts &
+    byClass(isa::DataClass c) const
+    {
+        return classes[static_cast<std::size_t>(c)];
+    }
 };
 
 /**
@@ -64,10 +81,17 @@ class ValueLocalityProfiler : public trace::TraceSink
     }
 
     /** All loads (Figure 1). */
-    const LocalityCounts &total() const { return total_; }
+    const LocalityCounts &total() const { return counts_.total; }
 
     /** Per data class (Figure 2). */
-    const LocalityCounts &byClass(isa::DataClass c) const;
+    const LocalityCounts &
+    byClass(isa::DataClass c) const
+    {
+        return counts_.byClass(c);
+    }
+
+    /** Everything measured so far. */
+    const LoadLocality &counts() const { return counts_; }
 
     std::uint32_t deepDepth() const { return deepDepth_; }
 
@@ -76,9 +100,8 @@ class ValueLocalityProfiler : public trace::TraceSink
   private:
     std::uint32_t mask_;
     std::uint32_t deepDepth_;
-    std::vector<LruStack<Word>> table_;
-    LocalityCounts total_;
-    std::array<LocalityCounts, 4> byClass_;
+    ValueHistoryTable table_;
+    LoadLocality counts_;
 };
 
 } // namespace lvplib::core

@@ -93,18 +93,16 @@ LvpUnit::onLoad(Addr pc, Addr addr, Word value, unsigned size)
     // the pc, optionally hashed with global branch history (paper
     // Section 7's "branch history bits in the lookup index"). The
     // LCT stays pc-indexed: classification is per static load.
+    //
+    // Would this prediction have been correct? One scan of the entry
+    // answers it and locates the value for training below. For
+    // history depth > 1 the paper assumes a perfect selection
+    // mechanism among the entry's values; at depth 1 the value is
+    // present exactly when it is the MRU prediction.
     const Addr key = lookupKey(pc);
-    const std::uint32_t idx = lvpt_.index(key);
-    const LvptLookup pred = lvpt_.lookup(key);
-
-    // Would this prediction have been correct? For history depth > 1
-    // the paper assumes a perfect selection mechanism among the
-    // entry's values.
-    bool would_be_correct;
-    if (config_.historyDepth > 1)
-        would_be_correct = lvpt_.historyContains(key, value);
-    else
-        would_be_correct = pred.valid && pred.value == value;
+    const LvptProbe probe = lvpt_.probe(key, value);
+    const std::uint32_t idx = probe.idx;
+    const bool would_be_correct = lvpt_.hit(probe);
 
     const LoadClass cls = lct_.classify(pc);
 
@@ -151,7 +149,7 @@ LvpUnit::onLoad(Addr pc, Addr addr, Word value, unsigned size)
     // Train the LCT on the outcome the LVPT would have produced, and
     // record the actual value in the LVPT.
     lct_.update(pc, would_be_correct);
-    bool displaced = lvpt_.update(key, value);
+    bool displaced = lvpt_.update(probe, key, value);
     if (displaced && cvu_.enabled()) {
         // The entry's prediction changed: constants verified against
         // the old value are stale.

@@ -1,84 +1,34 @@
 #include "core/lvpt.hh"
 
-#include "isa/program.hh"
 #include "util/logging.hh"
 
 namespace lvplib::core
 {
 
 Lvpt::Lvpt(std::uint32_t entries, std::uint32_t depth, bool tagged)
-    : mask_(entries - 1), depth_(depth), tagged_(tagged)
+    : mask_(entries - 1), depth_(depth), tagged_(tagged),
+      table_(entries, depth)
 {
     lvp_assert(entries != 0 && (entries & (entries - 1)) == 0,
                "entries=%u", entries);
-    lvp_assert(depth >= 1, "depth=%u", depth);
-    table_.assign(entries, LruStack<Word>(depth));
     if (tagged_)
         tags_.assign(entries, ~Addr(0));
-}
-
-std::uint32_t
-Lvpt::index(Addr pc) const
-{
-    // Instruction addresses are word-aligned; drop the alignment bits
-    // before masking so consecutive loads use consecutive entries.
-    return static_cast<std::uint32_t>(pc / isa::layout::InstBytes) & mask_;
-}
-
-bool
-Lvpt::tagMatches(Addr pc) const
-{
-    return !tagged_ || tags_[index(pc)] == pc;
-}
-
-LvptLookup
-Lvpt::lookup(Addr pc) const
-{
-    if (!tagMatches(pc))
-        return {};
-    const auto &entry = table_[index(pc)];
-    if (entry.empty())
-        return {};
-    return {true, entry.mru()};
-}
-
-bool
-Lvpt::historyContains(Addr pc, Word value) const
-{
-    if (!tagMatches(pc))
-        return false;
-    return table_[index(pc)].contains(value);
-}
-
-bool
-Lvpt::update(Addr pc, Word value)
-{
-    auto &entry = table_[index(pc)];
-    if (!tagMatches(pc)) {
-        // A different static load owns the entry: evict it.
-        entry.clear();
-        tags_[index(pc)] = pc;
-    }
-    bool mru_changed = entry.empty() || entry.mru() != value;
-    entry.touch(value);
-    return mru_changed;
 }
 
 bool
 Lvpt::corruptMruValue(std::uint32_t idx, Word xorMask)
 {
-    auto &entry = table_[idx & mask_];
-    if (entry.empty())
+    idx &= mask_;
+    if (table_.empty(idx))
         return false;
-    entry.mru() ^= xorMask;
+    table_.mru(idx) ^= xorMask;
     return true;
 }
 
 void
 Lvpt::reset()
 {
-    for (auto &e : table_)
-        e.clear();
+    table_.clear();
     if (tagged_)
         tags_.assign(tags_.size(), ~Addr(0));
 }

@@ -16,17 +16,23 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/lru_stack.hh"
+#include "isa/program.hh"
 #include "util/types.hh"
+#include "util/value_history.hh"
 
 namespace lvplib::core
 {
 
-/** Result of an LVPT lookup. */
-struct LvptLookup
+/**
+ * Where a load's actual value sits in the history of its LVPT entry:
+ * what one scan of the entry learns, enough both to judge the
+ * prediction and to train the entry afterwards without scanning again.
+ */
+struct LvptProbe
 {
-    bool valid = false; ///< entry has at least one recorded value
-    Word value = 0;     ///< most-recently-used value (the prediction)
+    std::uint32_t idx = 0; ///< table index
+    std::uint32_t pos = 0; ///< value's position, MRU first; depth if absent
+    bool tagHit = true;    ///< false: another static load owns the entry
 };
 
 class Lvpt
@@ -43,26 +49,56 @@ class Lvpt
          bool tagged = false);
 
     /** Table index for a load at @p pc. */
-    std::uint32_t index(Addr pc) const;
-
-    /** Predict the value for the load at @p pc (MRU value). */
-    LvptLookup lookup(Addr pc) const;
+    std::uint32_t
+    index(Addr pc) const
+    {
+        // Instruction addresses are word-aligned; drop the alignment
+        // bits before masking so consecutive loads use consecutive
+        // entries.
+        return static_cast<std::uint32_t>(pc / isa::layout::InstBytes) &
+               mask_;
+    }
 
     /**
-     * True when @p value appears anywhere in the history of the entry
-     * for @p pc — the paper's hypothetical perfect selection mechanism
-     * for history depths greater than one.
+     * Find @p value in the history of the entry for @p pc. A tag miss
+     * (tagged mode only) finds nothing.
      */
-    bool historyContains(Addr pc, Word value) const;
+    LvptProbe
+    probe(Addr pc, Word value) const
+    {
+        const std::uint32_t idx = index(pc);
+        if (!tagMatches(idx, pc))
+            return {idx, depth_, false};
+        return {idx, table_.find(idx, value), true};
+    }
 
     /**
-     * Record the actual loaded @p value for the load at @p pc.
+     * True when the probed value is in the entry's history — for
+     * history depths greater than one, the paper's hypothetical
+     * perfect selection mechanism; at depth one, a correct MRU
+     * prediction.
+     */
+    bool hit(const LvptProbe &p) const { return p.pos != depth_; }
+
+    /**
+     * Record the actual loaded @p value for the load at @p pc, which
+     * probe(pc, value) located at @p p (no table change in between).
      *
      * @return true when the update changed the entry's MRU value
      * (the signal the CVU uses to invalidate constants whose LVPT
      * value was displaced by an aliasing load).
      */
-    bool update(Addr pc, Word value);
+    bool
+    update(const LvptProbe &p, Addr pc, Word value)
+    {
+        if (!p.tagHit) {
+            // A different static load owns the entry: evict it.
+            table_.clear(p.idx);
+            tags_[p.idx] = pc;
+        }
+        table_.promote(p.idx, p.pos, value);
+        return p.pos != 0;
+    }
 
     std::uint32_t entries() const { return mask_ + 1; }
     std::uint32_t depth() const { return depth_; }
@@ -82,14 +118,17 @@ class Lvpt
     void reset();
 
   private:
-    /** Tag check/replace; returns false on a tag miss (tagged mode
-     *  only). */
-    bool tagMatches(Addr pc) const;
+    /** Tag check for entry @p idx; always true untagged. */
+    bool
+    tagMatches(std::uint32_t idx, Addr pc) const
+    {
+        return !tagged_ || tags_[idx] == pc;
+    }
 
     std::uint32_t mask_;
     std::uint32_t depth_;
     bool tagged_;
-    std::vector<LruStack<Word>> table_;
+    ValueHistoryTable table_;
     std::vector<Addr> tags_;
 };
 

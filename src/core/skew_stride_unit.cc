@@ -50,12 +50,16 @@ SkewStrideConfig::validate() const
                   replaceThreshold);
 }
 
+// The (validate(), config) comma idiom runs the config's own fatal
+// checks before the member-initializer list does any table math: a
+// bad tagBits would otherwise shift out of range, and log2of() never
+// returns for an entriesPerWay above 2^31.
 SkewStrideUnit::SkewStrideUnit(const SkewStrideConfig &config)
-    : config_(config), mask_(config.entriesPerWay - 1),
+    : config_((config.validate(), config)),
+      mask_(config.entriesPerWay - 1),
       tagMask_(static_cast<std::uint16_t>((1u << config.tagBits) - 1)),
       logEntries_(log2of(config.entriesPerWay))
 {
-    config_.validate();
     Entry blank;
     blank.conf = SatCounter(config_.confBits);
     ways_.assign(config_.ways, {});

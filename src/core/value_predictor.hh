@@ -19,7 +19,10 @@
 #ifndef LVPLIB_CORE_VALUE_PREDICTOR_HH
 #define LVPLIB_CORE_VALUE_PREDICTOR_HH
 
+#include <algorithm>
 #include <any>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -92,6 +95,18 @@ class ValuePredictor
 };
 
 /**
+ * Records an Annotator copies, stamps and forwards at a time. A decoded
+ * trace block is 8 Ki records (576 KiB); copying a whole block per
+ * chain before forwarding it made every predictor in a sweep stream
+ * that much through L2. A 256-record chunk (18 KiB) is stamped and
+ * consumed downstream while it is still in L1, and it is large enough
+ * that the per-chunk virtual call into the downstream sink stays
+ * negligible. Measured on both perfbench `predict` and `timing`
+ * (docs/PERFORMANCE.md).
+ */
+constexpr std::size_t AnnotateChunkRecords = 256;
+
+/**
  * Trace-pipeline stage driving one predictor unit: stamps each load's
  * PredState into the record and forwards everything downstream.
  * Loads reach onLoad(), stores onStore() (CVU coherence), branches
@@ -99,7 +114,8 @@ class ValuePredictor
  * so the per-record loop calls it directly, never through the
  * ValuePredictor vtable: each unit's header declares its instance
  * extern and its .cc instantiates it, so the unit's hot methods
- * inline into the loop. LvpAnnotator is Annotator<LvpUnit>.
+ * inline into the loop. A batch goes downstream in chunks of at most
+ * AnnotateChunkRecords records. LvpAnnotator is Annotator<LvpUnit>.
  */
 template <typename Unit>
 class Annotator : public trace::TraceSink
@@ -122,7 +138,8 @@ class Annotator : public trace::TraceSink
 
     Unit unit_;
     trace::TraceSink &downstream_;
-    std::vector<trace::TraceRecord> batch_; ///< annotated copies
+    /** Annotated copies of the chunk in flight. */
+    std::array<trace::TraceRecord, AnnotateChunkRecords> chunk_;
 };
 
 template <typename Unit>
@@ -153,11 +170,15 @@ template <typename Unit>
 void
 Annotator<Unit>::consumeBatch(std::span<const trace::TraceRecord> recs)
 {
-    batch_.assign(recs.begin(), recs.end());
-    for (trace::TraceRecord &out : batch_)
-        annotate(out);
-    downstream_.consumeBatch(std::span<const trace::TraceRecord>(
-        batch_.data(), batch_.size()));
+    while (!recs.empty()) {
+        const std::size_t n = std::min(recs.size(), chunk_.size());
+        std::copy_n(recs.begin(), n, chunk_.begin());
+        for (std::size_t i = 0; i < n; ++i)
+            annotate(chunk_[i]);
+        downstream_.consumeBatch(
+            std::span<const trace::TraceRecord>(chunk_.data(), n));
+        recs = recs.subspan(n);
+    }
 }
 
 /**

@@ -8,11 +8,11 @@ namespace lvplib::core
 
 AllValueLocalityProfiler::AllValueLocalityProfiler(
     std::uint32_t entries, std::uint32_t deep_depth)
-    : mask_(entries - 1), deepDepth_(deep_depth)
+    : mask_(entries - 1), deepDepth_(deep_depth),
+      table_(entries, deep_depth)
 {
     lvp_assert(entries != 0 && (entries & (entries - 1)) == 0,
                "entries=%u", entries);
-    table_.assign(entries, LruStack<Word>(deep_depth));
 }
 
 void
@@ -25,33 +25,25 @@ AllValueLocalityProfiler::consume(const trace::TraceRecord &rec)
 
     auto idx = static_cast<std::uint32_t>(
                    rec.pc / isa::layout::InstBytes) & mask_;
-    auto &hist = table_[idx];
-    bool hit1 = !hist.empty() && hist.mru() == rec.destValue;
-    bool hitN = hist.contains(rec.destValue);
-    hist.touch(rec.destValue);
+    std::uint32_t pos = table_.find(idx, rec.destValue);
+    bool hit1 = pos == 0;
+    bool hitN = pos != deepDepth_;
+    table_.promote(idx, pos, rec.destValue);
 
     auto bump = [&](LocalityCounts &c) {
         ++c.loads;
         c.hitsDepth1 += hit1 ? 1 : 0;
         c.hitsDepthN += hitN ? 1 : 0;
     };
-    bump(total_);
-    bump(byFu_[static_cast<std::size_t>(inst.fu())]);
-}
-
-const LocalityCounts &
-AllValueLocalityProfiler::byFu(isa::FuType t) const
-{
-    return byFu_[static_cast<std::size_t>(t)];
+    bump(counts_.total);
+    bump(counts_.fus[static_cast<std::size_t>(inst.fu())]);
 }
 
 void
 AllValueLocalityProfiler::reset()
 {
-    for (auto &h : table_)
-        h.clear();
-    total_ = LocalityCounts();
-    byFu_.fill(LocalityCounts());
+    table_.clear();
+    counts_ = ValueLocality();
 }
 
 } // namespace lvplib::core

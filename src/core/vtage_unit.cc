@@ -52,12 +52,15 @@ VtageConfig::historyBits(unsigned b) const
     return bits > 64 ? 64 : bits;
 }
 
+// The (validate(), config) comma idiom runs the config's own fatal
+// checks before the member-initializer list does any table math: a
+// bad tagBits would otherwise shift out of range first.
 VtageUnit::VtageUnit(const VtageConfig &config)
-    : config_(config), baseMask_(config.baseEntries - 1),
+    : config_((config.validate(), config)),
+      baseMask_(config.baseEntries - 1),
       bankMask_(config.bankEntries - 1),
       tagMask_(static_cast<std::uint16_t>((1u << config.tagBits) - 1))
 {
-    config_.validate();
     auto blank = [&] {
         Entry e;
         e.conf = SatCounter(config_.confBits);

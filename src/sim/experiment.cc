@@ -149,12 +149,12 @@ fig1ValueLocality(const ExperimentOptions &opts)
     std::vector<double> a1, a16, p1, p16;
     const auto &suite = allWorkloads();
     for (std::size_t i = 0; i < suite.size(); ++i) {
-        const auto &ppc = *profiles[2 * i];
-        const auto &alpha = *profiles[2 * i + 1];
-        a1.push_back(alpha.total().pctDepth1());
-        a16.push_back(alpha.total().pctDepthN());
-        p1.push_back(ppc.total().pctDepth1());
-        p16.push_back(ppc.total().pctDepthN());
+        const auto &ppc = profiles[2 * i];
+        const auto &alpha = profiles[2 * i + 1];
+        a1.push_back(alpha.total.pctDepth1());
+        a16.push_back(alpha.total.pctDepthN());
+        p1.push_back(ppc.total.pctDepth1());
+        p16.push_back(ppc.total.pctDepthN());
         t.row({suite[i].name, pc1(a1.back()), pc1(a16.back()),
                pc1(p1.back()), pc1(p16.back())});
         pub({"fig1", suite[i].name, "alpha_d1"}, a1.back());
@@ -190,7 +190,7 @@ fig2LocalityByType(const ExperimentOptions &opts)
         });
     const auto &suite = allWorkloads();
     for (std::size_t i = 0; i < suite.size(); ++i) {
-        const auto &prof = *profiles[i];
+        const auto &prof = profiles[i];
         const auto &fp = prof.byClass(DataClass::FpData);
         const auto &in = prof.byClass(DataClass::IntData);
         const auto &ia = prof.byClass(DataClass::InstAddr);

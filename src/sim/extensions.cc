@@ -375,21 +375,23 @@ ablationAllValues(const ExperimentOptions &opts)
         return TextTable::fmtPct(deep ? c.pctDepthN() : c.pctDepth1());
     };
     // All-value profiling is this experiment's private phase (the
-    // trace cache only records load values), so it interprets.
+    // trace cache only records load values), so it interprets. Only
+    // the counts outlive each run.
     auto profs = experimentPool().map(
         allWorkloads(), [&](const Workload &w) {
             return profileAllValues(
-                *cache().program(w, CodeGen::Ppc, opts.scale),
-                runCfg(opts));
+                       *cache().program(w, CodeGen::Ppc, opts.scale),
+                       runCfg(opts))
+                .counts();
         });
     std::vector<double> all1, all16;
     const auto &suite = allWorkloads();
     for (std::size_t i = 0; i < suite.size(); ++i) {
         const auto &prof = profs[i];
-        all1.push_back(prof.total().pctDepth1());
-        all16.push_back(prof.total().pctDepthN());
-        t.row({suite[i].name, cell(prof.total(), false),
-               cell(prof.total(), true),
+        all1.push_back(prof.total.pctDepth1());
+        all16.push_back(prof.total.pctDepthN());
+        t.row({suite[i].name, cell(prof.total, false),
+               cell(prof.total, true),
                cell(prof.byFu(isa::FuType::SCFX), false),
                cell(prof.byFu(isa::FuType::SCFX), true),
                cell(prof.byFu(isa::FuType::MCFX), false),

@@ -217,9 +217,7 @@ struct RunCache::Impl
              std::shared_future<std::shared_ptr<const isa::Program>>>
         programs;
     std::map<std::string, std::shared_future<FuncResult>> funcs;
-    std::map<std::string,
-             std::shared_future<
-                 std::shared_ptr<const core::ValueLocalityProfiler>>>
+    std::map<std::string, std::shared_future<core::LoadLocality>>
         localities;
     /** Predictor-only runs, keyed on core::fingerprint(spec). */
     std::map<std::string, std::shared_future<core::LvpStats>> preds;
@@ -687,12 +685,13 @@ RunCache::functional(const Workload &w, CodeGen cg, unsigned scale,
         });
 }
 
-std::shared_ptr<const core::ValueLocalityProfiler>
+core::LoadLocality
 RunCache::locality(const Workload &w, CodeGen cg, unsigned scale,
                    const RunConfig &rc)
 {
-    return impl_->getOrCompute<
-        std::shared_ptr<const core::ValueLocalityProfiler>>(
+    // The cache keeps the counts; each profiler and its value
+    // histories live only for its own run.
+    return impl_->getOrCompute<core::LoadLocality>(
         impl_->localities, runKey(w, cg, scale, rc), [&] {
             auto prog = program(w, cg, scale);
             std::string tr =
@@ -700,23 +699,18 @@ RunCache::locality(const Workload &w, CodeGen cg, unsigned scale,
             obs::Timeline::Scope span("locality:" + w.name, "sim");
             if (!tr.empty()) {
                 try {
-                    auto prof = std::make_shared<
-                        core::ValueLocalityProfiler>();
+                    core::ValueLocalityProfiler prof;
                     trace::TraceFileReader reader(tr, *prog);
-                    addInstructionsProcessed(reader.replay(*prof));
+                    addInstructionsProcessed(reader.replay(prof));
                     impl_->traceReplays.fetch_add(
                         1, std::memory_order_relaxed);
                     impl_->obsTraceReplays.add();
-                    return std::shared_ptr<
-                        const core::ValueLocalityProfiler>(prof);
+                    return prof.counts();
                 } catch (const SimError &e) {
                     impl_->onReplayError(tr, e);
                 }
             }
-            return std::shared_ptr<
-                const core::ValueLocalityProfiler>(
-                std::make_shared<core::ValueLocalityProfiler>(
-                    profileLocality(*prog, rc)));
+            return profileLocality(*prog, rc).counts();
         });
 }
 

@@ -93,8 +93,8 @@ class RunCache
                           workloads::CodeGen cg, unsigned scale,
                           const RunConfig &rc);
 
-    /** Cached profileLocality(). */
-    std::shared_ptr<const core::ValueLocalityProfiler>
+    /** Cached profileLocality() counts. */
+    core::LoadLocality
     locality(const workloads::Workload &w, workloads::CodeGen cg,
              unsigned scale, const RunConfig &rc);
 

@@ -15,6 +15,20 @@ fnv1a(const void *data, std::size_t n, std::uint64_t seed)
     return h;
 }
 
+std::pair<std::uint64_t, std::uint64_t>
+fnv1aPair(const void *data, std::size_t n, std::uint64_t seedA,
+          std::uint64_t seedB)
+{
+    const auto *p = static_cast<const std::uint8_t *>(data);
+    std::uint64_t a = seedA;
+    std::uint64_t b = seedB;
+    for (std::size_t i = 0; i < n; ++i) {
+        a = (a ^ p[i]) * FnvPrime;
+        b = (b ^ p[i]) * FnvPrime;
+    }
+    return {a, b};
+}
+
 void
 putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
 {

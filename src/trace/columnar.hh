@@ -22,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace lvplib::trace
@@ -34,6 +35,16 @@ constexpr std::uint64_t FnvPrime = 0x00000100000001b3ull;
 
 std::uint64_t fnv1a(const void *data, std::size_t n,
                     std::uint64_t seed = FnvOffset);
+
+/**
+ * Two FNV-1a chains over the same bytes in one pass: returns
+ * {fnv1a(data, n, seedA), fnv1a(data, n, seedB)}. Each chain is a
+ * serial multiply per byte; interleaving two independent ones lets
+ * the CPU overlap them, so the pair costs about what one chain does.
+ */
+std::pair<std::uint64_t, std::uint64_t>
+fnv1aPair(const void *data, std::size_t n, std::uint64_t seedA,
+          std::uint64_t seedB);
 /** @} */
 
 /** Longest legal LEB128 encoding of a u64 (10 * 7 bits >= 64). */

@@ -256,6 +256,22 @@ parseBlockHeader(const std::uint8_t *data, std::uint64_t len,
     return true;
 }
 
+/**
+ * Both checksums a block's @p len on-disk bytes feed, in one pass:
+ * {its payload checksum (to compare with the header's), the running
+ * whole-file checksum @p running advanced over the header and the
+ * payload}. The writer computes them in two passes because the
+ * header it hashes embeds the payload checksum.
+ */
+std::pair<std::uint64_t, std::uint64_t>
+blockChecksums(const std::uint8_t *data, std::size_t len,
+               std::uint64_t running)
+{
+    return fnv1aPair(data + TraceBlockHeaderBytes,
+                     len - TraceBlockHeaderBytes, FnvOffset,
+                     fnv1a(data, TraceBlockHeaderBytes, running));
+}
+
 } // namespace
 
 std::uint64_t
@@ -374,14 +390,15 @@ verifyTraceFile(const std::string &path,
             rep.detail = "block " + std::to_string(b) + ": " + d;
             return rep;
         }
-        if (fnv1a(buf.data() + TraceBlockHeaderBytes,
-                  buf.size() - TraceBlockHeaderBytes) != bh.checksum) {
+        const auto [payloadSum, running] =
+            blockChecksums(buf.data(), buf.size(), checksum);
+        if (payloadSum != bh.checksum) {
             rep.status = TraceFileStatus::ChecksumMismatch;
             rep.detail = "block " + std::to_string(b) +
                          " payload does not match its checksum";
             return rep;
         }
-        checksum = fnv1a(buf.data(), buf.size(), checksum);
+        checksum = running;
     }
     if (checksum != env.checksum) {
         rep.status = TraceFileStatus::ChecksumMismatch;
@@ -728,12 +745,12 @@ TraceFileReader::decodeBlock(std::uint64_t b, std::uint8_t *data,
         corrupt(std::string(traceFileStatusName(
                     TraceFileStatus::BadBlock)) +
                 " at block " + std::to_string(b) + ": " + d);
-    if (fnv1a(data + TraceBlockHeaderBytes, payloadLen) !=
-        bh.checksum)
+    const auto [payloadSum, running] = blockChecksums(data, len, checksum_);
+    if (payloadSum != bh.checksum)
         corrupt(std::string(traceFileStatusName(
                     TraceFileStatus::ChecksumMismatch)) +
                 " at block " + std::to_string(b));
-    checksum_ = fnv1a(data, len, checksum_);
+    checksum_ = running;
 
     decoded_.resize(static_cast<std::size_t>(expectN));
     auto *base = reinterpret_cast<std::uint8_t *>(decoded_.data());

@@ -3,13 +3,14 @@
  * Byte-identity tests for the batched replay data path: a sink fed
  * through consumeBatch() must observe exactly the record stream the
  * record-at-a-time path delivers — across batch boundaries, through
- * TeeSink/MultiSink fan-out, under chaos read-flips, and from
- * concurrent fan-out sweeps (the TSan target for the shared-pass
- * run-cache machinery).
+ * TeeSink/MultiSink fan-out, under chaos read-flips, through every
+ * predictor's chunked annotator, and from concurrent fan-out sweeps
+ * (the TSan target for the shared-pass run-cache machinery).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <limits>
@@ -19,6 +20,8 @@
 
 #include "chaos/chaos.hh"
 #include "core/config.hh"
+#include "core/lvp_unit.hh"
+#include "core/value_predictor.hh"
 #include "sim/run_cache.hh"
 #include "trace/trace.hh"
 #include "trace/trace_file.hh"
@@ -277,6 +280,80 @@ TEST(BatchReplay, ChaosReadFlipIdenticalUnderBatching)
     EXPECT_EQ(serialError, batchedError);
     EXPECT_EQ(serialGot, batchedGot);
     expectSameStream(serial.recs, batched.recs);
+}
+
+/** Captures every record and the longest span it was handed. */
+class SpanLimitSink : public TraceSink
+{
+  public:
+    void
+    consume(const TraceRecord &rec) override
+    {
+        recs.push_back(rec);
+        longest = std::max<std::size_t>(longest, 1);
+    }
+    void
+    consumeBatch(std::span<const TraceRecord> batch) override
+    {
+        recs.insert(recs.end(), batch.begin(), batch.end());
+        longest = std::max(longest, batch.size());
+    }
+    std::vector<TraceRecord> recs;
+    std::size_t longest = 0;
+};
+
+TEST(BatchReplay, ChunkedAnnotationMatchesRecordAtATime)
+{
+    // An annotator stamps and forwards a batch in chunks of at most
+    // AnnotateChunkRecords. Fed whole 8 Ki-record blocks, every
+    // predictor must stamp exactly the preds and reach exactly the
+    // stats of record-at-a-time consume(), and nothing downstream may
+    // see a span longer than a chunk. Counts straddle one chunk and
+    // one block.
+    const std::size_t chunk = core::AnnotateChunkRecords;
+    const std::size_t block = trace::TraceBlockRecords;
+    std::vector<core::PredictorSpec> specs;
+    for (const auto &info : core::predictorRegistry())
+        specs.push_back(info.spec);
+    for (const auto &cfg : core::LvpConfig::paperConfigs())
+        specs.push_back(cfg);
+
+    auto prog = demoProgram();
+    for (std::size_t want : {chunk - 1, chunk, chunk + 1, block + 1}) {
+        TempPath tmp("lvplib_batch_chunks.trace");
+        ASSERT_EQ(writeTrace(tmp.path, prog, want), want)
+            << "demo program too short for this test";
+        std::vector<TraceRecord> recs;
+        {
+            TraceFileReader reader(tmp.path, prog);
+            TraceRecord rec;
+            while (reader.next(rec))
+                recs.push_back(rec);
+        }
+        const std::span<const TraceRecord> all(recs);
+
+        for (const core::PredictorSpec &spec : specs) {
+            SCOPED_TRACE(core::fingerprint(spec) + " over " +
+                         std::to_string(want) + " records");
+            CaptureSink serialDown;
+            core::PredictorAnnotator serial(spec, serialDown);
+            for (const TraceRecord &rec : recs)
+                serial.consume(rec);
+            serial.finish();
+
+            SpanLimitSink chunkedDown;
+            core::PredictorAnnotator chunked(spec, chunkedDown);
+            for (std::size_t off = 0; off < all.size(); off += block)
+                chunked.consumeBatch(
+                    all.subspan(off, std::min(block, all.size() - off)));
+            chunked.finish();
+
+            expectSameStream(serialDown.recs, chunkedDown.recs);
+            EXPECT_EQ(serial.unit().stats(), chunked.unit().stats());
+            EXPECT_LE(chunkedDown.longest, chunk);
+            EXPECT_EQ(chunkedDown.longest, std::min(want, chunk));
+        }
+    }
 }
 
 TEST(BatchReplay, ParallelFanOutSweepsAreRaceFree)

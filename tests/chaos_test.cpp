@@ -167,12 +167,11 @@ TEST(PredictorCorruption, LvptFlipSurvivesOnlyInNonEmptyEntries)
         << "an empty entry has no value to flip";
 
     Addr pc = 0x40;
-    t.update(pc, 0xAA);
+    t.update(t.probe(pc, 0xAA), pc, 0xAA);
     std::uint32_t idx = t.index(pc);
     ASSERT_TRUE(t.corruptMruValue(idx, 0x1));
-    auto look = t.lookup(pc);
-    ASSERT_TRUE(look.valid);
-    EXPECT_EQ(look.value, 0xABu) << "exactly the masked bit flipped";
+    EXPECT_EQ(t.probe(pc, 0xAB).pos, 0u) << "exactly the masked bit flipped";
+    EXPECT_FALSE(t.hit(t.probe(pc, 0xAA)));
 }
 
 TEST(PredictorCorruption, LctFlipTogglesTheLowCounterBit)

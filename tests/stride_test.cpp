@@ -172,39 +172,48 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StrideCvuCoherence,
 
 // ---- tagged LVPT ablation ------------------------------------------
 
+/** Record @p value for the load at @p pc: probe, then update. */
+bool
+train(Lvpt &t, Addr pc, Word value)
+{
+    return t.update(t.probe(pc, value), pc, value);
+}
+
 TEST(TaggedLvpt, NoDestructiveInterference)
 {
     Lvpt t(16, 1, /*tagged=*/true);
     Addr alias = Pc0 + 16 * isa::layout::InstBytes;
-    t.update(Pc0, 1);
-    EXPECT_FALSE(t.lookup(alias).valid)
+    train(t, Pc0, 1);
+    EXPECT_FALSE(t.probe(alias, 1).tagHit)
         << "tag mismatch must miss instead of aliasing";
-    t.update(alias, 2); // takes over the entry
-    EXPECT_FALSE(t.lookup(Pc0).valid);
-    EXPECT_EQ(t.lookup(alias).value, 2u);
+    EXPECT_FALSE(t.hit(t.probe(alias, 1)));
+    train(t, alias, 2); // takes over the entry
+    EXPECT_FALSE(t.probe(Pc0, 2).tagHit);
+    EXPECT_FALSE(t.hit(t.probe(Pc0, 2)));
+    EXPECT_EQ(t.probe(alias, 2).pos, 0u);
 }
 
 TEST(TaggedLvpt, NoConstructiveInterferenceEither)
 {
     Lvpt untagged(16, 1, false);
-    untagged.update(Pc0, 7);
-    EXPECT_TRUE(untagged.lookup(Pc0 + 64).valid)
+    train(untagged, Pc0, 7);
+    EXPECT_TRUE(untagged.hit(untagged.probe(Pc0 + 64, 7)))
         << "untagged: aliased pc sees the value (constructive)";
     Lvpt tagged(16, 1, true);
-    tagged.update(Pc0, 7);
-    EXPECT_FALSE(tagged.lookup(Pc0 + 64).valid);
+    train(tagged, Pc0, 7);
+    EXPECT_FALSE(tagged.hit(tagged.probe(Pc0 + 64, 7)));
 }
 
 TEST(TaggedLvpt, HistoryClearedOnTakeover)
 {
     Lvpt t(16, 4, true);
-    t.update(Pc0, 1);
-    t.update(Pc0, 2);
+    train(t, Pc0, 1);
+    train(t, Pc0, 2);
     Addr alias = Pc0 + 16 * isa::layout::InstBytes;
-    t.update(alias, 9);
-    EXPECT_FALSE(t.historyContains(alias, 1))
+    train(t, alias, 9);
+    EXPECT_FALSE(t.hit(t.probe(alias, 1)))
         << "the previous owner's history must not leak";
-    EXPECT_TRUE(t.historyContains(alias, 9));
+    EXPECT_TRUE(t.hit(t.probe(alias, 9)));
 }
 
 TEST(TaggedLvpt, SameOwnerBehavesLikeUntagged)
@@ -215,8 +224,9 @@ TEST(TaggedLvpt, SameOwnerBehavesLikeUntagged)
     for (int i = 0; i < 500; ++i) {
         Word v = rng.below(4);
         // Single pc: no aliasing, so both must agree exactly.
-        EXPECT_EQ(tagged.update(Pc0, v), untagged.update(Pc0, v));
-        EXPECT_EQ(tagged.lookup(Pc0).value, untagged.lookup(Pc0).value);
+        EXPECT_EQ(train(tagged, Pc0, v), train(untagged, Pc0, v));
+        for (Word w = 0; w < 4; ++w)
+            EXPECT_EQ(tagged.probe(Pc0, w).pos, untagged.probe(Pc0, w).pos);
     }
 }
 

@@ -278,6 +278,30 @@ TEST(PackedFlags, BitsAndCrumbsRoundTrip)
     }
 }
 
+// ---- checksums ------------------------------------------------------
+
+TEST(Fnv, PairEqualsTwoSingleChains)
+{
+    // The reader and verifier advance a block's payload checksum and
+    // the running file checksum in one interleaved pass; each chain
+    // must equal its own serial fnv1a exactly, whatever the length and
+    // seeds.
+    std::mt19937_64 rng(0xf17a);
+    std::vector<std::uint8_t> buf;
+    for (int iter = 0; iter < 300; ++iter) {
+        const std::size_t n =
+            iter < 9 ? static_cast<std::size_t>(iter) : rng() % 4097;
+        buf.resize(n);
+        for (auto &b : buf)
+            b = static_cast<std::uint8_t>(rng());
+        const std::uint64_t seedA = iter % 3 == 0 ? trace::FnvOffset : rng();
+        const std::uint64_t seedB = rng();
+        const auto [a, b] = trace::fnv1aPair(buf.data(), n, seedA, seedB);
+        EXPECT_EQ(a, trace::fnv1a(buf.data(), n, seedA)) << "n " << n;
+        EXPECT_EQ(b, trace::fnv1a(buf.data(), n, seedB)) << "n " << n;
+    }
+}
+
 // ---- v3 files with tiny blocks ------------------------------------
 
 /** Writer options forcing many small blocks. */

@@ -1,18 +1,20 @@
 /**
  * @file
- * Unit tests for the utility layer: saturating counters, LRU stacks,
+ * Unit tests for the utility layer: saturating counters, value-history
+ * tables,
  * the deterministic RNG, statistics containers, and table rendering.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
-#include "util/lru_stack.hh"
 #include "util/rng.hh"
 #include "util/sat_counter.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
+#include "util/value_history.hh"
 
 namespace lvplib
 {
@@ -64,43 +66,72 @@ TEST(SatCounter, SetClamps)
     EXPECT_EQ(c.value(), 1);
 }
 
-TEST(LruStack, TouchPromotesToMru)
+/** Record a use of @p v in entry @p e as the LVPT and the profilers
+ *  do (find, then promote there); true when @p v was present. */
+bool
+touch(ValueHistoryTable &t, std::uint32_t e, Word v)
 {
-    LruStack<int> s(3);
-    EXPECT_FALSE(s.touch(1));
-    EXPECT_FALSE(s.touch(2));
-    EXPECT_FALSE(s.touch(3));
-    EXPECT_EQ(s.mru(), 3);
-    EXPECT_TRUE(s.touch(1));
-    EXPECT_EQ(s.mru(), 1);
-    EXPECT_EQ(s.size(), 3u);
+    const std::uint32_t pos = t.find(e, v);
+    t.promote(e, pos, v);
+    return pos != t.depth();
 }
 
-TEST(LruStack, EvictsLeastRecentlyUsed)
+TEST(ValueHistoryTable, TouchPromotesToMru)
 {
-    LruStack<int> s(2);
-    s.touch(1);
-    s.touch(2);
-    s.touch(3); // evicts 1
-    EXPECT_FALSE(s.contains(1));
-    EXPECT_TRUE(s.contains(2));
-    EXPECT_TRUE(s.contains(3));
+    ValueHistoryTable t(1, 3);
+    EXPECT_FALSE(touch(t, 0, 1));
+    EXPECT_FALSE(touch(t, 0, 2));
+    EXPECT_FALSE(touch(t, 0, 3));
+    EXPECT_EQ(t.mru(0), 3u);
+    EXPECT_TRUE(touch(t, 0, 1));
+    EXPECT_EQ(t.mru(0), 1u);
+    EXPECT_EQ(t.size(0), 3u);
+    EXPECT_EQ(t.find(0, 1), 0u);
+    EXPECT_EQ(t.find(0, 3), 1u);
+    EXPECT_EQ(t.find(0, 2), 2u);
 }
 
-TEST(LruStack, DepthOneKeepsOnlyMostRecent)
+TEST(ValueHistoryTable, EvictsLeastRecentlyUsed)
 {
-    LruStack<int> s(1);
-    s.touch(7);
-    s.touch(8);
-    EXPECT_FALSE(s.contains(7));
-    EXPECT_EQ(s.mru(), 8);
+    ValueHistoryTable t(1, 2);
+    touch(t, 0, 1);
+    touch(t, 0, 2);
+    touch(t, 0, 3); // evicts 1
+    EXPECT_EQ(t.find(0, 1), t.depth());
+    EXPECT_EQ(t.find(0, 2), 1u);
+    EXPECT_EQ(t.find(0, 3), 0u);
+    EXPECT_EQ(t.size(0), 2u);
 }
 
-TEST(LruStack, TouchReportsHit)
+TEST(ValueHistoryTable, DepthOneKeepsOnlyMostRecent)
 {
-    LruStack<int> s(4);
-    EXPECT_FALSE(s.touch(5));
-    EXPECT_TRUE(s.touch(5));
+    ValueHistoryTable t(1, 1);
+    touch(t, 0, 7);
+    touch(t, 0, 8);
+    EXPECT_EQ(t.find(0, 7), t.depth());
+    EXPECT_EQ(t.mru(0), 8u);
+}
+
+TEST(ValueHistoryTable, TouchReportsHit)
+{
+    ValueHistoryTable t(1, 4);
+    EXPECT_FALSE(touch(t, 0, 5));
+    EXPECT_TRUE(touch(t, 0, 5));
+    EXPECT_EQ(t.size(0), 1u) << "a hit inserts nothing";
+}
+
+TEST(ValueHistoryTable, EntriesAreIndependent)
+{
+    ValueHistoryTable t(4, 2);
+    touch(t, 1, 10);
+    touch(t, 2, 20);
+    EXPECT_TRUE(t.empty(0));
+    EXPECT_EQ(t.mru(1), 10u);
+    EXPECT_EQ(t.find(2, 20), 0u);
+    EXPECT_EQ(t.find(1, 20), t.depth()) << "absent reads as depth()";
+    t.clear(1);
+    EXPECT_TRUE(t.empty(1));
+    EXPECT_EQ(t.mru(2), 20u);
 }
 
 TEST(Rng, DeterministicForFixedSeed)

@@ -351,6 +351,12 @@ TEST(VtageConfigDeathTest, RejectsBadGeometry)
     cfg.tagBits = 17;
     EXPECT_EXIT(VtageUnit u(cfg), ::testing::ExitedWithCode(1),
                 "fatal:");
+    // Validation runs before the constructor's own table math, which
+    // would shift 1u by 40 (undefined) before any check fired.
+    cfg = VtageConfig::simple();
+    cfg.tagBits = 40;
+    EXPECT_EXIT(VtageUnit u(cfg), ::testing::ExitedWithCode(1),
+                "fatal:");
 }
 
 TEST(SkewStrideUnit, LocksOntoStridesAcrossAliasingLoads)
@@ -398,6 +404,17 @@ TEST(SkewStrideConfigDeathTest, RejectsBadGeometry)
                 "fatal:");
     cfg = SkewStrideConfig::simple();
     cfg.replaceThreshold = 8; // >= 2^confBits
+    EXPECT_EXIT(SkewStrideUnit u(cfg), ::testing::ExitedWithCode(1),
+                "fatal:");
+    // Validation runs before the constructor's own table math: a
+    // log2 of an entry count above 2^31 never returned, and a 40-bit
+    // tag mask shifted out of range.
+    cfg = SkewStrideConfig::simple();
+    cfg.entriesPerWay = 0x80000001u;
+    EXPECT_EXIT(SkewStrideUnit u(cfg), ::testing::ExitedWithCode(1),
+                "fatal:");
+    cfg = SkewStrideConfig::simple();
+    cfg.tagBits = 40;
     EXPECT_EXIT(SkewStrideUnit u(cfg), ::testing::ExitedWithCode(1),
                 "fatal:");
 }

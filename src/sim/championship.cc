@@ -11,12 +11,13 @@
 #include <algorithm>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/value_predictor.hh"
-#include "obs/metrics.hh"
 #include "sim/extensions.hh"
 #include "sim/parallel.hh"
+#include "sim/result_table.hh"
 #include "sim/run_cache.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
@@ -29,56 +30,28 @@ using workloads::CodeGen;
 using workloads::Workload;
 using workloads::allWorkloads;
 
-namespace
+std::optional<std::vector<const core::PredictorInfo *>>
+parsePredictors(std::string_view list, std::string &error)
 {
-
-RunConfig
-runCfg(const ExperimentOptions &opts)
-{
-    return {opts.maxInstructions};
-}
-
-RunCache &
-cache()
-{
-    return RunCache::instance();
-}
-
-/** Publish one headline number, mirroring experiment.cc's helper. */
-void
-pub(std::initializer_list<std::string_view> parts, double v)
-{
-    obs::metrics().gauge(obs::metricKey(parts)).set(v);
-}
-
-} // namespace
-
-std::vector<const core::PredictorInfo *>
-championshipPredictors(const ExperimentOptions &opts)
-{
-    std::vector<const core::PredictorInfo *> out;
-    if (opts.predictors.empty()) {
-        for (const auto &info : core::predictorRegistry())
-            out.push_back(&info);
-        return out;
-    }
-    // Comma-separated registry names, kept in REGISTRY order (not
-    // mention order) so a filtered run publishes the same metrics the
-    // full run would for those predictors.
-    std::string rest = opts.predictors;
-    std::vector<std::string> names;
-    while (!rest.empty()) {
-        auto comma = rest.find(',');
-        std::string name = rest.substr(0, comma);
-        rest = comma == std::string::npos ? ""
-                                          : rest.substr(comma + 1);
+    std::vector<std::string_view> names;
+    for (std::string_view rest = list; !rest.empty();) {
+        const auto comma = rest.find(',');
+        const auto name = rest.substr(0, comma);
+        rest = comma == std::string_view::npos ? std::string_view()
+                                               : rest.substr(comma + 1);
         if (name.empty())
             continue;
-        if (!core::findPredictor(name))
-            lvp_fatal("unknown predictor '%s' (see predictorRegistry)",
-                      name.c_str());
+        if (!core::findPredictor(name)) {
+            error = "unknown predictor '" + std::string(name) + "'";
+            return std::nullopt;
+        }
         names.push_back(name);
     }
+    if (names.empty()) {
+        error = "bad --predictors value '" + std::string(list) + "'";
+        return std::nullopt;
+    }
+    std::vector<const core::PredictorInfo *> out;
     for (const auto &info : core::predictorRegistry())
         if (std::find(names.begin(), names.end(), info.name) !=
             names.end())
@@ -86,7 +59,23 @@ championshipPredictors(const ExperimentOptions &opts)
     return out;
 }
 
-std::vector<ExperimentSection>
+std::vector<const core::PredictorInfo *>
+championshipPredictors(const ExperimentOptions &opts)
+{
+    if (opts.predictors.empty()) {
+        std::vector<const core::PredictorInfo *> out;
+        for (const auto &info : core::predictorRegistry())
+            out.push_back(&info);
+        return out;
+    }
+    std::string error;
+    auto preds = parsePredictors(opts.predictors, error);
+    if (!preds)
+        lvp_fatal("%s", error.c_str());
+    return *preds;
+}
+
+Sections
 championship(const ExperimentOptions &opts)
 {
     const auto preds = championshipPredictors(opts);
@@ -99,14 +88,10 @@ championship(const ExperimentOptions &opts)
     // is served by a single replay of the shared phase-1 trace.
     auto rows = experimentPool().map(
         suite, [&](const Workload &w) {
-            return cache().predictorOnlyMany(w, CodeGen::Ppc,
-                                             opts.scale, specs,
-                                             runCfg(opts));
+            return RunCache::instance().predictorOnlyMany(
+                w, CodeGen::Ppc, opts.scale, specs,
+                {opts.maxInstructions});
         });
-
-    auto good = [](const core::LvpStats &s) {
-        return pct(s.correct + s.constants, s.loads);
-    };
 
     struct Standing
     {
@@ -125,15 +110,16 @@ championship(const ExperimentOptions &opts)
             const core::LvpStats &s = rows[i][p];
             covers.push_back(s.predictionRate());
             accurs.push_back(s.accuracy());
-            goods.push_back(good(s));
-            pub({"championship", st.info->name, suite[i].name,
-                 "cover"},
-                s.predictionRate());
-            pub({"championship", st.info->name, suite[i].name,
-                 "accur"},
-                s.accuracy());
-            pub({"championship", st.info->name, suite[i].name, "good"},
-                good(s));
+            goods.push_back(goodRate(s));
+            // The per-workload numbers behind the means; no table
+            // prints them.
+            const std::string_view w = suite[i].name;
+            publish({"championship", st.info->name, w, "cover"},
+                    covers.back());
+            publish({"championship", st.info->name, w, "accur"},
+                    accurs.back());
+            publish({"championship", st.info->name, w, "good"},
+                    goods.back());
         }
         st.meanCover = mean(covers);
         st.meanAccur = mean(accurs);
@@ -152,27 +138,26 @@ championship(const ExperimentOptions &opts)
     for (std::size_t r = 0; r < order.size(); ++r)
         standings[order[r]].rank = static_cast<unsigned>(r + 1);
 
-    TextTable t;
-    t.header({"Rank", "Predictor", "kbits", "Mean cover", "Mean accur",
-              "Mean good", "Good/kbit"});
+    ResultTable t("championship", {{"Rank"},
+                                   {"Predictor"},
+                                   {"kbits", "bits"},
+                                   {"Mean cover", "mean_cover"},
+                                   {"Mean accur", "mean_accur"},
+                                   {"Mean good", "mean_good"},
+                                   {"Good/kbit"}});
     for (std::size_t r = 0; r < order.size(); ++r) {
         const Standing &st = standings[order[r]];
         const double kbits = static_cast<double>(st.bits) / 1024.0;
-        t.row({std::to_string(st.rank), st.info->name,
-               TextTable::fmtDouble(kbits, 1),
-               TextTable::fmtPct(st.meanCover),
-               TextTable::fmtPct(st.meanAccur),
-               TextTable::fmtPct(st.meanGood),
-               TextTable::fmtDouble(st.meanGood / kbits)});
-        pub({"championship", st.info->name, "bits"},
-            static_cast<double>(st.bits));
-        pub({"championship", st.info->name, "mean_cover"},
-            st.meanCover);
-        pub({"championship", st.info->name, "mean_accur"},
-            st.meanAccur);
-        pub({"championship", st.info->name, "mean_good"}, st.meanGood);
-        pub({"championship", st.info->name, "rank"},
-            static_cast<double>(st.rank));
+        // The rank labels the row, keyed by the contender's name.
+        t.row(std::to_string(st.rank), st.info->name)
+            .text(st.info->name)
+            .cell(static_cast<double>(st.bits),
+                  TextTable::fmtDouble(kbits, 1))
+            .cell(st.meanCover)
+            .cell(st.meanAccur)
+            .cell(st.meanGood)
+            .text(TextTable::fmtDouble(st.meanGood / kbits));
+        publish({"championship", st.info->name, "rank"}, st.rank);
     }
 
     return {{"Championship: predictor leaderboard over the full suite",
@@ -182,7 +167,7 @@ championship(const ExperimentOptions &opts)
              "where 20 more years of the same research line went. "
              "Budget column keeps the comparison honest: a win at 3x "
              "the bits is a different claim than a win at parity.",
-             std::move(t)}};
+             t.table()}};
 }
 
 } // namespace lvplib::sim

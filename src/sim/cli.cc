@@ -6,8 +6,8 @@
 #include <string_view>
 
 #include "core/stride_unit.hh"
-#include "core/value_predictor.hh"
 #include "isa/text_asm.hh"
+#include "sim/extensions.hh"
 #include "sim/pipeline_driver.hh"
 #include "uarch/machine_config.hh"
 #include "util/env.hh"
@@ -174,9 +174,6 @@ benchUsage()
   --no-trace-cache  keep phase 1 in-memory only
   --metrics-out F   write the metric registry (every reproduced paper
                     number) as versioned JSON to F
-  --bench-out F     write the performance snapshot (per-experiment
-                    wall time and MIPS, suite totals, run-cache
-                    counters) as the --json document to F
   --timeline-out F  record experiment phases and write a Chrome
                     trace_event timeline to F
   --check F         after the run, diff metrics against baseline F
@@ -200,9 +197,9 @@ benchUsage()
                     (0 = every invariant held, 4 = violation)
 
 SIGINT/SIGTERM stop the suite at the next experiment boundary; the
---bench-out/--metrics-out snapshots of the completed prefix are still
-written (tagged "interrupted") and lvpbench exits 5. A second signal
-kills immediately.
+--metrics-out snapshot of the completed prefix is still written
+(tagged "interrupted") and lvpbench exits 5. A second signal kills
+immediately.
 )";
 }
 
@@ -210,11 +207,11 @@ std::optional<BenchOptions>
 parseBenchCli(const std::vector<std::string> &args, std::string &error)
 {
     static const std::set<std::string> valued = {
-        "--filter",      "--jobs",        "--scale",
+        "--filter",      "--jobs",         "--scale",
         "--predictors",  "--verify-trace-cache",
-        "--metrics-out", "--bench-out",   "--timeline-out",
-        "--check",       "--rel-tol",     "--retries",
-        "--watchdog-ms", "--chaos"};
+        "--metrics-out", "--timeline-out", "--check",
+        "--rel-tol",     "--retries",      "--watchdog-ms",
+        "--chaos"};
     BenchOptions opts;
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &a = args[i];
@@ -248,30 +245,13 @@ parseBenchCli(const std::vector<std::string> &args, std::string &error)
         } else if (a == "--predictors") {
             // Validate names here so a typo fails before any
             // experiment runs rather than mid-suite.
-            std::string rest = v;
-            bool any = false;
-            while (!rest.empty()) {
-                auto comma = rest.find(',');
-                std::string name = rest.substr(0, comma);
-                rest = comma == std::string::npos
-                           ? ""
-                           : rest.substr(comma + 1);
-                if (name.empty())
-                    continue;
-                if (!core::findPredictor(name)) {
-                    error = "unknown predictor '" + name + "'";
-                    return std::nullopt;
-                }
-                any = true;
-            }
-            ok = any;
+            if (!parsePredictors(v, error))
+                return std::nullopt;
             opts.predictors = v;
         } else if (a == "--verify-trace-cache") {
             opts.verifyDir = v;
         } else if (a == "--metrics-out") {
             opts.metricsOut = v;
-        } else if (a == "--bench-out") {
-            opts.benchOut = v;
         } else if (a == "--timeline-out") {
             opts.timelineOut = v;
         } else if (a == "--check") {
@@ -304,6 +284,14 @@ parseBenchCli(const std::vector<std::string> &args, std::string &error)
             error = "bad " + a + " value '" + v + "'";
             return std::nullopt;
         }
+    }
+    // LVPLIB_PREDICTORS is the default --predictors and passes the
+    // same check, so a bad value also fails before any experiment.
+    if (const char *env = std::getenv("LVPLIB_PREDICTORS");
+        opts.predictors.empty() && env && *env) {
+        if (!parsePredictors(env, error))
+            return std::nullopt;
+        opts.predictors = env;
     }
     return opts;
 }

@@ -59,8 +59,9 @@ struct BenchOptions
     std::vector<std::string> filters; ///< --filter, OR-matched
     std::optional<unsigned> jobs;     ///< --jobs (1..1024)
     std::optional<unsigned> scale;    ///< --scale (>= 1)
-    /** --predictors LIST: championship contenders, comma-separated
-     *  registry names ("" = every registered predictor). */
+    /** --predictors LIST, default LVPLIB_PREDICTORS: championship
+     *  contenders, comma-separated registry names ("" = every
+     *  registered predictor). */
     std::string predictors;
     bool json = false;
     bool list = false;
@@ -69,7 +70,6 @@ struct BenchOptions
     bool help = false;
     std::string verifyDir;      ///< --verify-trace-cache DIR
     std::string metricsOut;     ///< --metrics-out FILE.json
-    std::string benchOut;       ///< --bench-out FILE.json
     std::string timelineOut;    ///< --timeline-out FILE.json
     std::string checkBaseline;  ///< --check BASELINE.json
     double relTol = 1e-6;       ///< --rel-tol for --check

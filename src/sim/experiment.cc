@@ -6,9 +6,9 @@
 
 #include "core/config.hh"
 #include "isa/latency.hh"
-#include "obs/metrics.hh"
 #include "sim/parallel.hh"
 #include "sim/pipeline_driver.hh"
+#include "sim/result_table.hh"
 #include "sim/run_cache.hh"
 #include "uarch/machine_config.hh"
 #include "util/env.hh"
@@ -30,19 +30,13 @@ using workloads::allWorkloads;
 
 // Every runner has the same shape: fan per-workload (or per-workload
 // x per-codegen) jobs out across the shared TaskPool, with all
-// simulation going through the process-wide RunCache, then assemble
-// the TextTable serially in suite order. Results depend only on the
-// (pure) per-job values, so parallel output is byte-identical to
+// simulation going through the process-wide RunCache, then fill the
+// ResultTable serially in suite order. Results depend only on
+// the (pure) per-job values, so parallel output is byte-identical to
 // serial and to the pre-engine loops.
 
 namespace
 {
-
-std::string
-pc1(double v)
-{
-    return TextTable::fmtPct(v, 1);
-}
 
 RunConfig
 runCfg(const ExperimentOptions &opts)
@@ -54,17 +48,6 @@ RunCache &
 cache()
 {
     return RunCache::instance();
-}
-
-/**
- * Publish one reproduced headline number under the
- * "experiment.row.column" naming convention. Gauges are idempotent,
- * so runners may execute any number of times per process.
- */
-void
-pub(std::initializer_list<std::string_view> parts, double v)
-{
-    obs::metrics().gauge(obs::metricKey(parts)).set(v);
 }
 
 /** One (workload, codegen) fan-out unit. */
@@ -102,159 +85,140 @@ ExperimentOptions::fromEnv()
     return opts;
 }
 
-TextTable
+Sections
 table1Benchmarks(const ExperimentOptions &opts)
 {
-    TextTable t;
-    t.header({"Benchmark", "Description", "Input", "Instr. (ppc)",
-              "Loads (ppc)", "Instr. (alpha)", "Loads (alpha)"});
     auto results = experimentPool().map(
         workloadsByCodegen(), [&](const WorkUnit &u) {
             return cache().functional(*u.w, u.cg, opts.scale,
                                       runCfg(opts));
         });
+    ResultTable t("table1",
+                  {{"Benchmark"},
+                   {"Description"},
+                   {"Input"},
+                   {"Instr. (ppc)", "ppc_instructions", Fmt::Count},
+                   {"Loads (ppc)", "ppc_loads", Fmt::Count},
+                   {"Instr. (alpha)", "alpha_instructions", Fmt::Count},
+                   {"Loads (alpha)", "alpha_loads", Fmt::Count}});
     const auto &suite = allWorkloads();
     for (std::size_t i = 0; i < suite.size(); ++i) {
         const auto &w = suite[i];
-        const auto &ppc = results[2 * i];
-        const auto &alpha = results[2 * i + 1];
-        t.row({w.name, w.description, w.input,
-               TextTable::fmtCount(ppc.stats.instructions()),
-               TextTable::fmtCount(ppc.stats.loads()),
-               TextTable::fmtCount(alpha.stats.instructions()),
-               TextTable::fmtCount(alpha.stats.loads())});
-        pub({"table1", w.name, "ppc_instructions"},
-            static_cast<double>(ppc.stats.instructions()));
-        pub({"table1", w.name, "ppc_loads"},
-            static_cast<double>(ppc.stats.loads()));
-        pub({"table1", w.name, "alpha_instructions"},
-            static_cast<double>(alpha.stats.instructions()));
-        pub({"table1", w.name, "alpha_loads"},
-            static_cast<double>(alpha.stats.loads()));
+        t.row(w.name).text(w.description).text(w.input);
+        for (std::size_t unit : {2 * i, 2 * i + 1})
+            t.cell(results[unit].stats.instructions())
+                .cell(results[unit].stats.loads());
     }
-    return t;
+    return {{"Table 1: Benchmark Descriptions",
+             "17 benchmarks; dynamic instruction counts in the hundreds "
+             "of thousands to millions of instructions per run (the "
+             "paper ran 0.7M-146M; our synthetic inputs are scaled down "
+             "uniformly).",
+             t.table()}};
 }
 
-TextTable
+Sections
 fig1ValueLocality(const ExperimentOptions &opts)
 {
-    TextTable t;
-    t.header({"Benchmark", "Alpha d=1", "Alpha d=16", "PowerPC d=1",
-              "PowerPC d=16"});
     auto profiles = experimentPool().map(
         workloadsByCodegen(), [&](const WorkUnit &u) {
             return cache().locality(*u.w, u.cg, opts.scale,
                                     runCfg(opts));
         });
-    std::vector<double> a1, a16, p1, p16;
+    ResultTable t("fig1", {{"Benchmark"},
+                           {"Alpha d=1", "alpha_d1", Fmt::Pct, true},
+                           {"Alpha d=16", "alpha_d16", Fmt::Pct, true},
+                           {"PowerPC d=1", "ppc_d1", Fmt::Pct, true},
+                           {"PowerPC d=16", "ppc_d16", Fmt::Pct, true}});
     const auto &suite = allWorkloads();
     for (std::size_t i = 0; i < suite.size(); ++i) {
-        const auto &ppc = profiles[2 * i];
-        const auto &alpha = profiles[2 * i + 1];
-        a1.push_back(alpha.total.pctDepth1());
-        a16.push_back(alpha.total.pctDepthN());
-        p1.push_back(ppc.total.pctDepth1());
-        p16.push_back(ppc.total.pctDepthN());
-        t.row({suite[i].name, pc1(a1.back()), pc1(a16.back()),
-               pc1(p1.back()), pc1(p16.back())});
-        pub({"fig1", suite[i].name, "alpha_d1"}, a1.back());
-        pub({"fig1", suite[i].name, "alpha_d16"}, a16.back());
-        pub({"fig1", suite[i].name, "ppc_d1"}, p1.back());
-        pub({"fig1", suite[i].name, "ppc_d16"}, p16.back());
+        const auto &ppc = profiles[2 * i].total;
+        const auto &alpha = profiles[2 * i + 1].total;
+        t.row(suite[i].name)
+            .cell(alpha.pctDepth1())
+            .cell(alpha.pctDepthN())
+            .cell(ppc.pctDepth1())
+            .cell(ppc.pctDepthN());
     }
-    t.row({"MEAN", pc1(mean(a1)), pc1(mean(a16)), pc1(mean(p1)),
-           pc1(mean(p16))});
-    pub({"fig1", "mean", "alpha_d1"}, mean(a1));
-    pub({"fig1", "mean", "alpha_d16"}, mean(a16));
-    pub({"fig1", "mean", "ppc_d1"}, mean(p1));
-    pub({"fig1", "mean", "ppc_d16"}, mean(p16));
-    return t;
+    t.summary("MEAN", mean);
+    return {{"Figure 1: Load Value Locality (history depth 1 and 16)",
+             "most integer programs show ~40-60% locality at depth 1 and "
+             ">80% at depth 16; cjpeg, swm256, and tomcatv are the three "
+             "poor-locality outliers.",
+             t.table()}};
 }
 
-TextTable
+Sections
 fig2LocalityByType(const ExperimentOptions &opts)
 {
-    TextTable t;
-    t.header({"Benchmark", "FP d=1", "FP d=16", "Int d=1", "Int d=16",
-              "InstAddr d=1", "InstAddr d=16", "DataAddr d=1",
-              "DataAddr d=16"});
-    auto cell = [&](const core::LocalityCounts &c, bool deep) {
-        if (c.loads == 0)
-            return std::string("-");
-        return pc1(deep ? c.pctDepthN() : c.pctDepth1());
-    };
     auto profiles = experimentPool().map(
         allWorkloads(), [&](const Workload &w) {
             return cache().locality(w, CodeGen::Ppc, opts.scale,
                                     runCfg(opts));
         });
+    ResultTable t("fig2", {{"Benchmark"},
+                           {"FP d=1", "fp_d1"},
+                           {"FP d=16", "fp_d16"},
+                           {"Int d=1", "int_d1"},
+                           {"Int d=16", "int_d16"},
+                           {"InstAddr d=1", "instaddr_d1"},
+                           {"InstAddr d=16", "instaddr_d16"},
+                           {"DataAddr d=1", "dataaddr_d1"},
+                           {"DataAddr d=16", "dataaddr_d16"}});
     const auto &suite = allWorkloads();
     for (std::size_t i = 0; i < suite.size(); ++i) {
-        const auto &prof = profiles[i];
-        const auto &fp = prof.byClass(DataClass::FpData);
-        const auto &in = prof.byClass(DataClass::IntData);
-        const auto &ia = prof.byClass(DataClass::InstAddr);
-        const auto &da = prof.byClass(DataClass::DataAddr);
-        t.row({suite[i].name, cell(fp, false), cell(fp, true),
-               cell(in, false), cell(in, true), cell(ia, false),
-               cell(ia, true), cell(da, false), cell(da, true)});
-        struct ClassCol
-        {
-            const char *key;
-            const core::LocalityCounts *c;
-        };
-        for (const auto &[key, c] :
-             {ClassCol{"fp", &fp}, ClassCol{"int", &in},
-              ClassCol{"instaddr", &ia}, ClassCol{"dataaddr", &da}}) {
-            if (c->loads == 0)
-                continue; // rendered as "-": no number to publish
-            pub({"fig2", suite[i].name, std::string(key) + "_d1"},
-                c->pctDepth1());
-            pub({"fig2", suite[i].name, std::string(key) + "_d16"},
-                c->pctDepthN());
+        t.row(suite[i].name);
+        for (DataClass dc : {DataClass::FpData, DataClass::IntData,
+                             DataClass::InstAddr, DataClass::DataAddr}) {
+            const auto &c = profiles[i].byClass(dc);
+            if (c.loads == 0) // no load of this type: no number
+                t.text("-").text("-");
+            else
+                t.cell(c.pctDepth1()).cell(c.pctDepthN());
         }
     }
-    return t;
+    return {{"Figure 2: PowerPC Value Locality by Data Type",
+             "address loads (instruction and data addresses) show better "
+             "locality than data loads; instruction addresses hold a "
+             "slight edge over data addresses; integer data beats "
+             "floating-point data.",
+             t.table()}};
 }
 
-TextTable
-table2Configs()
+Sections
+table2Configs(const ExperimentOptions &)
 {
-    TextTable t;
-    t.header({"Config", "LVPT entries", "History depth", "LCT entries",
-              "LCT bits", "CVU entries", "Oracle"});
+    ResultTable t("table2",
+                  {{"Config"},
+                   {"LVPT entries", "lvpt_entries", Fmt::Int},
+                   {"History depth", "history_depth", Fmt::Int},
+                   {"LCT entries", "lct_entries", Fmt::Int},
+                   {"LCT bits", "lct_bits", Fmt::Int},
+                   {"CVU entries", "cvu_entries", Fmt::Int},
+                   {"Oracle", "oracle", Fmt::Int}});
     for (const auto &c : LvpConfig::paperConfigs()) {
-        t.row({c.name, std::to_string(c.lvptEntries),
-               c.historyDepth > 1 ? std::to_string(c.historyDepth) +
-                                        "/perfect-select"
-                                  : std::to_string(c.historyDepth),
-               std::to_string(c.lctEntries), std::to_string(c.lctBits),
-               std::to_string(c.cvuEntries),
-               c.perfectPrediction ? "yes" : "no"});
-        pub({"table2", c.name, "lvpt_entries"},
-            static_cast<double>(c.lvptEntries));
-        pub({"table2", c.name, "history_depth"},
-            static_cast<double>(c.historyDepth));
-        pub({"table2", c.name, "lct_entries"},
-            static_cast<double>(c.lctEntries));
-        pub({"table2", c.name, "lct_bits"},
-            static_cast<double>(c.lctBits));
-        pub({"table2", c.name, "cvu_entries"},
-            static_cast<double>(c.cvuEntries));
-        pub({"table2", c.name, "oracle"},
-            c.perfectPrediction ? 1.0 : 0.0);
+        t.row(c.name).cell(c.lvptEntries);
+        if (c.historyDepth > 1)
+            t.cell(c.historyDepth,
+                   std::to_string(c.historyDepth) + "/perfect-select");
+        else
+            t.cell(c.historyDepth);
+        t.cell(c.lctEntries)
+            .cell(c.lctBits)
+            .cell(c.cvuEntries)
+            .cell(c.perfectPrediction ? 1.0 : 0.0,
+                  c.perfectPrediction ? "yes" : "no");
     }
-    return t;
+    return {{"Table 2: LVP Unit Configurations",
+             "four configurations: Simple and Constant are buildable; "
+             "Limit (16-deep history with perfect selection) and Perfect "
+             "are oracle limit studies.",
+             t.table()}};
 }
 
-TextTable
+Sections
 table3LctHitRates(const ExperimentOptions &opts)
 {
-    TextTable t;
-    t.header({"Benchmark", "PPC Simple unpred", "PPC Simple pred",
-              "PPC Limit unpred", "PPC Limit pred",
-              "Alpha Simple unpred", "Alpha Simple pred",
-              "Alpha Limit unpred", "Alpha Limit pred"});
     auto stats = experimentPool().map(
         workloadsByCodegen(), [&](const WorkUnit &u) {
             return cache().predictorOnlyMany(
@@ -262,44 +226,36 @@ table3LctHitRates(const ExperimentOptions &opts)
                 {LvpConfig::simple(), LvpConfig::limit()},
                 runCfg(opts));
         });
-    static const char *const colNames[8] = {
-        "ppc_simple_unpred", "ppc_simple_pred", "ppc_limit_unpred",
-        "ppc_limit_pred",    "alpha_simple_unpred",
-        "alpha_simple_pred", "alpha_limit_unpred", "alpha_limit_pred"};
-    std::vector<std::vector<double>> cols(8);
+    ResultTable t(
+        "table3",
+        {{"Benchmark"},
+         {"PPC Simple unpred", "ppc_simple_unpred", Fmt::Pct, true},
+         {"PPC Simple pred", "ppc_simple_pred", Fmt::Pct, true},
+         {"PPC Limit unpred", "ppc_limit_unpred", Fmt::Pct, true},
+         {"PPC Limit pred", "ppc_limit_pred", Fmt::Pct, true},
+         {"Alpha Simple unpred", "alpha_simple_unpred", Fmt::Pct, true},
+         {"Alpha Simple pred", "alpha_simple_pred", Fmt::Pct, true},
+         {"Alpha Limit unpred", "alpha_limit_unpred", Fmt::Pct, true},
+         {"Alpha Limit pred", "alpha_limit_pred", Fmt::Pct, true}});
     const auto &suite = allWorkloads();
     for (std::size_t i = 0; i < suite.size(); ++i) {
-        std::vector<std::string> row{suite[i].name};
-        unsigned c = 0;
-        for (std::size_t unit : {2 * i, 2 * i + 1}) {
-            for (const auto &st : stats[unit]) {
-                row.push_back(pc1(st.unpredHitRate()));
-                row.push_back(pc1(st.predHitRate()));
-                pub({"table3", suite[i].name, colNames[c]},
-                    st.unpredHitRate());
-                cols[c++].push_back(st.unpredHitRate());
-                pub({"table3", suite[i].name, colNames[c]},
-                    st.predHitRate());
-                cols[c++].push_back(st.predHitRate());
-            }
-        }
-        t.row(std::move(row));
+        t.row(suite[i].name);
+        for (std::size_t unit : {2 * i, 2 * i + 1})
+            for (const auto &st : stats[unit])
+                t.cell(st.unpredHitRate()).cell(st.predHitRate());
     }
-    std::vector<std::string> gm{"GM"};
-    for (std::size_t c = 0; c < cols.size(); ++c) {
-        gm.push_back(pc1(geomean(cols[c])));
-        pub({"table3", "gm", colNames[c]}, geomean(cols[c]));
-    }
-    t.row(std::move(gm));
-    return t;
+    t.summary("GM", geomean);
+    return {{"Table 3: LCT Hit Rates",
+             "the LCT identifies most unpredictable loads as "
+             "unpredictable (GM ~80-90%) and most predictable loads as "
+             "predictable (GM ~75-90%) in both Simple and Limit "
+             "configurations.",
+             t.table()}};
 }
 
-TextTable
+Sections
 table4ConstantRates(const ExperimentOptions &opts)
 {
-    TextTable t;
-    t.header({"Benchmark", "PPC Simple", "PPC Constant", "Alpha Simple",
-              "Alpha Constant"});
     auto stats = experimentPool().map(
         workloadsByCodegen(), [&](const WorkUnit &u) {
             return cache().predictorOnlyMany(
@@ -307,38 +263,36 @@ table4ConstantRates(const ExperimentOptions &opts)
                 {LvpConfig::simple(), LvpConfig::constant()},
                 runCfg(opts));
         });
-    static const char *const colNames[4] = {
-        "ppc_simple", "ppc_constant", "alpha_simple", "alpha_constant"};
-    std::vector<std::vector<double>> cols(4);
+    ResultTable t("table4",
+                  {{"Benchmark"},
+                   {"PPC Simple", "ppc_simple", Fmt::Pct, true},
+                   {"PPC Constant", "ppc_constant", Fmt::Pct, true},
+                   {"Alpha Simple", "alpha_simple", Fmt::Pct, true},
+                   {"Alpha Constant", "alpha_constant", Fmt::Pct, true}});
     const auto &suite = allWorkloads();
     for (std::size_t i = 0; i < suite.size(); ++i) {
-        std::vector<std::string> row{suite[i].name};
-        unsigned c = 0;
-        for (std::size_t unit : {2 * i, 2 * i + 1}) {
-            for (const auto &st : stats[unit]) {
-                row.push_back(pc1(st.constantRate()));
-                pub({"table4", suite[i].name, colNames[c]},
-                    st.constantRate());
-                cols[c++].push_back(st.constantRate());
-            }
-        }
-        t.row(std::move(row));
+        t.row(suite[i].name);
+        for (std::size_t unit : {2 * i, 2 * i + 1})
+            for (const auto &st : stats[unit])
+                t.cell(st.constantRate());
     }
-    std::vector<std::string> m{"MEAN"};
-    for (std::size_t c = 0; c < cols.size(); ++c) {
-        m.push_back(pc1(mean(cols[c])));
-        pub({"table4", "mean", colNames[c]}, mean(cols[c]));
-    }
-    t.row(std::move(m));
-    return t;
+    t.summary("MEAN", mean);
+    return {{"Table 4: Successful Constant Identification Rates",
+             "constants are 10-25% of dynamic loads on average (GM "
+             "~13-22% in the paper), higher under the Constant "
+             "configuration's 1-bit LCT + 128-entry CVU; near zero for "
+             "quick and tomcatv.",
+             t.table()}};
 }
 
-TextTable
-table5Latencies()
+Sections
+table5Latencies(const ExperimentOptions &)
 {
-    TextTable t;
-    t.header({"Instruction class", "620 issue", "620 result",
-              "21164 issue", "21164 result"});
+    ResultTable t("table5", {{"Instruction class"},
+                             {"620 issue", "620_issue", Fmt::Int},
+                             {"620 result", "620_result", Fmt::Int},
+                             {"21164 issue", "21164_issue", Fmt::Int},
+                             {"21164 result", "21164_result", Fmt::Int}});
     struct Row
     {
         const char *name;
@@ -356,209 +310,159 @@ table5Latencies()
     for (const auto &r : rows) {
         auto p = isa::opLatency(MachineIsa::Ppc620, r.op);
         auto al = isa::opLatency(MachineIsa::Alpha21164, r.op);
-        t.row({r.name, std::to_string(p.issue), std::to_string(p.result),
-               std::to_string(al.issue), std::to_string(al.result)});
-        pub({"table5", r.name, "620_issue"},
-            static_cast<double>(p.issue));
-        pub({"table5", r.name, "620_result"},
-            static_cast<double>(p.result));
-        pub({"table5", r.name, "21164_issue"},
-            static_cast<double>(al.issue));
-        pub({"table5", r.name, "21164_result"},
-            static_cast<double>(al.result));
+        t.row(r.name)
+            .cell(p.issue)
+            .cell(p.result)
+            .cell(al.issue)
+            .cell(al.result);
     }
-    t.row({"Branch mispredict penalty", "-",
-           std::to_string(isa::mispredictPenalty(MachineIsa::Ppc620)) +
-               "+refetch",
-           "-",
-           std::to_string(
-               isa::mispredictPenalty(MachineIsa::Alpha21164))});
-    pub({"table5", "mispredict_penalty", "620_result"},
-        static_cast<double>(isa::mispredictPenalty(MachineIsa::Ppc620)));
-    pub({"table5", "mispredict_penalty", "21164_result"},
-        static_cast<double>(
-            isa::mispredictPenalty(MachineIsa::Alpha21164)));
-    return t;
+    const auto ppc = isa::mispredictPenalty(MachineIsa::Ppc620);
+    t.row("Branch mispredict penalty", "mispredict_penalty")
+        .text("-")
+        .cell(ppc, std::to_string(ppc) + "+refetch")
+        .text("-")
+        .cell(isa::mispredictPenalty(MachineIsa::Alpha21164));
+    return {{"Table 5: Instruction Latencies",
+             "issue/result latencies of the two machine models, as "
+             "configured (not measured).",
+             t.table()}};
 }
 
 namespace
 {
 
-/** Per-benchmark base IPC plus speedup per LVP configuration. */
-struct SpeedupRow
+/** The machine a speedup table measures. */
+enum class Machine
 {
-    double baseIpc = 0;
-    std::uint64_t instructions = 0;
-    double plusRatio = 0; ///< table 6 only: 620+ over 620, no LVP
-    std::vector<double> speedups;
+    Alpha21164,
+    Ppc620,
+    Ppc620Plus,
 };
+
+/**
+ * Figure 6 (both halves) and Table 6: each benchmark's speedup under
+ * every configuration of @p cfgs over the same machine without LVP,
+ * one single-pass sweep per workload, GM row last. The 620+ table
+ * shows instruction counts and the 620+ over the base 620 (both
+ * without LVP) where the others show the base IPC.
+ */
+TextTable
+speedups(const char *id, Machine m, const std::vector<LvpConfig> &cfgs,
+         const ExperimentOptions &opts)
+{
+    const bool plus = m == Machine::Ppc620Plus;
+    // Variant 0 is the base machine without LVP; the 620+ table adds
+    // the 620+ without LVP, its reference, as variant 1.
+    const std::size_t ref = plus ? 1 : 0;
+    std::vector<RunCache::AlphaVariant> alpha;
+    std::vector<RunCache::PpcVariant> ppc;
+    if (m == Machine::Alpha21164) {
+        alpha.push_back({AlphaConfig::base21164(), std::nullopt});
+        for (const auto &cfg : cfgs)
+            alpha.push_back({AlphaConfig::base21164(), cfg});
+    } else {
+        const auto mc =
+            plus ? Ppc620Config::plus620() : Ppc620Config::base620();
+        ppc.push_back({Ppc620Config::base620(), std::nullopt});
+        if (plus)
+            ppc.push_back({mc, std::nullopt});
+        for (const auto &cfg : cfgs)
+            ppc.push_back({mc, cfg});
+    }
+    struct Runs
+    {
+        std::uint64_t instructions = 0; ///< of variant 0
+        std::vector<double> ipc;        ///< per variant
+    };
+    auto rows = experimentPool().map(
+        allWorkloads(), [&](const Workload &w) {
+            Runs r;
+            auto collect = [&](const auto &runs) {
+                r.instructions = runs[0].timing.instructions;
+                for (const auto &run : runs)
+                    r.ipc.push_back(run.timing.ipc());
+            };
+            if (m == Machine::Alpha21164)
+                collect(cache().alpha21164Many(w, CodeGen::Alpha,
+                                               opts.scale, alpha,
+                                               runCfg(opts)));
+            else
+                collect(cache().ppc620Many(w, CodeGen::Ppc, opts.scale,
+                                           ppc, runCfg(opts)));
+            return r;
+        });
+    std::vector<Column> cols{{"Benchmark"}};
+    if (plus) {
+        cols.push_back({"Instr.", "instructions", Fmt::Count});
+        cols.push_back({"620+ vs 620", "plus_ratio", Fmt::Fixed3, true});
+    } else {
+        cols.push_back({"Base IPC", "base_ipc", Fmt::Fixed3});
+    }
+    for (const auto &cfg : cfgs)
+        cols.push_back({cfg.name, cfg.name, Fmt::Fixed3, true});
+    ResultTable t(id, std::move(cols));
+    const auto &suite = allWorkloads();
+    for (std::size_t i = 0; i < suite.size(); ++i) {
+        const Runs &r = rows[i];
+        t.row(suite[i].name);
+        if (plus)
+            t.cell(r.instructions).cell(r.ipc[1] / r.ipc[0]);
+        else
+            t.cell(r.ipc[0]);
+        for (std::size_t c = 0; c < cfgs.size(); ++c)
+            t.cell(r.ipc[ref + 1 + c] / r.ipc[ref]);
+    }
+    t.summary("GM", geomean);
+    return t.table();
+}
 
 } // namespace
 
-TextTable
+Sections
 fig6AlphaSpeedups(const ExperimentOptions &opts)
 {
-    TextTable t;
-    t.header({"Benchmark", "Base IPC", "Simple", "Limit", "Perfect"});
-    const std::vector<LvpConfig> cfgs = {
-        LvpConfig::simple(), LvpConfig::limit(), LvpConfig::perfect()};
-    std::vector<RunCache::AlphaVariant> variants;
-    variants.push_back({AlphaConfig::base21164(), std::nullopt});
-    for (const auto &cfg : cfgs)
-        variants.push_back({AlphaConfig::base21164(), cfg});
-    auto rows = experimentPool().map(
-        allWorkloads(), [&](const Workload &w) {
-            auto runs = cache().alpha21164Many(w, CodeGen::Alpha,
-                                               opts.scale, variants,
-                                               runCfg(opts));
-            SpeedupRow r;
-            r.baseIpc = runs[0].timing.ipc();
-            for (std::size_t c = 0; c < cfgs.size(); ++c)
-                r.speedups.push_back(runs[c + 1].timing.ipc() /
-                                     runs[0].timing.ipc());
-            return r;
-        });
-    std::vector<std::vector<double>> speedups(cfgs.size());
-    const auto &suite = allWorkloads();
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-        std::vector<std::string> row{
-            suite[i].name, TextTable::fmtDouble(rows[i].baseIpc, 3)};
-        pub({"fig6alpha", suite[i].name, "base_ipc"}, rows[i].baseIpc);
-        for (std::size_t c = 0; c < cfgs.size(); ++c) {
-            speedups[c].push_back(rows[i].speedups[c]);
-            row.push_back(TextTable::fmtDouble(rows[i].speedups[c], 3));
-            pub({"fig6alpha", suite[i].name, cfgs[c].name},
-                rows[i].speedups[c]);
-        }
-        t.row(std::move(row));
-    }
-    std::vector<std::string> gm{"GM", "-"};
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        gm.push_back(TextTable::fmtDouble(geomean(speedups[c]), 3));
-        pub({"fig6alpha", "gm", cfgs[c].name}, geomean(speedups[c]));
-    }
-    t.row(std::move(gm));
-    return t;
+    return {{"Figure 6 (top): Alpha AXP 21164 Base Machine Speedups",
+             "GM speedups ~1.06 (Simple), ~1.09 (Limit), ~1.16 "
+             "(Perfect); grep and gawk are the dramatic winners.",
+             speedups("fig6alpha", Machine::Alpha21164,
+                      {LvpConfig::simple(), LvpConfig::limit(),
+                       LvpConfig::perfect()},
+                      opts)}};
 }
 
-TextTable
+Sections
 fig6PpcSpeedups(const ExperimentOptions &opts)
 {
-    TextTable t;
-    t.header({"Benchmark", "Base IPC", "Simple", "Constant", "Limit",
-              "Perfect"});
-    const std::vector<LvpConfig> cfgs = {
-        LvpConfig::simple(), LvpConfig::constant(), LvpConfig::limit(),
-        LvpConfig::perfect()};
-    std::vector<RunCache::PpcVariant> variants;
-    variants.push_back({Ppc620Config::base620(), std::nullopt});
-    for (const auto &cfg : cfgs)
-        variants.push_back({Ppc620Config::base620(), cfg});
-    auto rows = experimentPool().map(
-        allWorkloads(), [&](const Workload &w) {
-            auto runs = cache().ppc620Many(w, CodeGen::Ppc, opts.scale,
-                                           variants, runCfg(opts));
-            SpeedupRow r;
-            r.baseIpc = runs[0].timing.ipc();
-            for (std::size_t c = 0; c < cfgs.size(); ++c)
-                r.speedups.push_back(runs[c + 1].timing.ipc() /
-                                     runs[0].timing.ipc());
-            return r;
-        });
-    std::vector<std::vector<double>> speedups(cfgs.size());
-    const auto &suite = allWorkloads();
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-        std::vector<std::string> row{
-            suite[i].name, TextTable::fmtDouble(rows[i].baseIpc, 3)};
-        pub({"fig6ppc", suite[i].name, "base_ipc"}, rows[i].baseIpc);
-        for (std::size_t c = 0; c < cfgs.size(); ++c) {
-            speedups[c].push_back(rows[i].speedups[c]);
-            row.push_back(TextTable::fmtDouble(rows[i].speedups[c], 3));
-            pub({"fig6ppc", suite[i].name, cfgs[c].name},
-                rows[i].speedups[c]);
-        }
-        t.row(std::move(row));
-    }
-    std::vector<std::string> gm{"GM", "-"};
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        gm.push_back(TextTable::fmtDouble(geomean(speedups[c]), 3));
-        pub({"fig6ppc", "gm", cfgs[c].name}, geomean(speedups[c]));
-    }
-    t.row(std::move(gm));
-    return t;
+    return {{"Figure 6 (bottom): PowerPC 620 Base Machine Speedups",
+             "GM speedups ~1.03 (Simple), ~1.03 (Constant), ~1.06 "
+             "(Limit), ~1.09 (Perfect); the in-order 21164 gains roughly "
+             "twice as much as the 620.",
+             speedups("fig6ppc", Machine::Ppc620,
+                      LvpConfig::paperConfigs(), opts)}};
 }
 
-TextTable
+Sections
 table6Plus620Speedups(const ExperimentOptions &opts)
 {
-    TextTable t;
-    t.header({"Benchmark", "Instr.", "620+ vs 620", "Simple", "Constant",
-              "Limit", "Perfect"});
-    const std::vector<LvpConfig> cfgs = {
-        LvpConfig::simple(), LvpConfig::constant(), LvpConfig::limit(),
-        LvpConfig::perfect()};
-    std::vector<RunCache::PpcVariant> variants;
-    variants.push_back({Ppc620Config::base620(), std::nullopt});
-    variants.push_back({Ppc620Config::plus620(), std::nullopt});
-    for (const auto &cfg : cfgs)
-        variants.push_back({Ppc620Config::plus620(), cfg});
-    auto rows = experimentPool().map(
-        allWorkloads(), [&](const Workload &w) {
-            auto runs = cache().ppc620Many(w, CodeGen::Ppc, opts.scale,
-                                           variants, runCfg(opts));
-            const auto &base620 = runs[0];
-            const auto &base_plus = runs[1];
-            SpeedupRow r;
-            r.instructions = base620.timing.instructions;
-            r.plusRatio =
-                base_plus.timing.ipc() / base620.timing.ipc();
-            // Paper Table 6: additional speedup relative to the
-            // baseline 620+ with no LVP.
-            for (std::size_t c = 0; c < cfgs.size(); ++c)
-                r.speedups.push_back(runs[c + 2].timing.ipc() /
-                                     base_plus.timing.ipc());
-            return r;
-        });
-    std::vector<double> plus_col;
-    std::vector<std::vector<double>> speedups(cfgs.size());
-    const auto &suite = allWorkloads();
-    for (std::size_t i = 0; i < suite.size(); ++i) {
-        plus_col.push_back(rows[i].plusRatio);
-        std::vector<std::string> row{
-            suite[i].name, TextTable::fmtCount(rows[i].instructions),
-            TextTable::fmtDouble(rows[i].plusRatio, 3)};
-        pub({"table6", suite[i].name, "instructions"},
-            static_cast<double>(rows[i].instructions));
-        pub({"table6", suite[i].name, "plus_ratio"}, rows[i].plusRatio);
-        for (std::size_t c = 0; c < cfgs.size(); ++c) {
-            speedups[c].push_back(rows[i].speedups[c]);
-            row.push_back(TextTable::fmtDouble(rows[i].speedups[c], 3));
-            pub({"table6", suite[i].name, cfgs[c].name},
-                rows[i].speedups[c]);
-        }
-        t.row(std::move(row));
-    }
-    std::vector<std::string> gm{"GM", "-",
-                                TextTable::fmtDouble(geomean(plus_col), 3)};
-    pub({"table6", "gm", "plus_ratio"}, geomean(plus_col));
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        gm.push_back(TextTable::fmtDouble(geomean(speedups[c]), 3));
-        pub({"table6", "gm", cfgs[c].name}, geomean(speedups[c]));
-    }
-    t.row(std::move(gm));
-    return t;
+    return {{"Table 6: PowerPC 620+ Speedups",
+             "the 620+ is ~6% faster than the 620 without LVP; LVP adds "
+             "~4.6% (Simple), ~4.2% (Constant), ~7.7% (Limit), ~11.3% "
+             "(Perfect) on top - relative LVP gains are ~50% larger than "
+             "on the base 620.",
+             speedups("table6", Machine::Ppc620Plus,
+                      LvpConfig::paperConfigs(), opts)}};
 }
 
-namespace
+Sections
+fig7VerificationLatency(const ExperimentOptions &opts)
 {
-
-/** Sum verification-latency histograms over all benchmarks for every
- *  figure-7 machine/LVP configuration, fetching each workload's whole
- *  variant sweep from one single-pass replay. */
-std::vector<Histogram>
-verifyHistograms(const std::vector<RunCache::PpcVariant> &variants,
-                 const ExperimentOptions &opts)
-{
+    std::vector<RunCache::PpcVariant> variants;
+    for (const auto &mc :
+         {Ppc620Config::base620(), Ppc620Config::plus620()})
+        for (const auto &cfg : LvpConfig::paperConfigs())
+            variants.push_back({mc, cfg});
+    // Each workload's whole variant sweep comes from one single-pass
+    // replay; the histograms merge in suite order.
     auto rows = experimentPool().map(
         allWorkloads(), [&](const Workload &w) {
             auto runs = cache().ppc620Many(w, CodeGen::Ppc, opts.scale,
@@ -569,130 +473,89 @@ verifyHistograms(const std::vector<RunCache::PpcVariant> &variants,
                 hs.push_back(r.timing.verifyLatency);
             return hs;
         });
-    // Merge each variant in suite order, exactly as the previous
-    // per-configuration loops did.
-    std::vector<Histogram> out(variants.size(), Histogram(8));
+    std::vector<Histogram> hists(variants.size(), Histogram(8));
     for (const auto &wh : rows)
         for (std::size_t v = 0; v < variants.size(); ++v)
-            out[v].merge(wh[v]);
-    return out;
-}
-
-} // namespace
-
-TextTable
-fig7VerificationLatency(const ExperimentOptions &opts)
-{
-    TextTable t;
-    t.header({"Machine/Config", "<4", "4", "5", "6", "7", ">7"});
-    std::vector<RunCache::PpcVariant> variants;
-    for (const auto &mc :
-         {Ppc620Config::base620(), Ppc620Config::plus620()})
-        for (const auto &cfg : LvpConfig::paperConfigs())
-            variants.push_back({mc, cfg});
-    auto hists = verifyHistograms(variants, opts);
+            hists[v].merge(wh[v]);
+    ResultTable t("fig7", {{"Machine/Config"},
+                           {"<4", "lt4"},
+                           {"4", "c4"},
+                           {"5", "c5"},
+                           {"6", "c6"},
+                           {"7", "c7"},
+                           {">7", "gt7"}});
     for (std::size_t v = 0; v < variants.size(); ++v) {
-        const auto &mc = variants[v].mc;
-        const auto &cfg = *variants[v].lvp;
         const Histogram &h = hists[v];
-        double lt4 = h.bucketPct(0) + h.bucketPct(1) + h.bucketPct(2) +
-                     h.bucketPct(3);
-        t.row({mc.name + "/" + cfg.name, pc1(lt4), pc1(h.bucketPct(4)),
-               pc1(h.bucketPct(5)), pc1(h.bucketPct(6)),
-               pc1(h.bucketPct(7)), pc1(h.overflowPct())});
-        const std::string rowKey = mc.name + "_" + cfg.name;
-        pub({"fig7", rowKey, "lt4"}, lt4);
-        pub({"fig7", rowKey, "c4"}, h.bucketPct(4));
-        pub({"fig7", rowKey, "c5"}, h.bucketPct(5));
-        pub({"fig7", rowKey, "c6"}, h.bucketPct(6));
-        pub({"fig7", rowKey, "c7"}, h.bucketPct(7));
-        pub({"fig7", rowKey, "gt7"}, h.overflowPct());
+        t.row(variants[v].mc.name + "/" + variants[v].lvp->name)
+            .cell(h.bucketPct(0) + h.bucketPct(1) + h.bucketPct(2) +
+                  h.bucketPct(3));
+        for (std::size_t b = 4; b < 8; ++b)
+            t.cell(h.bucketPct(b));
+        t.cell(h.overflowPct());
     }
-    return t;
+    return {{"Figure 7: Load Verification Latency Distribution",
+             "most correctly-predicted loads verify 4-5 cycles after "
+             "dispatch; the distributions look alike across LVP "
+             "configurations; the 620+ shifts visibly right (time "
+             "dilation).",
+             t.table()}};
 }
 
-namespace
-{
-
-/** Per-benchmark mean RS operand waits: baseline and per config. */
-struct WaitRow
-{
-    std::array<double, isa::NumFuTypes> base{};
-    std::array<std::array<double, isa::NumFuTypes>, 4> cfg{};
-};
-
-} // namespace
-
-TextTable
+Sections
 fig8DependencyResolution(const ExperimentOptions &opts)
 {
-    TextTable t;
-    t.header({"Machine/Config", "BRU", "MCFX", "SCFX", "FPU", "LSU"});
-    static const FuType fus[] = {FuType::BRU, FuType::MCFX, FuType::SCFX,
-                                 FuType::FPU, FuType::LSU};
+    static constexpr FuType fus[] = {FuType::BRU, FuType::MCFX,
+                                     FuType::SCFX, FuType::FPU, FuType::LSU};
+    using Waits = std::array<double, std::size(fus)>;
+    ResultTable t("fig8", {{"Machine/Config"},
+                           {"BRU", "bru"},
+                           {"MCFX", "mcfx"},
+                           {"SCFX", "scfx"},
+                           {"FPU", "fpu"},
+                           {"LSU", "lsu"}});
     for (const auto &mc :
          {Ppc620Config::base620(), Ppc620Config::plus620()}) {
-        auto cfgs = LvpConfig::paperConfigs();
-        std::vector<RunCache::PpcVariant> variants;
-        variants.push_back({mc, std::nullopt});
-        for (const auto &cfg : cfgs)
+        std::vector<RunCache::PpcVariant> variants{{mc, std::nullopt}};
+        for (const auto &cfg : LvpConfig::paperConfigs())
             variants.push_back({mc, cfg});
+        // Per workload, each variant's mean RS operand wait per FU.
         auto rows = experimentPool().map(
             allWorkloads(), [&](const Workload &w) {
                 auto runs = cache().ppc620Many(w, CodeGen::Ppc,
                                                opts.scale, variants,
                                                runCfg(opts));
-                WaitRow r;
-                for (FuType f : fus)
-                    r.base[static_cast<std::size_t>(f)] =
-                        runs[0].timing.rsWaitMean(f);
-                for (std::size_t c = 0; c < cfgs.size(); ++c)
-                    for (FuType f : fus)
-                        r.cfg[c][static_cast<std::size_t>(f)] =
-                            runs[c + 1].timing.rsWaitMean(f);
-                return r;
+                std::vector<Waits> waits(runs.size());
+                for (std::size_t v = 0; v < runs.size(); ++v)
+                    for (std::size_t k = 0; k < std::size(fus); ++k)
+                        waits[v][k] = runs[v].timing.rsWaitMean(fus[k]);
+                return waits;
             });
-        // Accumulate in suite order so floating-point sums match the
+        // Sum in suite order so the floating-point sums match the
         // original serial loops exactly.
-        std::array<double, isa::NumFuTypes> base_wait{};
-        std::array<std::array<double, isa::NumFuTypes>, 4> cfg_wait{};
-        for (const auto &r : rows) {
-            for (FuType f : fus) {
-                auto fi = static_cast<std::size_t>(f);
-                base_wait[fi] += r.base[fi];
-            }
-            for (std::size_t c = 0; c < cfgs.size(); ++c)
-                for (FuType f : fus) {
-                    auto fi = static_cast<std::size_t>(f);
-                    cfg_wait[c][fi] += r.cfg[c][fi];
-                }
-        }
-        static const char *const fuKeys[] = {"bru", "mcfx", "scfx",
-                                             "fpu", "lsu"};
-        for (std::size_t c = 0; c < cfgs.size(); ++c) {
-            std::vector<std::string> row{mc.name + "/" + cfgs[c].name};
-            const std::string rowKey = mc.name + "_" + cfgs[c].name;
-            for (std::size_t k = 0; k < std::size(fus); ++k) {
-                auto fi = static_cast<std::size_t>(fus[k]);
-                double norm = base_wait[fi] > 0
-                                  ? 100.0 * cfg_wait[c][fi] /
-                                        base_wait[fi]
-                                  : 100.0;
-                row.push_back(pc1(norm));
-                pub({"fig8", rowKey, fuKeys[k]}, norm);
-            }
-            t.row(std::move(row));
+        std::vector<Waits> sum(variants.size(), Waits{});
+        for (const auto &waits : rows)
+            for (std::size_t v = 0; v < variants.size(); ++v)
+                for (std::size_t k = 0; k < std::size(fus); ++k)
+                    sum[v][k] += waits[v][k];
+        // Each configuration's waits normalized to variant 0, no LVP.
+        for (std::size_t v = 1; v < variants.size(); ++v) {
+            t.row(mc.name + "/" + variants[v].lvp->name);
+            for (std::size_t k = 0; k < std::size(fus); ++k)
+                t.cell(sum[0][k] > 0 ? 100.0 * sum[v][k] / sum[0][k]
+                                     : 100.0);
         }
     }
-    return t;
+    return {{"Figure 8: Average Data Dependency Resolution Latencies",
+             "normalized RS operand-wait time vs no-LVP: BRU and MCFX "
+             "barely improve (LVP does not predict cr/lr/ctr); FPU, SCFX "
+             "and especially LSU drop sharply (LSU ~50% with "
+             "Simple/Constant).",
+             t.table()}};
 }
 
-TextTable
+Sections
 fig9BankConflicts(const ExperimentOptions &opts)
 {
-    TextTable t;
-    t.header({"Benchmark", "620 NoLVP", "620 Simple", "620 Constant",
-              "620+ NoLVP", "620+ Simple", "620+ Constant"});
     std::vector<RunCache::PpcVariant> variants;
     for (const auto &mc :
          {Ppc620Config::base620(), Ppc620Config::plus620()}) {
@@ -710,27 +573,26 @@ fig9BankConflicts(const ExperimentOptions &opts)
                 pcts[c] = runs[c].timing.bankConflictPct();
             return pcts;
         });
-    static const char *const colNames[6] = {
-        "620_nolvp",     "620_simple",     "620_constant",
-        "620plus_nolvp", "620plus_simple", "620plus_constant"};
-    std::vector<std::vector<double>> cols(6);
+    ResultTable t("fig9",
+                  {{"Benchmark"},
+                   {"620 NoLVP", "620_nolvp", Fmt::Pct, true},
+                   {"620 Simple", "620_simple", Fmt::Pct, true},
+                   {"620 Constant", "620_constant", Fmt::Pct, true},
+                   {"620+ NoLVP", "620plus_nolvp", Fmt::Pct, true},
+                   {"620+ Simple", "620plus_simple", Fmt::Pct, true},
+                   {"620+ Constant", "620plus_constant", Fmt::Pct, true}});
     const auto &suite = allWorkloads();
     for (std::size_t i = 0; i < suite.size(); ++i) {
-        std::vector<std::string> row{suite[i].name};
-        for (unsigned c = 0; c < 6; ++c) {
-            row.push_back(pc1(rows[i][c]));
-            pub({"fig9", suite[i].name, colNames[c]}, rows[i][c]);
-            cols[c].push_back(rows[i][c]);
-        }
-        t.row(std::move(row));
+        t.row(suite[i].name);
+        for (double p : rows[i])
+            t.cell(p);
     }
-    std::vector<std::string> m{"MEAN"};
-    for (unsigned c = 0; c < 6; ++c) {
-        m.push_back(pc1(mean(cols[c])));
-        pub({"fig9", "mean", colNames[c]}, mean(cols[c]));
-    }
-    t.row(std::move(m));
-    return t;
+    t.summary("MEAN", mean);
+    return {{"Figure 9: Percentage of Cycles with Bank Conflicts",
+             "bank conflicts occur in ~2.6% of 620 cycles and ~6.9% of "
+             "620+ cycles; Simple reduces them ~5-8%, Constant ~14% (the "
+             "CVU targets conflict-prone loads).",
+             t.table()}};
 }
 
 } // namespace lvplib::sim

@@ -1,9 +1,10 @@
 /**
  * @file
- * Per-experiment runners: one function per table/figure of the paper,
- * each returning a TextTable whose rows mirror what the paper
- * reports. lvpbench prints these; the tests sanity-check their
- * shapes.
+ * Per-experiment runners: one function per table/figure of the paper.
+ * Each fills a ResultTable (sim/result_table.hh), which prints every
+ * number and publishes it as an "id.row.column" gauge in the same
+ * call, and returns the sections lvpbench prints: the title and the
+ * paper's expectation beside the table. The tests check their shapes.
  */
 
 #ifndef LVPLIB_SIM_EXPERIMENT_HH
@@ -11,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "util/table.hh"
 
@@ -26,8 +28,8 @@ struct ExperimentOptions
     /**
      * Comma-separated registry names restricting the championship's
      * contenders ("" = every registered predictor). Set by
-     * `lvpbench --predictors` / LVPLIB_PREDICTORS; unknown names are
-     * rejected at parse time.
+     * `lvpbench --predictors` / LVPLIB_PREDICTORS; parseBenchCli
+     * rejects unknown names before any experiment runs.
      */
     std::string predictors;
 
@@ -36,45 +38,56 @@ struct ExperimentOptions
     static ExperimentOptions fromEnv();
 };
 
+/** One printed table: exactly what printExperiment needs. */
+struct ExperimentSection
+{
+    std::string title;
+    std::string expectation;
+    TextTable table;
+};
+
+/** The shape of every runner, paper and extension alike. */
+using Sections = std::vector<ExperimentSection>;
+
 /** Table 1: benchmark descriptions and dynamic counts. */
-TextTable table1Benchmarks(const ExperimentOptions &opts);
+Sections table1Benchmarks(const ExperimentOptions &opts);
 
 /** Figure 1: load value locality at history depth 1 and 16, per
  *  benchmark, for both code-generation styles (Alpha and PowerPC). */
-TextTable fig1ValueLocality(const ExperimentOptions &opts);
+Sections fig1ValueLocality(const ExperimentOptions &opts);
 
 /** Figure 2: PowerPC value locality by data type. */
-TextTable fig2LocalityByType(const ExperimentOptions &opts);
+Sections fig2LocalityByType(const ExperimentOptions &opts);
 
 /** Table 2: the four LVP Unit configurations. */
-TextTable table2Configs();
+Sections table2Configs(const ExperimentOptions &opts);
 
 /** Table 3: LCT hit rates (Simple and Limit, both styles). */
-TextTable table3LctHitRates(const ExperimentOptions &opts);
+Sections table3LctHitRates(const ExperimentOptions &opts);
 
 /** Table 4: successful constant identification rates. */
-TextTable table4ConstantRates(const ExperimentOptions &opts);
+Sections table4ConstantRates(const ExperimentOptions &opts);
 
 /** Table 5: instruction latencies of both machine models. */
-TextTable table5Latencies();
+Sections table5Latencies(const ExperimentOptions &opts);
 
 /** Figure 6 (top): Alpha 21164 base-machine speedups. */
-TextTable fig6AlphaSpeedups(const ExperimentOptions &opts);
+Sections fig6AlphaSpeedups(const ExperimentOptions &opts);
 
 /** Figure 6 (bottom): PowerPC 620 base-machine speedups. */
-TextTable fig6PpcSpeedups(const ExperimentOptions &opts);
+Sections fig6PpcSpeedups(const ExperimentOptions &opts);
 
 /** Table 6: PowerPC 620+ speedups. */
-TextTable table6Plus620Speedups(const ExperimentOptions &opts);
+Sections table6Plus620Speedups(const ExperimentOptions &opts);
 
 /** Figure 7: load verification latency distribution, 620 and 620+. */
-TextTable fig7VerificationLatency(const ExperimentOptions &opts);
+Sections fig7VerificationLatency(const ExperimentOptions &opts);
 
 /** Figure 8: normalized RS operand-wait time by FU type. */
-TextTable fig8DependencyResolution(const ExperimentOptions &opts);
+Sections fig8DependencyResolution(const ExperimentOptions &opts);
 
 /** Figure 9: percentage of cycles with L1 bank conflicts. */
-TextTable fig9BankConflicts(const ExperimentOptions &opts);
+Sections fig9BankConflicts(const ExperimentOptions &opts);
 
 } // namespace lvplib::sim
 

@@ -1,7 +1,5 @@
 #include "sim/report.hh"
 
-#include <cstdlib>
-
 namespace lvplib::sim
 {
 
@@ -10,14 +8,6 @@ printExperiment(std::ostream &os, const std::string &title,
                 const std::string &paper_expectation,
                 const TextTable &table, const ExperimentOptions &opts)
 {
-    // LVPLIB_CSV=1 switches the body to CSV for plotting pipelines.
-    if (const char *csv = std::getenv("LVPLIB_CSV");
-        csv && csv[0] == '1') {
-        os << "# " << title << " (scale " << opts.scale << ")\n";
-        table.printCsv(os);
-        os << "\n";
-        return;
-    }
     os << "==============================================================\n"
        << title << "\n"
        << "(workload scale " << opts.scale

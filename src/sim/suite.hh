@@ -13,18 +13,9 @@
 #include <vector>
 
 #include "sim/experiment.hh"
-#include "util/table.hh"
 
 namespace lvplib::sim
 {
-
-/** One printed table: exactly what printExperiment needs. */
-struct ExperimentSection
-{
-    std::string title;
-    std::string expectation;
-    TextTable table;
-};
 
 /** One table/figure registration in the experiment suite. */
 struct ExperimentSpec

@@ -51,35 +51,6 @@ TextTable::print(std::ostream &os) const
         emit(r);
 }
 
-void
-TextTable::printCsv(std::ostream &os) const
-{
-    auto quote = [](const std::string &cell) {
-        bool needs = cell.find_first_of(",\"\n") != std::string::npos;
-        if (!needs)
-            return cell;
-        std::string out = "\"";
-        for (char c : cell) {
-            if (c == '\"')
-                out += '\"';
-            out += c;
-        }
-        out += '\"';
-        return out;
-    };
-    auto emit = [&](const std::vector<std::string> &cells) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (i)
-                os << ',';
-            os << quote(cells[i]);
-        }
-        os << '\n';
-    };
-    emit(header_);
-    for (const auto &r : rows_)
-        emit(r);
-}
-
 std::string
 TextTable::fmtPct(double v, int prec)
 {

@@ -28,11 +28,11 @@ class TextTable
     /** Append a data row. */
     void row(std::vector<std::string> cells);
 
+    /** Append one cell to the last data row. */
+    void cell(std::string s) { rows_.back().push_back(std::move(s)); }
+
     /** Render the table to @p os with a separator under the header. */
     void print(std::ostream &os) const;
-
-    /** Render as CSV (RFC-4180-style quoting) for plotting tools. */
-    void printCsv(std::ostream &os) const;
 
     /** Number of data rows added so far. */
     std::size_t rows() const { return rows_.size(); }

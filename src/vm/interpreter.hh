@@ -27,7 +27,7 @@ enum class DispatchMode : std::uint8_t
 {
     /** Decode operands from the Instruction on every step via the
      *  original switch core. Kept as the differential-testing oracle
-     *  and the dispatch baseline for BM_InterpreterDispatch. */
+     *  (tests/fuzz_interpreter_test.cpp). */
     LegacySwitch,
     /** Execute from the predecoded DecodedInst array through a dense
      *  switch (the default). */

@@ -1,9 +1,10 @@
 /**
  * @file
  * The championship experiment end to end at a tiny scale: contender
- * selection (full registry, --predictors filtering, unknown-name
- * rejection), leaderboard shape and ordering, metric publication, and
- * the CLI/env plumbing that carries the filter. Small enough to run
+ * selection (full registry, --predictors filtering, rejection of
+ * unknown names and empty lists), leaderboard shape and ordering,
+ * metric publication, and the CLI/env plumbing that carries the
+ * filter and checks it before any experiment runs. Small enough to run
  * under TSan in CI.
  */
 
@@ -74,6 +75,44 @@ TEST(Championship, BenchCliValidatesPredictorNames)
 
     auto empty = parseBenchCli({"--predictors", ","}, error);
     EXPECT_FALSE(empty.has_value());
+}
+
+TEST(ChampionshipDeathTest, ListNamingNoContenderIsFatal)
+{
+    ExperimentOptions o = tiny();
+    o.predictors = ",";
+    EXPECT_EXIT(championshipPredictors(o),
+                ::testing::ExitedWithCode(1),
+                "fatal:.*bad --predictors value ','");
+}
+
+TEST(Championship, BenchCliChecksPredictorsFromEnv)
+{
+    // LVPLIB_PREDICTORS is the default --predictors: a bad value is
+    // rejected at parse time, before any experiment runs, with the
+    // message the same --predictors value gets.
+    std::string envError, flagError;
+    for (const char *bad : {"bogus", ",", "lvp,oracle"}) {
+        setenv("LVPLIB_PREDICTORS", bad, 1);
+        EXPECT_FALSE(parseBenchCli({}, envError).has_value()) << bad;
+        unsetenv("LVPLIB_PREDICTORS");
+        EXPECT_FALSE(
+            parseBenchCli({"--predictors", bad}, flagError).has_value());
+        EXPECT_EQ(envError, flagError) << bad;
+    }
+    EXPECT_EQ(envError, "unknown predictor 'oracle'");
+
+    setenv("LVPLIB_PREDICTORS", "fcm", 1);
+    auto ok = parseBenchCli({}, envError);
+    ASSERT_TRUE(ok.has_value()) << envError;
+    EXPECT_EQ(ok->predictors, "fcm");
+
+    // The flag overrides the environment, a bad environment too.
+    setenv("LVPLIB_PREDICTORS", "bogus", 1);
+    ok = parseBenchCli({"--predictors", "lvp"}, envError);
+    ASSERT_TRUE(ok.has_value()) << envError;
+    EXPECT_EQ(ok->predictors, "lvp");
+    unsetenv("LVPLIB_PREDICTORS");
 }
 
 TEST(Championship, OptionsFromEnvReadsPredictors)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Shape checks for the experiment runners: every table/figure
- * function must produce the right number of rows for the paper's
- * benchmark suite. (The heavyweight timing sweeps are exercised by
+ * runner's first section must have the right number of rows for the
+ * paper's benchmark suite. (The heavyweight timing sweeps are exercised by
  * lvpbench; here we verify the cheap ones fully and the
  * configuration tables exactly.)
  */
@@ -38,25 +38,25 @@ TEST(Experiment, SuiteHas17PaperBenchmarks)
 
 TEST(Experiment, Table1HasOneRowPerBenchmark)
 {
-    auto t = table1Benchmarks(tiny());
+    auto t = table1Benchmarks(tiny())[0].table;
     EXPECT_EQ(t.rows(), NumBench);
 }
 
 TEST(Experiment, Fig1RowsPerBenchmarkPlusMean)
 {
-    auto t = fig1ValueLocality(tiny());
+    auto t = fig1ValueLocality(tiny())[0].table;
     EXPECT_EQ(t.rows(), NumBench + 1);
 }
 
 TEST(Experiment, Fig2RowsPerBenchmark)
 {
-    auto t = fig2LocalityByType(tiny());
+    auto t = fig2LocalityByType(tiny())[0].table;
     EXPECT_EQ(t.rows(), NumBench);
 }
 
 TEST(Experiment, Table2MatchesPaperConfigurations)
 {
-    auto t = table2Configs();
+    auto t = table2Configs(tiny())[0].table;
     EXPECT_EQ(t.rows(), 4u);
     auto cfgs = core::LvpConfig::paperConfigs();
     ASSERT_EQ(cfgs.size(), 4u);
@@ -79,19 +79,19 @@ TEST(Experiment, Table2MatchesPaperConfigurations)
 
 TEST(Experiment, Table3RowsAndGm)
 {
-    auto t = table3LctHitRates(tiny());
+    auto t = table3LctHitRates(tiny())[0].table;
     EXPECT_EQ(t.rows(), NumBench + 1);
 }
 
 TEST(Experiment, Table4RowsAndMean)
 {
-    auto t = table4ConstantRates(tiny());
+    auto t = table4ConstantRates(tiny())[0].table;
     EXPECT_EQ(t.rows(), NumBench + 1);
 }
 
 TEST(Experiment, Table5HasLatencyRows)
 {
-    auto t = table5Latencies();
+    auto t = table5Latencies(tiny())[0].table;
     EXPECT_EQ(t.rows(), 8u);
 }
 
@@ -99,7 +99,7 @@ TEST(Experiment, ReportPrintsBannerAndTable)
 {
     std::ostringstream os;
     printExperiment(os, "Test Title", "expectation text",
-                    table2Configs(), tiny());
+                    table2Configs(tiny())[0].table, tiny());
     auto out = os.str();
     EXPECT_NE(out.find("Test Title"), std::string::npos);
     EXPECT_NE(out.find("Simple"), std::string::npos);

@@ -29,37 +29,37 @@ tiny()
 
 TEST(ExperimentTiming, Fig6PpcHasBenchRowsPlusGm)
 {
-    auto t = fig6PpcSpeedups(tiny());
+    auto t = fig6PpcSpeedups(tiny())[0].table;
     EXPECT_EQ(t.rows(), NumBench + 1);
 }
 
 TEST(ExperimentTiming, Fig6AlphaHasBenchRowsPlusGm)
 {
-    auto t = fig6AlphaSpeedups(tiny());
+    auto t = fig6AlphaSpeedups(tiny())[0].table;
     EXPECT_EQ(t.rows(), NumBench + 1);
 }
 
 TEST(ExperimentTiming, Table6HasBenchRowsPlusGm)
 {
-    auto t = table6Plus620Speedups(tiny());
+    auto t = table6Plus620Speedups(tiny())[0].table;
     EXPECT_EQ(t.rows(), NumBench + 1);
 }
 
 TEST(ExperimentTiming, Fig7CoversBothMachinesAndAllConfigs)
 {
-    auto t = fig7VerificationLatency(tiny());
+    auto t = fig7VerificationLatency(tiny())[0].table;
     EXPECT_EQ(t.rows(), 2u * 4u) << "620 and 620+ x 4 configurations";
 }
 
 TEST(ExperimentTiming, Fig8CoversBothMachinesAndAllConfigs)
 {
-    auto t = fig8DependencyResolution(tiny());
+    auto t = fig8DependencyResolution(tiny())[0].table;
     EXPECT_EQ(t.rows(), 2u * 4u);
 }
 
 TEST(ExperimentTiming, Fig9HasBenchRowsPlusMean)
 {
-    auto t = fig9BankConflicts(tiny());
+    auto t = fig9BankConflicts(tiny())[0].table;
     EXPECT_EQ(t.rows(), NumBench + 1);
 }
 

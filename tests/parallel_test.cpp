@@ -271,7 +271,7 @@ std::string
 renderFig1()
 {
     std::ostringstream os;
-    sim::fig1ValueLocality(smallOpts()).print(os);
+    sim::fig1ValueLocality(smallOpts())[0].table.print(os);
     return os.str();
 }
 

@@ -1,18 +1,16 @@
 /**
  * @file
- * Tests for the trace-statistics sink, the Tee sink, CSV rendering,
- * and full-opcode disassembler coverage.
+ * Tests for the trace-statistics sink, the Tee sink, and
+ * full-opcode disassembler coverage.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
 
 #include "isa/assembler.hh"
 #include "isa/instruction.hh"
 #include "trace/trace_stats.hh"
-#include "util/table.hh"
 #include "vm/interpreter.hh"
 
 namespace lvplib
@@ -100,21 +98,6 @@ TEST(Disasm, EveryOpcodeRendersDistinctly)
     // mnemonic is identical, which would be a table bug.
     EXPECT_EQ(seen.size(),
               static_cast<std::size_t>(Opcode::NumOpcodes));
-}
-
-TEST(TextTableCsv, QuotesOnlyWhenNeeded)
-{
-    TextTable t;
-    t.header({"name", "value"});
-    t.row({"plain", "1"});
-    t.row({"has,comma", "2"});
-    t.row({"has\"quote", "3"});
-    std::ostringstream os;
-    t.printCsv(os);
-    EXPECT_EQ(os.str(), "name,value\n"
-                        "plain,1\n"
-                        "\"has,comma\",2\n"
-                        "\"has\"\"quote\",3\n");
 }
 
 } // namespace

@@ -15,6 +15,7 @@
  *   lvpbench --jobs 8         # override LVPLIB_JOBS
  *   lvpbench --scale 2        # override LVPLIB_SCALE
  *   lvpbench --json           # machine-readable timings on stdout
+ *                             # (redirect to keep a snapshot)
  *   lvpbench --list           # show experiment ids and exit
  *   lvpbench --no-trace-cache # keep phase 1 in-memory only
  *   lvpbench --metrics-out run.json
@@ -49,9 +50,9 @@
  * --verify-trace-cache finds an invalid trace; 3 when --check finds
  * metric drift; 4 when an experiment still fails after its retries
  * or when --chaos finds an invariant violation; 5 when SIGINT or
- * SIGTERM interrupted the suite (the completed-prefix snapshots for
- * --bench-out/--metrics-out are still written, tagged "interrupted";
- * --check is skipped).
+ * SIGTERM interrupted the suite (the completed-prefix --metrics-out
+ * snapshot is still written, tagged "interrupted"; --check is
+ * skipped).
  */
 
 #include <algorithm>
@@ -92,9 +93,9 @@ using Clock = std::chrono::steady_clock;
 
 /**
  * Graceful-interrupt flag: SIGINT/SIGTERM stop the suite at the next
- * experiment boundary, and whatever --bench-out/--metrics-out asked
- * for is still written — a valid snapshot of the completed prefix
- * (tagged "interrupted") instead of nothing — then lvpbench exits 5.
+ * experiment boundary, and whatever --metrics-out or --json asked for
+ * is still written — a valid snapshot of the completed prefix (tagged
+ * "interrupted") instead of nothing — then lvpbench exits 5.
  * The handler re-arms the default action, so a second signal kills a
  * stuck run the normal way.
  */
@@ -114,15 +115,6 @@ struct Timing
     std::size_t sections = 0;
     double wallSeconds = 0;
     std::uint64_t instructions = 0;
-
-    double
-    mips() const
-    {
-        return wallSeconds > 0
-                   ? static_cast<double>(instructions) / wallSeconds /
-                         1e6
-                   : 0.0;
-    }
 };
 
 std::string
@@ -408,16 +400,9 @@ main(int argc, char **argv)
     }
 
     auto cs = cache.stats();
-    double totalMips =
-        totalWall > 0
-            ? static_cast<double>(totalInstr) / totalWall / 1e6
-            : 0.0;
 
-    // One JSON document serves both --json (stdout) and --bench-out
-    // (file): the performance-trajectory snapshot.
-    auto benchJson = [&] {
-        std::ostringstream os;
-        obs::JsonWriter w(os);
+    if (bench.json) {
+        obs::JsonWriter w(std::cout);
         w.beginObject();
         w.member("schema", "lvpbench-v1");
         // See metricsDump: present only on interrupted runs.
@@ -436,7 +421,6 @@ main(int argc, char **argv)
                      static_cast<std::uint64_t>(tm.sections));
             w.member("wall_seconds", tm.wallSeconds);
             w.member("instructions", tm.instructions);
-            w.member("mips", tm.mips());
             w.endObject();
         }
         w.endArray();
@@ -444,7 +428,6 @@ main(int argc, char **argv)
         w.beginObject();
         w.member("wall_seconds", totalWall);
         w.member("instructions", totalInstr);
-        w.member("mips", totalMips);
         w.endObject();
         w.key("run_cache");
         w.beginObject();
@@ -456,22 +439,15 @@ main(int argc, char **argv)
         w.member("trace_format_upgrade", cs.traceFormatUpgrade);
         w.endObject();
         w.endObject();
-        os << '\n';
-        return os.str();
-    };
-
-    if (bench.json) {
-        std::cout << benchJson();
+        std::cout << '\n';
     } else {
         TextTable t;
-        t.header({"Experiment", "Wall (s)", "Instructions", "MIPS"});
+        t.header({"Experiment", "Wall (s)", "Instructions"});
         for (const auto &tm : timings)
             t.row({tm.id, fmtSeconds(tm.wallSeconds),
-                   TextTable::fmtCount(tm.instructions),
-                   fmtSeconds(tm.mips())});
+                   TextTable::fmtCount(tm.instructions)});
         t.row({"TOTAL", fmtSeconds(totalWall),
-               TextTable::fmtCount(totalInstr),
-               fmtSeconds(totalMips)});
+               TextTable::fmtCount(totalInstr)});
         std::cout << "\n== lvpbench timings (jobs="
                   << sim::experimentPool().jobs()
                   << ", scale=" << opts.scale << ") ==\n";
@@ -481,17 +457,6 @@ main(int argc, char **argv)
                   << " traces written, " << cs.traceReplays
                   << " replays, " << cs.traceInvalid
                   << " invalid traces regenerated\n";
-    }
-
-    if (!bench.benchOut.empty()) {
-        if (!writeFile(bench.benchOut, benchJson())) {
-            std::cerr << "lvpbench: cannot write bench snapshot to '"
-                      << bench.benchOut << "'\n";
-            return 1;
-        }
-        std::cerr << "lvpbench: wrote bench snapshot ("
-                  << timings.size() << " experiments) to "
-                  << bench.benchOut << '\n';
     }
 
     if (!bench.metricsOut.empty()) {

@@ -1,5 +1,9 @@
 #include "mem/hierarchy.hh"
 
+#include <bit>
+
+#include "util/logging.hh"
+
 namespace lvplib::mem
 {
 
@@ -30,8 +34,15 @@ HierarchyConfig::alpha21164()
 }
 
 MemHierarchy::MemHierarchy(const HierarchyConfig &config)
-    : config_(config), l1_(config.l1), l2_(config.l2)
-{}
+    : config_(config), l1_(config.l1), l2_(config.l2),
+      bankShift_(static_cast<std::uint32_t>(
+          std::countr_zero(config.l1.lineBytes))),
+      bankMask_(config.banks - 1)
+{
+    if (!std::has_single_bit(config.banks))
+        lvp_fatal("HierarchyConfig: banks must be a power of two, got %u",
+                  config.banks);
+}
 
 AccessResult
 MemHierarchy::access(Addr addr)
@@ -59,11 +70,7 @@ MemHierarchy::touchIfPresent(Addr addr)
 std::uint32_t
 MemHierarchy::bank(Addr addr) const
 {
-    if (config_.banks <= 1)
-        return 0;
-    // Banks interleave on line granularity.
-    return static_cast<std::uint32_t>(addr / config_.l1.lineBytes) %
-           config_.banks;
+    return static_cast<std::uint32_t>(addr >> bankShift_) & bankMask_;
 }
 
 void

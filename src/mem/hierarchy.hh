@@ -23,7 +23,8 @@ struct HierarchyConfig
 {
     CacheConfig l1{32 * 1024, 8, 64}; ///< 620 default: 32K 8-way
     CacheConfig l2{1024 * 1024, 8, 64};
-    std::uint32_t banks = 2;          ///< L1 banks (620: dual-banked)
+    std::uint32_t banks = 2;          ///< L1 banks, a power of two
+                                      ///< (620: dual-banked)
     std::uint32_t l2Latency = 8;      ///< extra cycles for an L1 miss/L2 hit
     std::uint32_t memLatency = 40;    ///< extra cycles for an L2 miss
 
@@ -74,6 +75,9 @@ class MemHierarchy
     HierarchyConfig config_;
     Cache l1_;
     Cache l2_;
+    // Banks interleave on line granularity: bank = line % banks.
+    std::uint32_t bankShift_; ///< log2(l1.lineBytes)
+    std::uint32_t bankMask_;  ///< banks - 1
 };
 
 } // namespace lvplib::mem

@@ -1,5 +1,6 @@
 #include "serve/protocol.hh"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 
@@ -516,9 +517,12 @@ decodeMetrics(std::span<const std::uint8_t> payload)
 std::vector<std::uint8_t>
 encodeError(ErrorKind kind, std::string_view message)
 {
-    std::vector<std::uint8_t> out;
-    put8(out, static_cast<std::uint8_t>(kind));
-    out.insert(out.end(), message.begin(), message.end());
+    // Sized once and filled, rather than grown by an insert after the
+    // kind byte: GCC 12 misreads that inlined reallocation as an
+    // out-of-bounds copy (-Warray-bounds).
+    std::vector<std::uint8_t> out(1 + message.size());
+    out[0] = static_cast<std::uint8_t>(kind);
+    std::copy(message.begin(), message.end(), out.begin() + 1);
     return out;
 }
 

@@ -80,8 +80,6 @@ ExperimentOptions::fromEnv()
     if (auto v = envUnsigned("LVPLIB_SCALE", 1,
                              std::numeric_limits<unsigned>::max()))
         opts.scale = static_cast<unsigned>(*v);
-    if (const char *p = std::getenv("LVPLIB_PREDICTORS"))
-        opts.predictors = p;
     return opts;
 }
 

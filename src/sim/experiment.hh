@@ -27,14 +27,14 @@ struct ExperimentOptions
 
     /**
      * Comma-separated registry names restricting the championship's
-     * contenders ("" = every registered predictor). Set by
-     * `lvpbench --predictors` / LVPLIB_PREDICTORS; parseBenchCli
-     * rejects unknown names before any experiment runs.
+     * contenders ("" = every registered predictor). lvpbench copies
+     * it from parseBenchCli, which reads `--predictors` and, as its
+     * default, LVPLIB_PREDICTORS, and rejects unknown names before
+     * any experiment runs.
      */
     std::string predictors;
 
-    /** Read LVPLIB_SCALE / LVPLIB_PREDICTORS from the environment
-     *  when set. */
+    /** Read LVPLIB_SCALE from the environment when set. */
     static ExperimentOptions fromEnv();
 };
 

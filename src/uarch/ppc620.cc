@@ -200,12 +200,24 @@ Ppc620Model::loadDataReturn(const trace::TraceRecord &rec, Cycle issue,
                          ret);
     }
 
-    // Store-to-load forwarding: a younger load of bytes written by an
-    // in-flight older store gets the data once the store's data is
-    // ready.
+    // Store-to-load forwarding. A store can only move ret to its
+    // ready + 1 <= sqMaxReady_ + 1, so past the bound the scan would
+    // return ret unchanged.
     const Addr loadEnd = rec.effAddr + rec.inst->accessSize();
+    if (ret <= sqMaxReady_)
+        return forwardFromStores(rec.effAddr, loadEnd, ret);
+    lvp_dassert(forwardFromStores(rec.effAddr, loadEnd, ret) == ret,
+                "a store past the store-queue bound delays a load");
+    return ret;
+}
+
+/** A younger load of bytes [begin, end) written by an in-flight
+ *  older store gets the data once the store's data is ready. */
+Cycle
+Ppc620Model::forwardFromStores(Addr begin, Addr end, Cycle ret) const
+{
     for (const StoreEntry &st : storeQueue_) {
-        if (st.begin < loadEnd && rec.effAddr < st.end)
+        if (st.begin < end && begin < st.end)
             ret = std::max(ret, st.ready + 1);
     }
     return ret;
@@ -321,10 +333,11 @@ Ppc620Model::consume(const trace::TraceRecord &rec)
         eligible = std::max({issue + 1, data_ready, bound_verify});
         rs_free = std::max(issue + lat.issue, bound_verify);
 
+        const Cycle ready = std::max(issue, data_ready);
         storeQueue_[storeNext_] = {rec.effAddr,
-                                   rec.effAddr + inst.accessSize(),
-                                   std::max(issue, data_ready)};
+                                   rec.effAddr + inst.accessSize(), ready};
         storeNext_ = (storeNext_ + 1) % storeQueue_.size();
+        sqMaxReady_ = std::max(sqMaxReady_, ready);
     } else {
         // ALU / branch: may issue speculatively on forwarded values.
         Cycle issue_spec = fus_[fu_idx].book(std::max(d + 1, spec_ready),

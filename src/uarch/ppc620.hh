@@ -128,6 +128,7 @@ class Ppc620Model : public trace::TraceSink
     Cycle completeCycle(Cycle eligible, Cycle dispatch);
     Cycle loadDataReturn(const trace::TraceRecord &rec, Cycle issue,
                          trace::PredState pred);
+    Cycle forwardFromStores(Addr begin, Addr end, Cycle ret) const;
 
     Ppc620Config config_;
     bool lvp_;
@@ -159,10 +160,13 @@ class Ppc620Model : public trace::TraceSink
     // Dependence tracking.
     std::array<RegInfo, isa::NumRegs> regs_{};
 
-    // Store queue: a ring of the newest 64 stores, all scanned on
-    // every load; storeNext_ is the oldest, overwritten next.
+    // Store queue: a ring of the newest 64 stores; storeNext_ is the
+    // oldest, overwritten next. sqMaxReady_ bounds the ready cycle of
+    // every store ever queued, so a load returning after it skips
+    // the scan.
     std::array<StoreEntry, 64> storeQueue_{};
     std::size_t storeNext_ = 0;
+    Cycle sqMaxReady_ = 0;
 
     // Outstanding-miss (MSHR) end times, ascending; at most mshrs.
     std::vector<Cycle> missEnds_;

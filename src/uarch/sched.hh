@@ -58,6 +58,8 @@ class FuPipe
     {
         lvp_dassert(t >= floor_, "FU query below the floor");
         Cycle s = nextFree(t);
+        if (dur == 1)
+            return s;
         for (;;) {
             Cycle busy = nextBusy(s + 1, s + dur);
             if (busy == s + dur)
@@ -72,15 +74,14 @@ class FuPipe
     {
         lvp_dassert(start >= floor_, "FU booking below the floor");
         const Cycle end = start + dur;
-        if (end > windowEnd())
+        if (end > end_)
             makeRoom(end);
         for (Cycle c = start; c < end;) {
             const unsigned lo = c & 63;
             const Cycle n = std::min<Cycle>(64 - lo, end - c);
-            const std::uint64_t bits =
-                (n == 64 ? ~std::uint64_t(0)
-                         : (std::uint64_t(1) << n) - 1)
-                << lo;
+            // n is 1..64, so the shift is 0..63.
+            const std::uint64_t bits = (~std::uint64_t(0) >> (64 - n))
+                                       << lo;
             std::uint64_t &w = ring_[slot(c)];
             lvp_dassert((w & bits) == 0, "FU booking over a busy cycle");
             w |= bits;
@@ -93,17 +94,14 @@ class FuPipe
      *  cycle that any booking on the suite ends (152 cycles). */
     static constexpr std::size_t InitialWords = 16;
 
-    Cycle windowEnd() const { return base_ + 64 * ring_.size(); }
-
     /** Ring index of the word holding cycle @p c. */
-    std::size_t slot(Cycle c) const { return (c >> 6) & (ring_.size() - 1); }
+    std::size_t slot(Cycle c) const { return (c >> 6) & mask_; }
 
     /** First idle cycle >= @p c. Past the window everything is idle. */
     Cycle
     nextFree(Cycle c) const
     {
-        const Cycle end = windowEnd();
-        while (c < end) {
+        while (c < end_) {
             const std::uint64_t idle = ~ring_[slot(c)] >> (c & 63);
             if (idle != 0)
                 return c + std::countr_zero(idle);
@@ -116,7 +114,7 @@ class FuPipe
     Cycle
     nextBusy(Cycle c, Cycle limit) const
     {
-        const Cycle end = std::min(limit, windowEnd());
+        const Cycle end = std::min(limit, end_);
         while (c < end) {
             const std::uint64_t busy = ring_[slot(c)] >> (c & 63);
             if (busy != 0)
@@ -139,19 +137,24 @@ class FuPipe
                 ring_[slot(c)] = 0;
         }
         base_ = base;
-        if (end <= windowEnd())
+        end_ = base_ + 64 * ring_.size();
+        if (end <= end_)
             return;
         std::size_t words = ring_.size();
         while (base_ + 64 * words < end)
             words *= 2;
         std::vector<std::uint64_t> grown(words);
-        for (Cycle c = base_; c < windowEnd(); c += 64)
+        for (Cycle c = base_; c < end_; c += 64)
             grown[(c >> 6) & (words - 1)] = ring_[slot(c)];
         ring_.swap(grown);
+        mask_ = ring_.size() - 1;
+        end_ = base_ + 64 * ring_.size();
     }
 
     std::vector<std::uint64_t> ring_; ///< size is a power of two
+    std::size_t mask_ = InitialWords - 1; ///< ring_.size() - 1
     Cycle base_ = 0;  ///< first cycle the ring holds (word-aligned)
+    Cycle end_ = 64 * InitialWords; ///< first cycle past the ring
     Cycle floor_ = 0;
 };
 
@@ -227,6 +230,7 @@ class FuBank
  * can constrain, so the pool keeps just those, ascending, in a ring.
  * A full pool drops its front and inserts from the back, which is
  * O(1) when claims arrive in release order (almost all of them do).
+ * claim() keeps that answer in front_, so the query is one load.
  * Capacity 0 means unlimited.
  */
 class ResourcePool
@@ -237,23 +241,17 @@ class ResourcePool
           mask_(static_cast<unsigned>(ring_.size()) - 1)
     {}
 
-    Cycle
-    earliestAvailable() const
-    {
-        if (cap_ == 0)
-            return 0; // treated as unlimited
-        return size_ < cap_ ? 0 : ring_[head_];
-    }
+    Cycle earliestAvailable() const { return front_; }
 
     void
     claim(Cycle release)
     {
         if (cap_ == 0)
-            return;
+            return; // unlimited: front_ stays 0
         if (size_ == cap_) {
             // The smallest kept release can no longer constrain
             // anything, unless the new one is smaller still.
-            if (release <= ring_[head_])
+            if (release <= front_)
                 return;
             head_ = (head_ + 1) & mask_;
             --size_;
@@ -266,7 +264,8 @@ class ResourcePool
             ring_[(head_ + i) & mask_] = prev;
         }
         ring_[(head_ + i) & mask_] = release;
-        ++size_;
+        if (++size_ == cap_)
+            front_ = ring_[head_];
         lvp_dassert(size_ <= cap_, "pool holds more than its capacity");
     }
 
@@ -278,6 +277,7 @@ class ResourcePool
     unsigned mask_;
     unsigned head_ = 0;
     unsigned size_ = 0;
+    Cycle front_ = 0; ///< ring_[head_] when full, else 0
 };
 
 /** Enforces at most @p width events per cycle, non-decreasing. */
@@ -322,16 +322,21 @@ class SlotCounter
  * priority, stores retry on conflict. Tracks the number of distinct
  * cycles in which at least one conflict occurred (paper Figure 9).
  * Ring-buffered: assumes bookings stay within the horizon of the most
- * recent cycle seen, which holds for bounded-window pipelines.
+ * recent cycle seen, which holds for bounded-window pipelines. The
+ * bank count and the horizon are powers of two, so a slot index is a
+ * mask, a shift and an OR.
  */
 class BankTracker
 {
   public:
-    explicit BankTracker(unsigned banks, std::size_t horizon = 16384)
-        : banks_(banks), horizon_(horizon),
-          slots_(banks * horizon), stamp_(banks * horizon, NoCycle),
-          conflictStamp_(horizon, NoCycle)
-    {}
+    explicit BankTracker(unsigned banks)
+        : bankShift_(static_cast<unsigned>(std::countr_zero(banks))),
+          slots_(banks * Horizon), stamp_(banks * Horizon, NoCycle),
+          conflictStamp_(Horizon, NoCycle)
+    {
+        lvp_assert(std::has_single_bit(banks),
+                   "bank count must be a power of two");
+    }
 
     /**
      * Book a load access at the first cycle >= @p t where @p bank has
@@ -384,9 +389,10 @@ class BankTracker
     /** Distinct cycles in which at least one conflict occurred. */
     std::uint64_t conflictCycles() const { return conflictCycles_; }
 
-    unsigned banks() const { return banks_; }
-
   private:
+    /** Cycles the ring remembers. */
+    static constexpr std::size_t Horizon = 16384;
+    static_assert(std::has_single_bit(Horizon));
     static constexpr Cycle NoCycle = ~Cycle(0);
     static constexpr std::uint8_t LoadBit = 1;
     static constexpr std::uint8_t StoreBit = 2;
@@ -394,7 +400,7 @@ class BankTracker
     std::size_t
     slot(Cycle c, unsigned bank) const
     {
-        return (c % horizon_) * banks_ + bank;
+        return ((c & (Horizon - 1)) << bankShift_) | bank;
     }
 
     std::uint8_t
@@ -426,15 +432,14 @@ class BankTracker
     void
     markConflict(Cycle c)
     {
-        std::size_t s = c % horizon_;
+        std::size_t s = c & (Horizon - 1);
         if (conflictStamp_[s] != c) {
             conflictStamp_[s] = c;
             ++conflictCycles_;
         }
     }
 
-    unsigned banks_;
-    std::size_t horizon_;
+    unsigned bankShift_; ///< log2 of the bank count
     std::vector<std::uint8_t> slots_;
     std::vector<Cycle> stamp_;
     std::vector<Cycle> conflictStamp_;

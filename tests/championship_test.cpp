@@ -115,14 +115,6 @@ TEST(Championship, BenchCliChecksPredictorsFromEnv)
     unsetenv("LVPLIB_PREDICTORS");
 }
 
-TEST(Championship, OptionsFromEnvReadsPredictors)
-{
-    setenv("LVPLIB_PREDICTORS", "fcm", 1);
-    EXPECT_EQ(ExperimentOptions::fromEnv().predictors, "fcm");
-    unsetenv("LVPLIB_PREDICTORS");
-    EXPECT_TRUE(ExperimentOptions::fromEnv().predictors.empty());
-}
-
 TEST(Championship, LeaderboardRanksAllContendersAndPublishesMetrics)
 {
     // Two contenders keep this cheap enough for the TSan leg while

@@ -9,11 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <ostream>
+#include <utility>
+#include <vector>
 
 #include "core/config.hh"
 #include "isa/assembler.hh"
+#include "mem/hierarchy.hh"
 #include "sim/pipeline_driver.hh"
 #include "uarch/alpha21164.hh"
 #include "uarch/machine_config.hh"
@@ -393,6 +397,134 @@ TEST(Ppc620Resources, SquashKnobIsNoopWithoutMispredictions)
     EXPECT_EQ(a1.timing.cycles, a2.timing.cycles);
 }
 
+// ---- store-to-load forwarding, cycle by cycle ---------------------
+
+/**
+ * Hand-built records fed straight to a 620 with unlimited pools, so
+ * that only dependences, the FUs and the store queue time the load:
+ *
+ *   divd r5 <- r5/r4, `divides` times   the store's late data;
+ *   `storeOp` r5 -> storeAddr           ready when r5 is;
+ *   `younger` std r0 -> other lines     early data, no overlap;
+ *   addi r12 <- r12+1, `chain` times    one cycle later each;
+ *   lfd f6 <- loadAddr (base r12)       the load under test;
+ *   fdiv f7 <- f6/f6                    issues when f6 returns.
+ *
+ * The store and the load share one cache line and bank, and the
+ * store fills the line first, so a store that does not overlap the
+ * load leaves every cycle alone; the fdiv turns the load's data
+ * return into the run's last completion.
+ */
+struct LoadBehindSlowStore
+{
+    isa::Opcode storeOp = isa::Opcode::STD;
+    Addr storeAddr = 0x1000;
+    Addr loadAddr = 0x1000;
+    unsigned divides = 1;
+    unsigned younger = 0;
+    unsigned chain = 0;
+
+    Cycle
+    cycles() const
+    {
+        using isa::Opcode;
+        const RegIndex f6 = isa::FprBase + 6, f7 = isa::FprBase + 7;
+        std::vector<std::pair<isa::Instruction, Addr>> ops;
+        for (unsigned i = 0; i < divides; ++i)
+            ops.push_back({{.op = Opcode::DIVD, .rd = 5, .rs1 = 5,
+                            .rs2 = 4},
+                           0});
+        ops.push_back({{.op = storeOp, .rs1 = 10, .rs2 = 5}, storeAddr});
+        for (unsigned i = 0; i < younger; ++i)
+            ops.push_back({{.op = Opcode::STD, .rs1 = 10, .rs2 = 0},
+                           0x4000 + 8 * Addr(i)});
+        for (unsigned i = 0; i < chain; ++i)
+            ops.push_back({{.op = Opcode::ADDI, .rd = 12, .rs1 = 12,
+                            .imm = 1},
+                           0});
+        ops.push_back({{.op = Opcode::LFD, .rd = f6, .rs1 = 12}, loadAddr});
+        ops.push_back({{.op = Opcode::FDIV, .rd = f7, .rs1 = f6,
+                        .rs2 = f6},
+                       0});
+
+        auto cfg = Ppc620Config::base620();
+        cfg.rsPerUnit = 0;
+        cfg.gprRename = 0;
+        cfg.fprRename = 0;
+        cfg.completionEntries = 0;
+        uarch::Ppc620Model m(cfg, false);
+        Addr pc = 0x10000;
+        for (const auto &[inst, ea] : ops) {
+            trace::TraceRecord r;
+            r.pc = pc;
+            r.nextPc = pc += 4;
+            r.inst = &inst;
+            r.effAddr = ea;
+            m.consume(r);
+        }
+        m.finish();
+        return m.stats().cycles;
+    }
+};
+
+TEST(Ppc620StoreQueue, ReturnOnTheStoresReadyCycleStillWaits)
+{
+    // Each addi delays the load's data return by one cycle. Past a
+    // few, the run's last cycle is the return plus the fdiv, which a
+    // store to the next 8 bytes leaves alone; an overlapping store
+    // moves the return to at least its ready cycle + 1.
+    LoadBehindSlowStore apart, overlap;
+    apart.loadAddr = 0x1008;
+    const Cycle held = overlap.cycles(); // ready + 1 + the fdiv
+    ASSERT_GT(held, apart.cycles()) << "the store must delay the load";
+
+    bool sawReturnOnReady = false;
+    for (unsigned chain = 0; chain <= 64; ++chain) {
+        apart.chain = overlap.chain = chain;
+        const Cycle free = apart.cycles();
+        EXPECT_EQ(overlap.cycles(), std::max(free, held)) << chain;
+        // The data returns exactly on the store's ready cycle: the
+        // store still delays it by one, so a bound that skips the
+        // scan when return >= ready is wrong.
+        if (free + 1 == held) {
+            sawReturnOnReady = true;
+            EXPECT_EQ(overlap.cycles(), free + 1) << chain;
+        }
+    }
+    EXPECT_TRUE(sawReturnOnReady)
+        << "the sweep must land a return on the ready cycle";
+}
+
+TEST(Ppc620StoreQueue, OverlapOfTheLastByteForwards)
+{
+    // The 8-byte load covers [0x1008, 0x1010); one-byte stores just
+    // outside it, on either side, do not delay it.
+    LoadBehindSlowStore last, after, before;
+    last.storeOp = after.storeOp = before.storeOp = isa::Opcode::STB;
+    last.loadAddr = after.loadAddr = before.loadAddr = 0x1008;
+    last.storeAddr = 0x100f;
+    after.storeAddr = 0x1010;
+    before.storeAddr = 0x1007;
+    EXPECT_EQ(after.cycles(), before.cycles());
+    EXPECT_GT(last.cycles(), after.cycles())
+        << "a store of the load's last byte must delay it";
+}
+
+TEST(Ppc620StoreQueue, StorePushedOutOfTheQueueNoLongerForwards)
+{
+    // Three 35-cycle divides keep the store's data late enough that
+    // 64 younger stores (one per cycle on the 620) dispatch first.
+    auto delay = [](unsigned younger) {
+        LoadBehindSlowStore overlap, apart;
+        overlap.divides = apart.divides = 3;
+        overlap.younger = apart.younger = younger;
+        apart.loadAddr = 0x1008;
+        return overlap.cycles() - apart.cycles();
+    };
+    EXPECT_GT(delay(63), 0u) << "the 64-entry queue still holds it";
+    EXPECT_EQ(delay(64), 0u) << "64 younger stores pushed it out";
+}
+
 // ---- configuration validation ------------------------------------
 
 /** One rejected field: its name and how to zero it. */
@@ -460,6 +592,22 @@ INSTANTIATE_TEST_SUITE_P(
         ZeroField{"intPipes", nullptr, &AlphaConfig::intPipes},
         ZeroField{"fpPipes", nullptr, &AlphaConfig::fpPipes}),
     zeroFieldName);
+
+TEST(HierarchyConfigDeathTest, BankCountMustBeAPowerOfTwo)
+{
+    for (std::uint32_t banks : {0u, 3u}) {
+        auto cfg = mem::HierarchyConfig::ppc620();
+        cfg.banks = banks;
+        EXPECT_EXIT(mem::MemHierarchy{cfg}, ::testing::ExitedWithCode(1),
+                    "banks must be a power of two")
+            << banks;
+    }
+    auto cfg = Ppc620Config::base620();
+    cfg.mem.banks = 3;
+    EXPECT_EXIT(uarch::Ppc620Model(cfg, false),
+                ::testing::ExitedWithCode(1),
+                "banks must be a power of two");
+}
 
 TEST(MachineConfig, ZeroPoolSizesMeanUnlimited)
 {

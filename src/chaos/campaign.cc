@@ -276,11 +276,10 @@ runChaosCampaign(const CampaignOptions &opts, std::ostream &out)
     {
         bool caught = false;
         try {
-            vm::Interpreter interp(*progs[0]);
             trace::NullSink null;
-            sim::WatchdogSink wd(&null, /*wallLimitMs=*/0,
-                                 /*recordBudget=*/1000);
-            interp.run(&wd, opts.maxInstructions);
+            sim::interpret(*progs[0], null,
+                           {opts.maxInstructions, /*wallLimitMs=*/0,
+                            /*recordBudget=*/1000});
         } catch (const SimError &e) {
             caught = e.kind() == ErrorKind::Watchdog;
         }

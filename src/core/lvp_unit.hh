@@ -2,9 +2,9 @@
  * @file
  * The Load Value Prediction Unit: LVPT + LCT + CVU composed per paper
  * Section 3.4, plus the statistics behind Tables 3 and 4. Also names
- * the LvpAnnotator trace-pipeline stage, which annotates every dynamic
- * load with its PredState — the paper's phase-2 simulator, which
- * passes only two bits of state per load into the timing models.
+ * LvpAnnotator, the Annotator<LvpUnit> stage that stamps each dynamic
+ * load's PredState for the sink behind it (core::PredictorAnnotator
+ * picks it for an LvpConfig spec).
  */
 
 #ifndef LVPLIB_CORE_LVP_UNIT_HH

@@ -1,11 +1,13 @@
 #include "sim/cli.hh"
 
+#include <algorithm>
+#include <cctype>
 #include <cstdlib>
 #include <limits>
 #include <set>
 #include <string_view>
 
-#include "core/stride_unit.hh"
+#include "core/value_predictor.hh"
 #include "isa/text_asm.hh"
 #include "sim/extensions.hh"
 #include "sim/pipeline_driver.hh"
@@ -36,21 +38,27 @@ parseMachine(const std::string &s, CliOptions::Machine &out)
     return false;
 }
 
+/**
+ * The predictor an --lvp name selects, into @p out: a Table 2 preset
+ * by its lowercase name, else a registry contender; "none" selects no
+ * predictor. False for an unknown name.
+ */
 bool
-validLvp(const std::string &s)
+lvpByName(const std::string &s, std::optional<core::PredictorSpec> &out)
 {
-    return s == "simple" || s == "constant" || s == "limit" ||
-           s == "perfect" || s == "none" || s == "stride";
-}
-
-std::optional<core::LvpConfig>
-lvpConfigByName(const std::string &s)
-{
-    if (s == "simple") return core::LvpConfig::simple();
-    if (s == "constant") return core::LvpConfig::constant();
-    if (s == "limit") return core::LvpConfig::limit();
-    if (s == "perfect") return core::LvpConfig::perfect();
-    return std::nullopt; // "none" and "stride"
+    out.reset();
+    if (s == "none")
+        return true;
+    for (const auto &cfg : core::LvpConfig::paperConfigs())
+        if (std::ranges::equal(cfg.name, s, [](char a, char b) {
+                return std::tolower(static_cast<unsigned char>(a)) == b;
+            })) {
+            out = cfg;
+            return true;
+        }
+    if (const core::PredictorInfo *info = core::findPredictor(s))
+        out = info->spec;
+    return out.has_value();
 }
 
 /**
@@ -91,7 +99,8 @@ cliUsage()
   --bench NAME      benchmark to run (default grep; --list to see all)
   --asm FILE        run a VLISA .s file instead of a benchmark
   --machine M       620 | 620+ | 21164 | none   (default 620)
-  --lvp CFG         simple | constant | limit | perfect | stride | none
+  --lvp CFG         simple | constant | limit | perfect (Table 2),
+                    lvp | stride | fcm | vtage | skewstride, or none
                     (default simple)
   --scale N         workload input scale (default 2)
   --codegen CG      ppc | alpha                 (default ppc)
@@ -128,7 +137,8 @@ parseCli(const std::vector<std::string> &args, std::string &error)
                 return std::nullopt;
             }
         } else if (a == "--lvp") {
-            if (!validLvp(v)) {
+            std::optional<core::PredictorSpec> spec;
+            if (!lvpByName(v, spec)) {
                 error = "unknown LVP config '" + v + "'";
                 return std::nullopt;
             }
@@ -303,6 +313,11 @@ namespace
 int
 simulate(const CliOptions &opts, std::ostream &os)
 {
+    std::optional<core::PredictorSpec> lvp;
+    if (!lvpByName(opts.lvpConfig, lvp)) {
+        os << "error: unknown LVP config '" << opts.lvpConfig << "'\n";
+        return 1;
+    }
     isa::Program prog;
     if (!opts.asmFile.empty()) {
         prog = isa::assembleFile(opts.asmFile);
@@ -337,18 +352,6 @@ simulate(const CliOptions &opts, std::ostream &os)
            << " (depth 16)\n";
     }
 
-    std::optional<core::LvpConfig> lvp =
-        lvpConfigByName(opts.lvpConfig);
-    if (opts.lvpConfig == "stride") {
-        auto st = runPredictorOnly(prog, core::StrideConfig::simple());
-        printLvpStats(os, "stride unit", st);
-        // The timing models consume history-based annotations only;
-        // a stride run is statistics-only.
-        if (opts.machine != CliOptions::Machine::None)
-            os << "(stride runs are statistics-only; pick --lvp "
-                  "simple/constant/limit/perfect for timing)\n";
-        return 0;
-    }
     if (lvp) {
         auto st = runPredictorOnly(prog, *lvp);
         printLvpStats(os, ("LVP " + opts.lvpConfig).c_str(), st);

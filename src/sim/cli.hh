@@ -35,7 +35,9 @@ struct CliOptions
     std::string benchmark = "grep"; ///< benchmark name
     std::string asmFile;            ///< or a .s file (overrides)
     Machine machine = Machine::Ppc620;
-    std::string lvpConfig = "simple"; ///< simple|constant|limit|perfect|none|stride
+    /** A Table 2 preset (simple|constant|limit|perfect), a registry
+     *  predictor name, or none. */
+    std::string lvpConfig = "simple";
     unsigned scale = 2;
     std::string codegen = "ppc"; ///< ppc|alpha
     bool profileLocality = false;

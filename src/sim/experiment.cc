@@ -455,10 +455,13 @@ Sections
 fig7VerificationLatency(const ExperimentOptions &opts)
 {
     std::vector<RunCache::PpcVariant> variants;
+    std::vector<std::string> labels;
     for (const auto &mc :
          {Ppc620Config::base620(), Ppc620Config::plus620()})
-        for (const auto &cfg : LvpConfig::paperConfigs())
+        for (const auto &cfg : LvpConfig::paperConfigs()) {
             variants.push_back({mc, cfg});
+            labels.push_back(mc.name + "/" + cfg.name);
+        }
     // Each workload's whole variant sweep comes from one single-pass
     // replay; the histograms merge in suite order.
     auto rows = experimentPool().map(
@@ -484,7 +487,7 @@ fig7VerificationLatency(const ExperimentOptions &opts)
                            {">7", "gt7"}});
     for (std::size_t v = 0; v < variants.size(); ++v) {
         const Histogram &h = hists[v];
-        t.row(variants[v].mc.name + "/" + variants[v].lvp->name)
+        t.row(labels[v])
             .cell(h.bucketPct(0) + h.bucketPct(1) + h.bucketPct(2) +
                   h.bucketPct(3));
         for (std::size_t b = 4; b < 8; ++b)
@@ -511,10 +514,11 @@ fig8DependencyResolution(const ExperimentOptions &opts)
                            {"SCFX", "scfx"},
                            {"FPU", "fpu"},
                            {"LSU", "lsu"}});
+    const auto cfgs = LvpConfig::paperConfigs();
     for (const auto &mc :
          {Ppc620Config::base620(), Ppc620Config::plus620()}) {
         std::vector<RunCache::PpcVariant> variants{{mc, std::nullopt}};
-        for (const auto &cfg : LvpConfig::paperConfigs())
+        for (const auto &cfg : cfgs)
             variants.push_back({mc, cfg});
         // Per workload, each variant's mean RS operand wait per FU.
         auto rows = experimentPool().map(
@@ -537,7 +541,7 @@ fig8DependencyResolution(const ExperimentOptions &opts)
                     sum[v][k] += waits[v][k];
         // Each configuration's waits normalized to variant 0, no LVP.
         for (std::size_t v = 1; v < variants.size(); ++v) {
-            t.row(mc.name + "/" + variants[v].lvp->name);
+            t.row(mc.name + "/" + cfgs[v - 1].name);
             for (std::size_t k = 0; k < std::size(fus); ++k)
                 t.cell(sum[0][k] > 0 ? 100.0 * sum[v][k] / sum[0][k]
                                      : 100.0);

@@ -16,23 +16,28 @@ namespace
 
 std::atomic<std::uint64_t> g_instructions{0};
 
-void
-runToCompletion(vm::Interpreter &interp, trace::TraceSink *sink,
+/** interpret() on a caller's interpreter; see interpret(). */
+std::uint64_t
+runToCompletion(vm::Interpreter &interp, trace::TraceSink &sink,
                 const RunConfig &rc)
 {
     std::uint64_t wallMs =
         rc.wallLimitMs != 0 ? rc.wallLimitMs : defaultWallLimitMs();
+    std::uint64_t n;
     if (wallMs != 0 || rc.recordBudget != 0) {
-        WatchdogSink wd(sink, wallMs, rc.recordBudget);
-        addInstructionsProcessed(
-            interp.run(&wd, rc.maxInstructions));
+        WatchdogSink wd(&sink, wallMs, rc.recordBudget);
+        n = interp.run(&wd, rc.maxInstructions);
     } else {
-        addInstructionsProcessed(
-            interp.run(sink, rc.maxInstructions));
+        n = interp.run(&sink, rc.maxInstructions);
     }
-    if (!interp.halted())
+    addInstructionsProcessed(n);
+    if (!interp.halted()) {
         lvp_warn("program did not halt within %llu instructions",
                  static_cast<unsigned long long>(rc.maxInstructions));
+        // The interpreter finishes its sink only on HALT.
+        sink.finish();
+    }
+    return n;
 }
 
 /**
@@ -114,12 +119,12 @@ addInstructionsProcessed(std::uint64_t n)
     g_instructions.fetch_add(n, std::memory_order_relaxed);
 }
 
-void
+std::uint64_t
 interpret(const isa::Program &prog, trace::TraceSink &sink,
           const RunConfig &rc)
 {
     vm::Interpreter interp(prog);
-    runToCompletion(interp, &sink, rc);
+    return runToCompletion(interp, sink, rc);
 }
 
 FuncResult
@@ -127,7 +132,7 @@ runFunctional(const isa::Program &prog, const RunConfig &rc)
 {
     vm::Interpreter interp(prog);
     FuncResult r;
-    runToCompletion(interp, &r.stats, rc);
+    runToCompletion(interp, r.stats, rc);
     r.completed = interp.halted();
     if (prog.hasSymbol("__result"))
         r.result = interp.memory().read(prog.symbol("__result"), 8);
@@ -160,7 +165,8 @@ runPredictorOnly(const isa::Program &prog,
 
 PpcRun
 runPpc620(const isa::Program &prog, const uarch::Ppc620Config &mc,
-          const std::optional<core::LvpConfig> &lvp, const RunConfig &rc)
+          const std::optional<core::PredictorSpec> &lvp,
+          const RunConfig &rc)
 {
     PpcChain chain(mc, lvp);
     return runChain(prog, chain, rc);
@@ -168,7 +174,7 @@ runPpc620(const isa::Program &prog, const uarch::Ppc620Config &mc,
 
 AlphaRun
 runAlpha21164(const isa::Program &prog, const uarch::AlphaConfig &mc,
-              const std::optional<core::LvpConfig> &lvp,
+              const std::optional<core::PredictorSpec> &lvp,
               const RunConfig &rc)
 {
     AlphaChain chain(mc, lvp);

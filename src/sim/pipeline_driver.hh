@@ -75,16 +75,16 @@ core::LvpStats runPredictorOnly(const isa::Program &prog,
 struct PpcRun
 {
     uarch::OooStats timing;
-    core::LvpStats lvp; ///< zeroed when no LVP config was given
+    core::LvpStats lvp; ///< zeroed when no predictor was given
 };
 
 /**
- * Run the PowerPC 620/620+ timing model, optionally with an LVP unit
- * annotating loads ahead of it.
+ * Run the PowerPC 620/620+ timing model, optionally with any
+ * predictor annotating loads ahead of it (nullopt = no LVP).
  */
 PpcRun runPpc620(const isa::Program &prog,
                  const uarch::Ppc620Config &mc,
-                 const std::optional<core::LvpConfig> &lvp,
+                 const std::optional<core::PredictorSpec> &lvp,
                  const RunConfig &rc = {});
 
 /** Timing result for the in-order machine. */
@@ -94,10 +94,10 @@ struct AlphaRun
     core::LvpStats lvp;
 };
 
-/** Run the Alpha 21164 timing model, optionally with LVP. */
+/** Run the Alpha 21164 timing model, optionally with any predictor. */
 AlphaRun runAlpha21164(const isa::Program &prog,
                        const uarch::AlphaConfig &mc,
-                       const std::optional<core::LvpConfig> &lvp,
+                       const std::optional<core::PredictorSpec> &lvp,
                        const RunConfig &rc = {});
 
 /**
@@ -111,10 +111,14 @@ void publishModelRun(const uarch::InOrderStats &s);
 
 /**
  * Interpret @p prog into @p sink until it halts or retires
- * rc.maxInstructions, under rc's watchdog guards.
+ * rc.maxInstructions, under rc's watchdog guards: the one place an
+ * interpreter feeds a sink under the watchdog. A run the budget cuts
+ * off still finishes @p sink, so it ends the stream as a trace replay
+ * does.
+ * @return instructions retired.
  */
-void interpret(const isa::Program &prog, trace::TraceSink &sink,
-               const RunConfig &rc);
+std::uint64_t interpret(const isa::Program &prog, trace::TraceSink &sink,
+                        const RunConfig &rc);
 
 /**
  * @{
@@ -145,8 +149,9 @@ class PredictorChain
     core::PredictorAnnotator annot_;
 };
 
-/** A timing model, optionally behind an LVP unit annotating its
- *  loads (nullopt = the no-LVP baseline machine). */
+/** A timing model, optionally behind any predictor annotating its
+ *  loads (nullopt = the no-LVP baseline machine). The annotator is
+ *  the only stage that stamps a PredState. */
 template <typename Model, typename Run>
 class TimingChain
 {
@@ -155,7 +160,7 @@ class TimingChain
 
     template <typename MachineConfig>
     TimingChain(const MachineConfig &mc,
-                const std::optional<core::LvpConfig> &lvp)
+                const std::optional<core::PredictorSpec> &lvp)
         : model_(mc, lvp.has_value())
     {
         if (lvp)
@@ -186,7 +191,7 @@ class TimingChain
 
   private:
     Model model_;
-    std::optional<core::LvpAnnotator> annot_;
+    std::optional<core::PredictorAnnotator> annot_;
 };
 
 using PpcChain = TimingChain<uarch::Ppc620Model, PpcRun>;

@@ -16,12 +16,10 @@
 #include "obs/metrics.hh"
 #include "obs/timeline.hh"
 #include "sim/parallel.hh"
-#include "sim/resilience.hh"
 #include "trace/trace_file.hh"
 #include "uarch/alpha21164.hh"
 #include "uarch/ppc620.hh"
 #include "util/logging.hh"
-#include "vm/interpreter.hh"
 
 namespace lvplib::sim
 {
@@ -113,10 +111,18 @@ fp(const uarch::AlphaConfig &m)
     return os.str();
 }
 
-std::string
-fp(const std::optional<core::LvpConfig> &c)
+/** Sweep keys of timing variants: the machine plus the predictor's
+ *  core::fingerprint ("nolvp" for the baseline machine). */
+template <typename Variant>
+std::vector<std::string>
+timingKeys(const std::string &base, const std::vector<Variant> &variants)
 {
-    return c ? core::fingerprint(*c) : std::string("nolvp");
+    std::vector<std::string> keys;
+    keys.reserve(variants.size());
+    for (const auto &v : variants)
+        keys.push_back(base + fp(v.mc) + '|' +
+                       (v.lvp ? core::fingerprint(*v.lvp) : "nolvp"));
+    return keys;
 }
 
 /** What every replay of one replayHandingOff() call shares. */
@@ -617,29 +623,16 @@ RunCache::Impl::ensureTrace(RunCache &cache, const Workload &w,
             {
                 obs::Timeline::Scope span("trace:" + w.name, "trace");
                 trace::TraceFileWriter writer(tmp, fp);
-                vm::Interpreter interp(*prog);
-                // Phase 1 is the unbounded phase, so it honors the
-                // same watchdog budgets as the in-memory drivers
-                // (replays are bounded by the verified file).
-                std::uint64_t wallMs = rc.wallLimitMs != 0
-                                           ? rc.wallLimitMs
-                                           : defaultWallLimitMs();
+                // Phase 1 is the unbounded phase, so it runs under the
+                // in-memory driver's watchdog budgets (replays are
+                // bounded by the verified file).
                 try {
-                    if (wallMs != 0 || rc.recordBudget != 0) {
-                        WatchdogSink wd(&writer, wallMs,
-                                        rc.recordBudget);
-                        interp.run(&wd, rc.maxInstructions);
-                    } else {
-                        interp.run(&writer, rc.maxInstructions);
-                    }
+                    interpret(*prog, writer, rc);
                 } catch (const SimError &) {
                     writer.close();
                     std::remove(tmp.c_str());
                     throw;
                 }
-                if (!interp.halted())
-                    writer.finish();
-                addInstructionsProcessed(interp.retired());
                 written = writer.close();
                 if (!written)
                     lvp_warn("trace cache: cannot write '%s' (%s)",
@@ -753,21 +746,8 @@ RunCache::replayShared(const Workload &w, CodeGen cg, unsigned scale,
             throw;
         }
     }
-    // No usable trace: interpret in memory under the same watchdog
-    // envelope phase 1 uses.
-    vm::Interpreter interp(*prog);
-    std::uint64_t wallMs =
-        rc.wallLimitMs != 0 ? rc.wallLimitMs : defaultWallLimitMs();
-    if (wallMs != 0 || rc.recordBudget != 0) {
-        WatchdogSink wd(&sink, wallMs, rc.recordBudget);
-        interp.run(&wd, rc.maxInstructions);
-    } else {
-        interp.run(&sink, rc.maxInstructions);
-    }
-    if (!interp.halted())
-        sink.finish();
-    addInstructionsProcessed(interp.retired());
-    return interp.retired();
+    // No usable trace: interpret in memory, as phase 1 would.
+    return interpret(*prog, sink, rc);
 }
 
 std::vector<core::LvpStats>
@@ -791,7 +771,7 @@ RunCache::predictorOnlyMany(const Workload &w, CodeGen cg,
 PpcRun
 RunCache::ppc620(const Workload &w, CodeGen cg, unsigned scale,
                  const uarch::Ppc620Config &mc,
-                 const std::optional<core::LvpConfig> &lvp,
+                 const std::optional<core::PredictorSpec> &lvp,
                  const RunConfig &rc)
 {
     return ppc620Many(w, cg, scale, {PpcVariant{mc, lvp}}, rc).front();
@@ -800,7 +780,7 @@ RunCache::ppc620(const Workload &w, CodeGen cg, unsigned scale,
 AlphaRun
 RunCache::alpha21164(const Workload &w, CodeGen cg, unsigned scale,
                      const uarch::AlphaConfig &mc,
-                     const std::optional<core::LvpConfig> &lvp,
+                     const std::optional<core::PredictorSpec> &lvp,
                      const RunConfig &rc)
 {
     return alpha21164Many(w, cg, scale, {AlphaVariant{mc, lvp}}, rc)
@@ -812,13 +792,10 @@ RunCache::ppc620Many(const Workload &w, CodeGen cg, unsigned scale,
                      const std::vector<PpcVariant> &variants,
                      const RunConfig &rc)
 {
-    std::string base = runKey(w, cg, scale, rc) + "|ppc|";
-    std::vector<std::string> keys;
-    keys.reserve(variants.size());
-    for (const auto &v : variants)
-        keys.push_back(base + fp(v.mc) + '|' + fp(v.lvp));
     return impl_->sweep<PpcChain>(
-        *this, impl_->ppcRuns, keys, "ppc620", w, cg, scale, rc,
+        *this, impl_->ppcRuns,
+        timingKeys(runKey(w, cg, scale, rc) + "|ppc|", variants), "ppc620",
+        w, cg, scale, rc,
         [&](std::size_t i) {
             return std::make_unique<PpcChain>(variants[i].mc,
                                               variants[i].lvp);
@@ -831,13 +808,10 @@ RunCache::alpha21164Many(const Workload &w, CodeGen cg,
                          const std::vector<AlphaVariant> &variants,
                          const RunConfig &rc)
 {
-    std::string base = runKey(w, cg, scale, rc) + "|alpha|";
-    std::vector<std::string> keys;
-    keys.reserve(variants.size());
-    for (const auto &v : variants)
-        keys.push_back(base + fp(v.mc) + '|' + fp(v.lvp));
     return impl_->sweep<AlphaChain>(
-        *this, impl_->alphaRuns, keys, "alpha21164", w, cg, scale, rc,
+        *this, impl_->alphaRuns,
+        timingKeys(runKey(w, cg, scale, rc) + "|alpha|", variants),
+        "alpha21164", w, cg, scale, rc,
         [&](std::size_t i) {
             return std::make_unique<AlphaChain>(variants[i].mc,
                                                 variants[i].lvp);

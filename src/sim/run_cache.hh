@@ -135,14 +135,14 @@ class RunCache
     /** Cached runPpc620(). */
     PpcRun ppc620(const workloads::Workload &w, workloads::CodeGen cg,
                   unsigned scale, const uarch::Ppc620Config &mc,
-                  const std::optional<core::LvpConfig> &lvp,
+                  const std::optional<core::PredictorSpec> &lvp,
                   const RunConfig &rc);
 
     /** Cached runAlpha21164(). */
     AlphaRun alpha21164(const workloads::Workload &w,
                         workloads::CodeGen cg, unsigned scale,
                         const uarch::AlphaConfig &mc,
-                        const std::optional<core::LvpConfig> &lvp,
+                        const std::optional<core::PredictorSpec> &lvp,
                         const RunConfig &rc);
 
     /**
@@ -161,8 +161,9 @@ class RunCache
      * plus one per hand-off. If the trace is unusable the
      * un-memoized variants fall back to per-variant in-memory runs.
      *
-     * Predictor-only results are keyed on core::fingerprint(spec), so
-     * one configured predictor is one entry however it is reached.
+     * Predictor-only and timing results are keyed on
+     * core::fingerprint(spec), so one configured predictor is one
+     * entry however it is reached.
      */
     std::vector<core::LvpStats>
     predictorOnlyMany(const workloads::Workload &w,
@@ -171,17 +172,17 @@ class RunCache
                       const RunConfig &rc);
 
     /** One timing-sweep variant: a machine config plus an optional
-     *  LVP unit (nullopt = the no-LVP baseline machine). */
+     *  predictor (nullopt = the no-LVP baseline machine). */
     struct PpcVariant
     {
         uarch::Ppc620Config mc;
-        std::optional<core::LvpConfig> lvp;
+        std::optional<core::PredictorSpec> lvp;
     };
 
     struct AlphaVariant
     {
         uarch::AlphaConfig mc;
-        std::optional<core::LvpConfig> lvp;
+        std::optional<core::PredictorSpec> lvp;
     };
 
     std::vector<PpcRun>

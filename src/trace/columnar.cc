@@ -157,15 +157,4 @@ packBits(const std::uint8_t *vals, std::size_t n,
                 static_cast<std::uint8_t>(1u << (i & 7));
 }
 
-void
-packCrumbs(const std::uint8_t *vals, std::size_t n,
-           std::vector<std::uint8_t> &out)
-{
-    std::size_t at = out.size();
-    out.resize(at + (n + 3) / 4, 0);
-    for (std::size_t i = 0; i < n; ++i)
-        out[at + (i >> 2)] |= static_cast<std::uint8_t>(
-            (vals[i] & 3) << ((i & 3) * 2));
-}
-
 } // namespace lvplib::trace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Column codecs shared by the v3 trace file format
+ * Column codecs shared by the v4 trace file format
  * (trace/trace_file.hh) and the lvp-serve hot-trace cache
  * (serve/protocol.hh): the paper's value-locality observation applied
  * to our own storage layer. Dynamic pc / effective-address / value
@@ -122,17 +122,6 @@ inline bool
 unpackBit(const std::uint8_t *p, std::size_t i)
 {
     return (p[i >> 3] >> (i & 7)) & 1;
-}
-
-/** Pack n two-bit codes (vals[i] & 3) into (n+3)/4 bytes. */
-void packCrumbs(const std::uint8_t *vals, std::size_t n,
-                std::vector<std::uint8_t> &out);
-
-/** Two-bit code i of a packCrumbs() column. */
-inline std::uint8_t
-unpackCrumb(const std::uint8_t *p, std::size_t i)
-{
-    return (p[i >> 2] >> ((i & 3) * 2)) & 3;
 }
 
 } // namespace lvplib::trace

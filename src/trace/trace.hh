@@ -19,9 +19,11 @@ namespace lvplib::trace
 {
 
 /**
- * Per-load prediction annotation produced by the LVP-unit phase.
- * The paper passes exactly this (two bits of state per load) into the
- * timing simulators.
+ * Per-load prediction annotation: the paper's two bits of state per
+ * load handed to the timing simulators. Only a chain's predictor
+ * annotator (core::Annotator) stamps it, into its own copy of each
+ * record, for the timing model right behind it; traces never store
+ * it.
  */
 enum class PredState : std::uint8_t
 {
@@ -30,11 +32,6 @@ enum class PredState : std::uint8_t
     Correct,   ///< predicted, verified against the memory value
     Constant,  ///< predicted and verified by the CVU (no cache access)
 };
-
-/** Number of PredState values (for validating serialized bytes). */
-constexpr unsigned NumPredStates = 4;
-
-const char *predStateName(PredState s);
 
 /**
  * One retired dynamic instruction. The static instruction is referenced
@@ -50,7 +47,7 @@ struct TraceRecord
     Word destValue = 0;  ///< value written to destReg() (any producer)
     bool taken = false;  ///< branch outcome (branches only)
     Addr nextPc = 0;     ///< architectural successor pc
-    PredState pred = PredState::None; ///< filled in by the LVP phase
+    PredState pred = PredState::None; ///< stamped by an annotator
 };
 
 /**
@@ -84,40 +81,6 @@ class TraceSink
 
     /** End of trace. */
     virtual void finish() {}
-};
-
-/** A sink that forwards every record to two downstream sinks. */
-class TeeSink : public TraceSink
-{
-  public:
-    TeeSink(TraceSink &first, TraceSink &second)
-        : first_(first), second_(second)
-    {}
-
-    void
-    consume(const TraceRecord &rec) override
-    {
-        first_.consume(rec);
-        second_.consume(rec);
-    }
-
-    void
-    consumeBatch(std::span<const TraceRecord> recs) override
-    {
-        first_.consumeBatch(recs);
-        second_.consumeBatch(recs);
-    }
-
-    void
-    finish() override
-    {
-        first_.finish();
-        second_.finish();
-    }
-
-  private:
-    TraceSink &first_;
-    TraceSink &second_;
 };
 
 /** A sink that discards every record: the end of a predictor-only

@@ -246,8 +246,7 @@ parseBlockHeader(const std::uint8_t *data, std::uint64_t len,
     std::uint64_t need = TraceBlockHeaderBytes +
                          static_cast<std::uint64_t>(bh.pcBytes) +
                          bh.addrBytes + bh.valueBytes +
-                         (static_cast<std::uint64_t>(bh.n) + 7) / 8 +
-                         (static_cast<std::uint64_t>(bh.n) + 3) / 4;
+                         (static_cast<std::uint64_t>(bh.n) + 7) / 8;
     if (need != len) {
         detail = "columns need " + std::to_string(need) +
                  " bytes, block has " + std::to_string(len);
@@ -429,7 +428,6 @@ TraceFileWriter::TraceFileWriter(const std::string &path,
     stageAddr_.reserve(stage);
     stageVal_.reserve(stage);
     stageTaken_.reserve(stage);
-    stagePred_.reserve(stage);
     fileOffset_ = TraceHeaderBytes;
     std::array<std::uint8_t, TraceHeaderBytes> hdr;
     std::memcpy(hdr.data(), HeaderMagic, sizeof(HeaderMagic));
@@ -458,7 +456,7 @@ TraceFileWriter::fail(const std::string &what)
 
 void
 TraceFileWriter::appendRaw(Addr pc, Addr addrSlot, Word value,
-                           bool taken, PredState pred)
+                           bool taken)
 {
     if (failed_)
         return;
@@ -471,7 +469,6 @@ TraceFileWriter::appendRaw(Addr pc, Addr addrSlot, Word value,
     stageAddr_.push_back(addrSlot);
     stageVal_.push_back(value);
     stageTaken_.push_back(taken ? 1 : 0);
-    stagePred_.push_back(static_cast<std::uint8_t>(pred));
     ++written_;
     if (stagePc_.size() >= opts_.blockRecords)
         encodeBlock();
@@ -497,7 +494,6 @@ TraceFileWriter::encodeBlock()
     std::uint32_t valueBytes =
         static_cast<std::uint32_t>(colBuf_.size() - at);
     packBits(stageTaken_.data(), n, colBuf_);
-    packCrumbs(stagePred_.data(), n, colBuf_);
     putU32(&colBuf_[0], static_cast<std::uint32_t>(n));
     putU32(&colBuf_[4], pcBytes);
     putU32(&colBuf_[8], addrBytes);
@@ -513,7 +509,6 @@ TraceFileWriter::encodeBlock()
     stageAddr_.clear();
     stageVal_.clear();
     stageTaken_.clear();
-    stagePred_.clear();
     if (wbuf_.size() >= WriterBufBytes)
         flushBuffer();
 }
@@ -540,7 +535,7 @@ TraceFileWriter::consume(const TraceRecord &rec)
     // mutually exclusive, keeping the encoded record compact).
     bool indirect = rec.inst && isa::isIndirectBranch(rec.inst->op);
     appendRaw(rec.pc, indirect ? rec.nextPc : rec.effAddr, rec.value,
-              rec.taken, rec.pred);
+              rec.taken);
 }
 
 void
@@ -761,8 +756,6 @@ TraceFileReader::decodeBlock(std::uint64_t b, std::uint8_t *data,
     const std::uint8_t *addrCol = pcCol + bh.pcBytes;
     const std::uint8_t *valCol = addrCol + bh.addrBytes;
     const std::uint8_t *takenBits = valCol + bh.valueBytes;
-    const std::uint8_t *predBits =
-        takenBits + (static_cast<std::size_t>(expectN) + 7) / 8;
     std::size_t n = static_cast<std::size_t>(expectN);
     if (!decodeDeltaColumn(pcCol, bh.pcBytes,
                            slot(offsetof(TraceRecord, pc)), n,
@@ -782,8 +775,8 @@ TraceFileReader::decodeBlock(std::uint64_t b, std::uint8_t *data,
         TraceRecord &rec = decoded_[i];
         rec.seq = first + i;
         rec.destValue = 0;
+        rec.pred = PredState::None;
         rec.taken = unpackBit(takenBits, i);
-        rec.pred = static_cast<PredState>(unpackCrumb(predBits, i));
         if (!prog_.validPc(rec.pc))
             corrupt(detail::formatMsg(
                 "record %llu names pc 0x%llx outside the program",

@@ -1,14 +1,13 @@
 /**
  * @file
- * Binary trace serialization, mirroring the paper's decoupled
- * experimental flow (Section 5): phase 1 writes a full dynamic trace
- * to disk; phase 2 runs the LVP unit over it and emits a compact
- * annotation stream of TWO BITS PER LOAD ("to conserve trace
- * bandwidth by passing only two bits of state per load to the
- * microarchitectural simulator"); phase 3 replays the trace merged
- * with the annotations into a timing model.
+ * Binary trace serialization for phase 1 of the paper's decoupled
+ * experimental flow (Section 5): the interpreter writes a program's
+ * full dynamic trace to disk once, and every later run replays it.
+ * A replay feeds a chain whose predictor annotator stamps each load's
+ * two bits of PredState for the timing model right behind it, so a
+ * trace stores what the program did and never a prediction.
  *
- * The on-disk format (v3: column-major, delta-compressed;
+ * The on-disk format (v4: column-major, delta-compressed;
  * little-endian throughout):
  *
  *   header (24 bytes)
@@ -25,7 +24,6 @@
  *       addr column:  sparse (presence bitmap + nonzero deltas)
  *       value column: sparse
  *       taken column: n bits, packed
- *       pred column:  n two-bit PredStates, packed
  *   block index: one u64 absolute file offset per block, so a
  *     reader can seek straight to the block holding any record
  *   footer (24 bytes)
@@ -38,15 +36,16 @@
  * pc deltas are one instruction stride for straight-line code,
  * effective addresses and loaded values are absent (zero) for most
  * records and strongly local when present, so a record costs a few
- * bytes instead of TraceRecordBytes. Bit-packing taken/pred makes
- * every decoded enum legal by construction, so corruption detection
- * rests on the per-block checksum, which reports a flipped bit at the
- * block it lands in rather than at the end-of-trace checksum.
+ * bytes instead of TraceRecordBytes. Bit-packing taken makes every
+ * decoded flag legal by construction, so corruption detection rests
+ * on the per-block checksum, which reports a flipped bit at the block
+ * it lands in rather than at the end-of-trace checksum.
  *
  * The reader reconstructs nextPc and the static instruction from the
- * Program at read time; seq is implicit in record order. Memory ops
- * use the addr slot for their effective address; indirect branches
- * reuse it for their target.
+ * Program at read time; seq is implicit in record order. destValue and
+ * pred are not stored: a replayed record carries 0 and
+ * PredState::None. Memory ops use the addr slot for their effective
+ * address; indirect branches reuse it for their target.
  *
  * The fingerprint (programFingerprint() mixed with a caller-chosen
  * salt, e.g. workload|codegen|scale|maxInstructions) ties a trace to
@@ -85,11 +84,11 @@ namespace lvplib::trace
 {
 
 /** The format this build reads and writes. */
-constexpr std::uint32_t TraceFormatVersion = 3;
+constexpr std::uint32_t TraceFormatVersion = 4;
 
-/** Logical raw bytes per record (u64 pc|effAddr|value + u8
- *  taken|pred), against which compression ratios are quoted. */
-constexpr std::size_t TraceRecordBytes = 8 + 8 + 8 + 1 + 1;
+/** Logical raw bytes per record (u64 pc|effAddr|value + u8 taken),
+ *  against which compression ratios are quoted. */
+constexpr std::size_t TraceRecordBytes = 8 + 8 + 8 + 1;
 
 /** Encoded header / footer sizes (see file comment for layout). */
 constexpr std::size_t TraceHeaderBytes = 8 + 4 + 4 + 8;
@@ -232,8 +231,7 @@ class TraceFileWriter : public TraceSink
   private:
     /** Append one record from its encoded fields (the addr slot
      *  already holding effAddr or, for indirect branches, nextPc). */
-    void appendRaw(Addr pc, Addr addrSlot, Word value, bool taken,
-                   PredState pred);
+    void appendRaw(Addr pc, Addr addrSlot, Word value, bool taken);
     void fail(const std::string &what);
     void encodeBlock(); ///< drain the staged columns into wbuf_
     void flushBuffer();
@@ -252,7 +250,7 @@ class TraceFileWriter : public TraceSink
 
     /** @{ Column staging for the open block. */
     std::vector<std::uint64_t> stagePc_, stageAddr_, stageVal_;
-    std::vector<std::uint8_t> stageTaken_, stagePred_;
+    std::vector<std::uint8_t> stageTaken_;
     std::vector<std::uint8_t> colBuf_;   ///< per-block scratch
     std::vector<std::uint64_t> index_;   ///< block file offsets
     std::uint64_t fileOffset_ = 0;       ///< next block's offset

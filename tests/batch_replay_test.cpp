@@ -3,7 +3,7 @@
  * Byte-identity tests for the batched replay data path: a sink fed
  * through consumeBatch() must observe exactly the record stream the
  * record-at-a-time path delivers — across batch boundaries, through
- * TeeSink/MultiSink fan-out, under chaos read-flips, through every
+ * MultiSink fan-out, under chaos read-flips, through every
  * predictor's chunked annotator, and from concurrent fan-out sweeps
  * (the TSan target for the shared-pass run-cache machinery).
  */
@@ -34,7 +34,6 @@ namespace
 {
 
 using trace::MultiSink;
-using trace::TeeSink;
 using trace::TraceFileReader;
 using trace::TraceFileWriter;
 using trace::TraceRecord;
@@ -226,12 +225,12 @@ TEST(BatchReplay, TeeAndMultiSinkFanOutMatchPrivateReplays)
     for (int i = 0; i < fanout; ++i)
         expectSameStream(priv[i].recs, shared[i].recs);
 
-    // TeeSink: same property for the two-way special case, including
-    // a mixed pair (one batch-aware sink, one consume()-only sink).
+    // Same property for a two-sink tee, including a mixed pair (one
+    // batch-aware sink, one consume()-only sink).
     BatchCaptureSink left;
     CaptureSink right;
     {
-        TeeSink tee(left, right);
+        MultiSink tee({&left, &right});
         TraceFileReader reader(tmp.path, prog);
         EXPECT_EQ(reader.replay(tee), n);
     }

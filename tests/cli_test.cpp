@@ -383,15 +383,30 @@ TEST(BenchCli, UsageMentionsEveryFlag)
         EXPECT_NE(u.find(flag), std::string::npos) << flag;
 }
 
-TEST(Cli, StrideRunIsStatsOnly)
+TEST(Cli, EveryPredictorRunsOnThe21164)
 {
-    CliOptions o;
-    o.benchmark = "cc1";
-    o.scale = 1;
-    o.lvpConfig = "stride";
+    // --lvp takes a Table 2 preset or any registry name, and every one
+    // drives the timing model: a baseline line, then a speedup line.
+    std::vector<std::string> names = {"simple", "constant", "limit",
+                                      "perfect"};
+    for (const auto &info : core::predictorRegistry())
+        names.push_back(info.name);
+    for (const auto &name : names) {
+        auto o = parse({"--bench", "grep", "--scale", "1", "--machine",
+                        "21164", "--lvp", name.c_str()});
+        ASSERT_TRUE(o) << name;
+        std::ostringstream os;
+        EXPECT_EQ(runCli(*o, os), 0) << name;
+        EXPECT_NE(os.str().find("baseline"), std::string::npos) << name;
+        EXPECT_NE(os.str().find("speedup"), std::string::npos) << name;
+    }
+    auto none = parse({"--bench", "grep", "--scale", "1", "--machine",
+                       "21164", "--lvp", "none"});
+    ASSERT_TRUE(none);
     std::ostringstream os;
-    EXPECT_EQ(runCli(o, os), 0);
-    EXPECT_NE(os.str().find("stride unit"), std::string::npos);
+    EXPECT_EQ(runCli(*none, os), 0);
+    EXPECT_NE(os.str().find("baseline"), std::string::npos);
+    EXPECT_EQ(os.str().find("speedup"), std::string::npos);
 }
 
 } // namespace

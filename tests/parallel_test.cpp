@@ -26,6 +26,7 @@
 #include "sim/pipeline_driver.hh"
 #include "sim/run_cache.hh"
 #include "trace/trace_file.hh"
+#include "uarch/machine_config.hh"
 #include "util/env.hh"
 #include "workloads/workload.hh"
 
@@ -518,10 +519,12 @@ TEST(RunCacheTest, UnknownVersionCountsAsFormatUpgradeNotCorruption)
     auto path = tmp.onlyTrace();
 
     // Stamp another format version into the header, the retired v2
-    // and a future one: the file is not corrupt, just unreadable by
-    // this build. The miss must be counted as a format upgrade, not
-    // corruption, and the trace regenerated in the current format.
-    for (std::uint8_t version : {std::uint8_t{2}, std::uint8_t{0x7f}}) {
+    // and v3 and a future one: the file is not corrupt, just
+    // unreadable by this build. The miss must be counted as a format
+    // upgrade, not corruption, and the trace regenerated in the
+    // current format.
+    for (std::uint8_t version :
+         {std::uint8_t{2}, std::uint8_t{3}, std::uint8_t{0x7f}}) {
         setByteAt(path, 8, version);
         EXPECT_EQ(trace::verifyTraceFile(path.string()).status,
                   trace::TraceFileStatus::BadVersion);
@@ -537,6 +540,37 @@ TEST(RunCacheTest, UnknownVersionCountsAsFormatUpgradeNotCorruption)
 
     cache.setTraceDir("");
     cache.clear();
+}
+
+TEST(RunCacheTest, CutOffRunsMatchWithAndWithoutTraceCache)
+{
+    // A budget that stops grep before HALT. The in-memory run must end
+    // the stream as a trace replay does, or the 21164's drain at
+    // finish() goes missing from its cycle count.
+    const auto &w = workloads::findWorkload("grep");
+    const sim::RunConfig rc{5000};
+    const auto lvp = core::LvpConfig::simple();
+    TempTraceDir tmp("cutoff-trace");
+    RunCache memory;
+    memory.setTraceDir("");
+    RunCache replayed;
+    replayed.setTraceDir(tmp.dir.string());
+    ASSERT_FALSE(
+        memory.functional(w, workloads::CodeGen::Alpha, 1, rc).completed);
+
+    const auto ppc = uarch::Ppc620Config::base620();
+    EXPECT_EQ(
+        memory.ppc620(w, workloads::CodeGen::Ppc, 1, ppc, lvp, rc).timing,
+        replayed.ppc620(w, workloads::CodeGen::Ppc, 1, ppc, lvp, rc)
+            .timing);
+    const auto alpha = uarch::AlphaConfig::base21164();
+    EXPECT_EQ(memory.alpha21164(w, workloads::CodeGen::Alpha, 1, alpha,
+                                lvp, rc)
+                  .timing,
+              replayed.alpha21164(w, workloads::CodeGen::Alpha, 1, alpha,
+                                  lvp, rc)
+                  .timing);
+    EXPECT_EQ(replayed.stats().traceReplays, 2u);
 }
 
 TEST(RunCacheTest, TruncatedAndFlippedCompressedBlocksRegenerate)

@@ -5,14 +5,15 @@
  * and, at block boundaries, hands half of its variants to idle pool
  * workers that replay the rest of the trace on their own readers. It
  * must return EXACTLY the results of one serial MultiSink pass — for
- * every kind of variant a sweep holds (every registry predictor, a
- * branch-history LVP unit, the 620 and 620+ with and without LVP, the
- * 21164 with and without LVP), at several pool widths, every
- * statistics field compared, on a cold cache. With chaos predictor
- * faults armed a sweep must not hand off at all and still match the
- * serial pass fault for fault. Below the sweep: many hand-offs over
- * 64-record blocks, claim-back of a hand-off no worker started, a
- * corrupt block past a hand-off boundary, and the reader's skipTo().
+ * every kind of variant a sweep holds (every registry predictor and a
+ * branch-history LVP unit, alone and in front of the 620, the 620+
+ * and the 21164, and each machine without one), at several pool
+ * widths, every statistics field compared, on a cold cache. With
+ * chaos predictor faults armed a sweep must not hand off at all and
+ * still match the serial pass fault for fault. Below the sweep: many
+ * hand-offs over 64-record blocks, claim-back of a hand-off no worker
+ * started, a corrupt block past a hand-off boundary, and the reader's
+ * skipTo().
  */
 
 #include <gtest/gtest.h>
@@ -89,6 +90,8 @@ predictorVariants()
     return specs;
 }
 
+/** The 620 and 620+, each without a predictor and behind every
+ *  predictorVariants() spec. */
 std::vector<sim::RunCache::PpcVariant>
 ppcVariants()
 {
@@ -96,16 +99,21 @@ ppcVariants()
     for (const auto &mc : {uarch::Ppc620Config::base620(),
                            uarch::Ppc620Config::plus620()}) {
         vs.push_back({mc, std::nullopt});
-        vs.push_back({mc, core::LvpConfig::simple()});
+        for (const auto &spec : predictorVariants())
+            vs.push_back({mc, spec});
     }
     return vs;
 }
 
+/** The 21164 without a predictor and behind every spec. */
 std::vector<sim::RunCache::AlphaVariant>
 alphaVariants()
 {
-    return {{uarch::AlphaConfig::base21164(), std::nullopt},
-            {uarch::AlphaConfig::base21164(), core::LvpConfig::simple()}};
+    std::vector<sim::RunCache::AlphaVariant> vs{
+        {uarch::AlphaConfig::base21164(), std::nullopt}};
+    for (const auto &spec : predictorVariants())
+        vs.push_back({uarch::AlphaConfig::base21164(), spec});
+    return vs;
 }
 
 /** Cold-cache RunCache sweeps in a trace directory of the test's own. */

@@ -75,9 +75,9 @@ TEST(TraceFile, RoundTripPreservesEveryRecord)
     trace::TraceStats live;
     {
         TraceFileWriter writer(tmp.path);
-        trace::TeeSink tee(writer, live);
+        trace::MultiSink both({&writer, &live});
         vm::Interpreter interp(prog);
-        interp.run(&tee);
+        interp.run(&both);
     }
 
     // Replay and compare against the live run record-by-record.
@@ -175,6 +175,31 @@ writeDemoTrace(const std::string &path, const isa::Program &prog,
     return writer.recordsWritten();
 }
 
+TEST(TraceFile, StoresNoPrediction)
+{
+    // A trace records what the program did. A writer behind a
+    // predictor annotator writes the same bytes as one the interpreter
+    // feeds directly, and every replayed record carries None.
+    TempPath plain("lvplib_trace_plain.trace");
+    TempPath stamped("lvplib_trace_stamped.trace");
+    auto prog = demoProgram();
+    writeDemoTrace(plain.path, prog, 0);
+    {
+        TraceFileWriter writer(stamped.path);
+        core::LvpAnnotator annot(core::LvpConfig::simple(), writer);
+        vm::Interpreter interp(prog);
+        interp.run(&annot);
+        EXPECT_GT(annot.unit().stats().correct, 0u);
+        EXPECT_TRUE(writer.close()) << writer.error();
+    }
+    EXPECT_EQ(readAll(plain.path), readAll(stamped.path));
+
+    TraceFileReader reader(stamped.path, prog);
+    trace::TraceRecord rec;
+    while (reader.next(rec))
+        ASSERT_EQ(rec.pred, trace::PredState::None) << rec.seq;
+}
+
 TEST(TraceIntegrity, WriterEmitsValidSelfDescribingEnvelope)
 {
     TempPath tmp("lvplib_trace_envelope.trace");
@@ -233,9 +258,10 @@ TEST(TraceIntegrity, WrongVersionDetected)
 {
     TempPath tmp("lvplib_trace_ver.trace");
     auto prog = demoProgram();
-    // The retired row-major v2 format and a future one alike: intact
-    // files this build cannot read.
-    for (std::uint32_t version : {2u, trace::TraceFormatVersion + 1}) {
+    // The retired row-major v2, the retired v3 with its pred column
+    // and a future format alike: intact files this build cannot read.
+    for (std::uint32_t version :
+         {2u, 3u, trace::TraceFormatVersion + 1}) {
         writeDemoTrace(tmp.path, prog, 7);
         auto bytes = readAll(tmp.path);
         bytes[8] = static_cast<std::uint8_t>(version); // version field

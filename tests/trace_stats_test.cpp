@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the trace-statistics sink, the Tee sink, and
- * full-opcode disassembler coverage.
+ * Tests for the trace-statistics sink and full-opcode disassembler
+ * coverage.
  */
 
 #include <gtest/gtest.h>
@@ -63,20 +63,6 @@ TEST(TraceStats, ClearResets)
     EXPECT_EQ(st.instructions(), 1u);
     st.clear();
     EXPECT_EQ(st.instructions(), 0u);
-}
-
-TEST(TeeSink, ForwardsToBoth)
-{
-    trace::TraceStats a, b;
-    trace::TeeSink tee(a, b);
-    isa::Instruction nop{.op = Opcode::NOP};
-    trace::TraceRecord rec;
-    rec.inst = &nop;
-    tee.consume(rec);
-    tee.consume(rec);
-    tee.finish();
-    EXPECT_EQ(a.instructions(), 2u);
-    EXPECT_EQ(b.instructions(), 2u);
 }
 
 TEST(Disasm, EveryOpcodeRendersDistinctly)

@@ -6,13 +6,16 @@
  * restores its full replayable state (chaos fault stream included),
  * and rejects impossible table geometries at construction time with a
  * clear fatal message. PredictorSpec fingerprints cover every config
- * field, and one spec is one run-cache entry however it is reached.
+ * field, and one spec is one run-cache entry however it is reached,
+ * predictor-only or in front of a timing model. Only the families
+ * with a CVU stamp Constant loads.
  * Also behavior tests for the two CVP-bred contenders (VTAGE and the
  * skewed-associative stride unit).
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -25,7 +28,9 @@
 #include "core/value_predictor.hh"
 #include "core/vtage_unit.hh"
 #include "isa/program.hh"
+#include "sim/pipeline_driver.hh"
 #include "sim/run_cache.hh"
+#include "uarch/machine_config.hh"
 #include "util/rng.hh"
 #include "workloads/workload.hh"
 
@@ -277,6 +282,68 @@ TEST(PredictorSpec, OneSpecIsOneRunCacheEntryHoweverReached)
     EXPECT_EQ(s2.hits - s1.hits, 2u);
     EXPECT_EQ(viaLvp, viaRegistry);
     EXPECT_EQ(viaLvp, viaSweep.front());
+
+    // In front of a timing model too: the 620 behind the Simple preset
+    // and behind the registry's "lvp" is one entry, and the unit sees
+    // the stream it sees alone.
+    const auto mc = uarch::Ppc620Config::base620();
+    auto timedPreset =
+        c.cache.ppc620(c.w, cg, 1, mc, LvpConfig::simple(), c.rc);
+    auto s3 = c.cache.stats();
+    auto timedRegistry =
+        c.cache.ppc620(c.w, cg, 1, mc, findPredictor("lvp")->spec, c.rc);
+    auto s4 = c.cache.stats();
+    EXPECT_EQ(s3.misses - s2.misses, 1u);
+    EXPECT_EQ(s4.misses, s3.misses);
+    EXPECT_EQ(s4.hits - s3.hits, 1u);
+    EXPECT_EQ(timedPreset.timing, timedRegistry.timing);
+    EXPECT_EQ(timedPreset.lvp, viaLvp);
+}
+
+/** Counts the loads an annotator stamped Constant. */
+struct ConstantCount : trace::TraceSink
+{
+    std::uint64_t n = 0;
+
+    void
+    consume(const trace::TraceRecord &rec) override
+    {
+        n += rec.pred == PredState::Constant;
+    }
+};
+
+TEST(PredictorRegistry, OnlyCvuFamiliesStampConstant)
+{
+    // What each family hands a timing model, suite-wide at scale 1:
+    // lvp and stride own a CVU and stamp Constant loads (which the
+    // 21164 serves without a cache access); fcm, vtage and skewstride
+    // have none and never do.
+    const auto &reg = predictorRegistry();
+    std::vector<std::uint64_t> constants(reg.size());
+    for (const auto &w : workloads::allWorkloads()) {
+        const auto prog = w.build(workloads::CodeGen::Ppc, 1);
+        std::vector<ConstantCount> counts(reg.size());
+        std::vector<std::unique_ptr<PredictorAnnotator>> annots;
+        std::vector<trace::TraceSink *> tops;
+        for (std::size_t i = 0; i < reg.size(); ++i) {
+            annots.push_back(
+                std::make_unique<PredictorAnnotator>(reg[i], counts[i]));
+            tops.push_back(annots.back().get());
+        }
+        trace::MultiSink all(std::move(tops));
+        sim::interpret(prog, all, sim::RunConfig{});
+        for (std::size_t i = 0; i < reg.size(); ++i) {
+            EXPECT_EQ(counts[i].n, annots[i]->unit().stats().constants)
+                << reg[i].name << " on " << w.name;
+            constants[i] += counts[i].n;
+        }
+    }
+    for (std::size_t i = 0; i < reg.size(); ++i) {
+        if (reg[i].name == "lvp" || reg[i].name == "stride")
+            EXPECT_GT(constants[i], 0u) << reg[i].name;
+        else
+            EXPECT_EQ(constants[i], 0u) << reg[i].name;
+    }
 }
 
 TEST(VtageUnit, SaturatesOntoConstantsAndStaysAccurate)

@@ -103,7 +103,8 @@ cliUsage()
                     lvp | stride | fcm | vtage | skewstride, or none
                     (default simple)
   --scale N         workload input scale (default 2)
-  --codegen CG      ppc | alpha                 (default ppc)
+  --codegen CG      ppc | alpha  (default: the machine's own,
+                    alpha on the 21164, ppc otherwise)
   --locality        also print the value-locality profile (Fig. 1)
   --list            list available benchmarks and exit
   --help            this text
@@ -325,11 +326,15 @@ simulate(const CliOptions &opts, std::ostream &os)
            << " static instructions)\n";
     } else {
         const auto &w = workloads::findWorkload(opts.benchmark);
-        auto cg = opts.codegen == "ppc" ? workloads::CodeGen::Ppc
-                                        : workloads::CodeGen::Alpha;
+        const std::string codegen =
+            !opts.codegen.empty() ? opts.codegen
+            : opts.machine == CliOptions::Machine::Alpha21164 ? "alpha"
+                                                              : "ppc";
+        auto cg = codegen == "ppc" ? workloads::CodeGen::Ppc
+                                   : workloads::CodeGen::Alpha;
         prog = w.build(cg, opts.scale);
         os << "benchmark: " << w.name << " (" << w.description
-           << "), codegen " << opts.codegen << ", scale " << opts.scale
+           << "), codegen " << codegen << ", scale " << opts.scale
            << "\n";
     }
 

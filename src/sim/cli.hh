@@ -39,7 +39,9 @@ struct CliOptions
      *  predictor name, or none. */
     std::string lvpConfig = "simple";
     unsigned scale = 2;
-    std::string codegen = "ppc"; ///< ppc|alpha
+    /** ppc|alpha, or "" for the machine's own: alpha on the 21164,
+     *  ppc otherwise (as every experiment pairs them). */
+    std::string codegen;
     bool profileLocality = false;
     bool listBenchmarks = false;
     bool help = false;

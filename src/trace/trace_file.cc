@@ -29,19 +29,6 @@ constexpr char HeaderMagic[8] = {'L', 'V', 'P', 'T',
 constexpr char FooterMagic[8] = {'E', 'C', 'A', 'R',
                                  'T', 'P', 'V', 'L'};
 
-/** The decoders scatter the pc/effAddr/value columns straight into
- *  the TraceRecord array handed to consumeBatch; that requires the
- *  u64 fields to sit on u64-slot boundaries of the struct. */
-static_assert(sizeof(TraceRecord) % sizeof(std::uint64_t) == 0);
-static_assert(offsetof(TraceRecord, pc) % sizeof(std::uint64_t) == 0);
-static_assert(offsetof(TraceRecord, effAddr) %
-                  sizeof(std::uint64_t) == 0);
-static_assert(offsetof(TraceRecord, value) %
-                  sizeof(std::uint64_t) == 0);
-
-constexpr std::size_t RecordStride =
-    sizeof(TraceRecord) / sizeof(std::uint64_t);
-
 void
 putU64(std::uint8_t *p, std::uint64_t v)
 {
@@ -255,20 +242,48 @@ parseBlockHeader(const std::uint8_t *data, std::uint64_t len,
     return true;
 }
 
-/**
- * Both checksums a block's @p len on-disk bytes feed, in one pass:
- * {its payload checksum (to compare with the header's), the running
- * whole-file checksum @p running advanced over the header and the
- * payload}. The writer computes them in two passes because the
- * header it hashes embeds the payload checksum.
- */
-std::pair<std::uint64_t, std::uint64_t>
-blockChecksums(const std::uint8_t *data, std::size_t len,
-               std::uint64_t running)
+/** A block's payload bytes: everything after its header. */
+std::uint64_t
+payloadChecksum(const std::uint8_t *block, std::size_t len)
 {
-    return fnv1aPair(data + TraceBlockHeaderBytes,
-                     len - TraceBlockHeaderBytes, FnvOffset,
-                     fnv1a(data, TraceBlockHeaderBytes, running));
+    return hash64(block + TraceBlockHeaderBytes,
+                  len - TraceBlockHeaderBytes);
+}
+
+/** Fold one block header, which holds its payload's checksum, into
+ *  the footer's checksum @p chain. */
+std::uint64_t
+chainBlockHeader(std::uint64_t chain, const std::uint8_t *block)
+{
+    return hash64(block, TraceBlockHeaderBytes, chain);
+}
+
+/**
+ * Check a block's @p len on-disk bytes: its header against the
+ * footer (parseBlockHeader) and its payload against the header's
+ * checksum. A good block's header is folded into @p chain. @p detail
+ * explains a BadBlock.
+ */
+TraceFileStatus
+checkBlock(const std::uint8_t *data, std::uint64_t len,
+           std::uint64_t expectN, BlockHeader &bh, std::uint64_t &chain,
+           std::string &detail)
+{
+    if (!parseBlockHeader(data, len, expectN, bh, detail))
+        return TraceFileStatus::BadBlock;
+    if (payloadChecksum(data, static_cast<std::size_t>(len)) !=
+        bh.checksum)
+        return TraceFileStatus::ChecksumMismatch;
+    chain = chainBlockHeader(chain, data);
+    return TraceFileStatus::Ok;
+}
+
+/** The reader's reason for a block that failed checkBlock(). */
+std::string
+blockError(std::uint64_t b, TraceFileStatus st, const std::string &detail)
+{
+    return std::string(traceFileStatusName(st)) + " at block " +
+           std::to_string(b) + (detail.empty() ? "" : ": " + detail);
 }
 
 } // namespace
@@ -366,7 +381,7 @@ verifyTraceFile(const std::string &path,
         rep.status = TraceFileStatus::ReadFailed;
         return rep;
     }
-    std::uint64_t checksum = FnvOffset;
+    std::uint64_t chain = 0;
     std::vector<std::uint8_t> buf;
     for (std::size_t b = 0; b < index.size(); ++b) {
         std::uint64_t len =
@@ -384,24 +399,17 @@ verifyTraceFile(const std::string &path,
             env.records - first, env.blockRecords);
         BlockHeader bh;
         std::string d;
-        if (!parseBlockHeader(buf.data(), len, expectN, bh, d)) {
-            rep.status = TraceFileStatus::BadBlock;
-            rep.detail = "block " + std::to_string(b) + ": " + d;
-            return rep;
-        }
-        const auto [payloadSum, running] =
-            blockChecksums(buf.data(), buf.size(), checksum);
-        if (payloadSum != bh.checksum) {
-            rep.status = TraceFileStatus::ChecksumMismatch;
+        rep.status = checkBlock(buf.data(), len, expectN, bh, chain, d);
+        if (rep.status != TraceFileStatus::Ok) {
             rep.detail = "block " + std::to_string(b) +
-                         " payload does not match its checksum";
+                         (d.empty() ? " payload does not match its checksum"
+                                    : ": " + d);
             return rep;
         }
-        checksum = running;
     }
-    if (checksum != env.checksum) {
+    if (chain != env.checksum) {
         rep.status = TraceFileStatus::ChecksumMismatch;
-        rep.detail = "payload bytes do not match footer checksum";
+        rep.detail = "block headers do not match footer checksum";
     }
     return rep;
 }
@@ -410,7 +418,7 @@ TraceFileWriter::TraceFileWriter(const std::string &path,
                                  std::uint64_t fingerprint,
                                  const TraceWriterOptions &opts)
     : file_(std::fopen(path.c_str(), "wb")), path_(path),
-      fingerprint_(fingerprint), opts_(opts), checksum_(FnvOffset)
+      fingerprint_(fingerprint), opts_(opts)
 {
     if (!file_) {
         fail("cannot open for writing");
@@ -498,12 +506,10 @@ TraceFileWriter::encodeBlock()
     putU32(&colBuf_[4], pcBytes);
     putU32(&colBuf_[8], addrBytes);
     putU32(&colBuf_[12], valueBytes);
-    putU64(&colBuf_[16],
-           fnv1a(colBuf_.data() + TraceBlockHeaderBytes,
-                 colBuf_.size() - TraceBlockHeaderBytes));
+    putU64(&colBuf_[16], payloadChecksum(colBuf_.data(), colBuf_.size()));
     index_.push_back(fileOffset_);
     fileOffset_ += colBuf_.size();
-    checksum_ = fnv1a(colBuf_.data(), colBuf_.size(), checksum_);
+    checksum_ = chainBlockHeader(checksum_, colBuf_.data());
     wbuf_.insert(wbuf_.end(), colBuf_.begin(), colBuf_.end());
     stagePc_.clear();
     stageAddr_.clear();
@@ -601,8 +607,7 @@ TraceFileWriter::close()
 TraceFileReader::TraceFileReader(
     const std::string &path, const isa::Program &prog,
     std::optional<std::uint64_t> expectFingerprint)
-    : file_(std::fopen(path.c_str(), "rb")), prog_(prog), path_(path),
-      checksum_(FnvOffset)
+    : file_(std::fopen(path.c_str(), "rb")), prog_(prog), path_(path)
 {
     if (!file_)
         throw SimError(ErrorKind::TraceIo,
@@ -707,8 +712,17 @@ TraceFileReader::skipTo(std::uint64_t seq)
                (seq % blockRecords_ == 0 || seq == records_));
     for (std::uint64_t b = seq_ / blockRecords_; b * blockRecords_ < seq;
          ++b) {
+        // Not decoded, but checked like a decoded block: the footer
+        // checksum covers only the block headers.
         readBlock(b);
-        checksum_ = fnv1a(cblock_.data(), cblock_.size(), checksum_);
+        BlockHeader bh;
+        std::string d;
+        std::uint64_t expectN = std::min<std::uint64_t>(
+            records_ - b * blockRecords_, blockRecords_);
+        if (TraceFileStatus st = checkBlock(cblock_.data(), cblock_.size(),
+                                            expectN, bh, checksum_, d);
+            st != TraceFileStatus::Ok)
+            corrupt(blockError(b, st, d));
     }
     seq_ = seq;
 }
@@ -736,64 +750,69 @@ TraceFileReader::decodeBlock(std::uint64_t b, std::uint8_t *data,
     }
     BlockHeader bh;
     std::string d;
-    if (!parseBlockHeader(data, len, expectN, bh, d))
-        corrupt(std::string(traceFileStatusName(
-                    TraceFileStatus::BadBlock)) +
-                " at block " + std::to_string(b) + ": " + d);
-    const auto [payloadSum, running] = blockChecksums(data, len, checksum_);
-    if (payloadSum != bh.checksum)
-        corrupt(std::string(traceFileStatusName(
-                    TraceFileStatus::ChecksumMismatch)) +
-                " at block " + std::to_string(b));
-    checksum_ = running;
+    if (TraceFileStatus st =
+            checkBlock(data, len, expectN, bh, checksum_, d);
+        st != TraceFileStatus::Ok)
+        corrupt(blockError(b, st, d));
 
-    decoded_.resize(static_cast<std::size_t>(expectN));
-    auto *base = reinterpret_cast<std::uint8_t *>(decoded_.data());
-    auto slot = [base](std::size_t off) {
-        return reinterpret_cast<std::uint64_t *>(base + off);
-    };
+    // One pass: advance the four columns together and write each
+    // record once. The block was checked above and decoded_ reaches
+    // no sink before this returns, so a malformed column still
+    // rejects the whole block.
+    const std::size_t n = static_cast<std::size_t>(expectN);
     const std::uint8_t *pcCol = data + TraceBlockHeaderBytes;
     const std::uint8_t *addrCol = pcCol + bh.pcBytes;
     const std::uint8_t *valCol = addrCol + bh.addrBytes;
     const std::uint8_t *takenBits = valCol + bh.valueBytes;
-    std::size_t n = static_cast<std::size_t>(expectN);
-    if (!decodeDeltaColumn(pcCol, bh.pcBytes,
-                           slot(offsetof(TraceRecord, pc)), n,
-                           RecordStride) ||
-        !decodeSparseColumn(addrCol, bh.addrBytes,
-                            slot(offsetof(TraceRecord, effAddr)), n,
-                            RecordStride) ||
-        !decodeSparseColumn(valCol, bh.valueBytes,
-                            slot(offsetof(TraceRecord, value)), n,
-                            RecordStride))
-        corrupt(std::string(traceFileStatusName(
-                    TraceFileStatus::BadBlock)) +
-                " at block " + std::to_string(b) +
-                ": column payload malformed");
-
+    DeltaCursor pcs(pcCol, bh.pcBytes);
+    SparseCursor addrs(addrCol, bh.addrBytes, n);
+    SparseCursor values(valCol, bh.valueBytes, n);
+    auto malformed = [&] {
+        corrupt(blockError(b, TraceFileStatus::BadBlock,
+                           "column payload malformed"));
+    };
+    if (!addrs.fits() || !values.fits())
+        malformed();
+    const isa::Instruction *code = prog_.code().data();
+    const std::uint64_t codeSize = prog_.size();
+    decoded_.resize(n);
+    TraceRecord *out = decoded_.data();
     for (std::size_t i = 0; i < n; ++i) {
-        TraceRecord &rec = decoded_[i];
-        rec.seq = first + i;
-        rec.destValue = 0;
-        rec.pred = PredState::None;
-        rec.taken = unpackBit(takenBits, i);
-        if (!prog_.validPc(rec.pc))
+        Addr pc = 0, addr = 0;
+        Word value = 0;
+        if (!pcs.next(pc) || !addrs.next(addr) || !values.next(value))
+            malformed();
+        // Program::validPc in one compare: a pc below CodeBase wraps
+        // to an offset far past the code.
+        const Addr off = pc - isa::layout::CodeBase;
+        if (off % isa::layout::InstBytes != 0 ||
+            off / isa::layout::InstBytes >= codeSize)
             corrupt(detail::formatMsg(
                 "record %llu names pc 0x%llx outside the program",
-                static_cast<unsigned long long>(rec.seq),
-                static_cast<unsigned long long>(rec.pc)));
-        rec.inst = &prog_.fetch(rec.pc);
+                static_cast<unsigned long long>(first + i),
+                static_cast<unsigned long long>(pc)));
+        const isa::Instruction &inst = code[off / isa::layout::InstBytes];
+        const bool taken = unpackBit(takenBits, i);
         // Reconstruct the architectural successor.
-        if (rec.inst->op == isa::Opcode::HALT) {
-            rec.nextPc = rec.pc;
-        } else if (rec.inst->branch() && rec.taken) {
-            rec.nextPc = isa::isIndirectBranch(rec.inst->op)
-                             ? rec.effAddr
-                             : static_cast<Addr>(rec.inst->imm);
-        } else {
-            rec.nextPc = rec.pc + isa::layout::InstBytes;
-        }
+        Addr nextPc = pc + isa::layout::InstBytes;
+        if (inst.op == isa::Opcode::HALT)
+            nextPc = pc;
+        else if (taken && inst.branch())
+            nextPc = isa::isIndirectBranch(inst.op)
+                         ? addr
+                         : static_cast<Addr>(inst.imm);
+        out[i] = TraceRecord{.seq = first + i,
+                             .pc = pc,
+                             .inst = &inst,
+                             .effAddr = addr,
+                             .value = value,
+                             .destValue = 0,
+                             .taken = taken,
+                             .nextPc = nextPc,
+                             .pred = PredState::None};
     }
+    if (!pcs.done() || !addrs.done() || !values.done())
+        malformed();
 }
 
 bool

@@ -7,7 +7,7 @@
  * two bits of PredState for the timing model right behind it, so a
  * trace stores what the program did and never a prediction.
  *
- * The on-disk format (v4: column-major, delta-compressed;
+ * The on-disk format (v5: column-major, delta-compressed;
  * little-endian throughout):
  *
  *   header (24 bytes)
@@ -18,7 +18,7 @@
  *   payload: ceil(N / blockRecords) blocks, each
  *     block header (24 bytes)
  *       u32 record count n | u32 pcBytes | u32 addrBytes
- *       | u32 valueBytes | u64 FNV-1a checksum of the column payload
+ *       | u32 valueBytes | u64 hash64 of the column payload
  *     column payload
  *       pc column:    n delta+zigzag+varint values (trace/columnar.hh)
  *       addr column:  sparse (presence bitmap + nonzero deltas)
@@ -29,8 +29,15 @@
  *   footer (24 bytes)
  *     [ 0.. 8)  magic "ECARTPVL"
  *     [ 8..16)  u64 record count N
- *     [16..24)  u64 FNV-1a checksum over all block bytes (headers +
- *               column payloads; the index is validated structurally)
+ *     [16..24)  u64 chain over the block headers in file order:
+ *               c = hash64(block header, 24, seed c), from c = 0.
+ *               Each header holds its payload's checksum, so the
+ *               chain covers every block byte and the block order;
+ *               the index is validated structurally.
+ *
+ * v4 differed only in its checksums, byte-serial FNV-1a over whole
+ * blocks; hash64 (trace/columnar.hh) reads words on four
+ * independent lanes and runs at memory speed.
  *
  * The columns exploit the paper's value locality on our own storage:
  * pc deltas are one instruction stride for straight-line code,
@@ -39,7 +46,9 @@
  * bytes instead of TraceRecordBytes. Bit-packing taken makes every
  * decoded flag legal by construction, so corruption detection rests
  * on the per-block checksum, which reports a flipped bit at the block
- * it lands in rather than at the end-of-trace checksum.
+ * it lands in rather than at the end-of-trace checksum. Every
+ * consumer of a block (writer, reader, verifier, skipTo) hashes its
+ * payload exactly once.
  *
  * The reader reconstructs nextPc and the static instruction from the
  * Program at read time; seq is implicit in record order. destValue and
@@ -59,9 +68,9 @@
  * verifyTraceFile() is the non-fatal integrity check (used by the
  * run-cache and by `lvpbench --verify-trace-cache`): it validates the
  * envelope, the block structure and per-block checksums, and the
- * whole-payload checksum, and reports a TraceFileStatus instead of
- * exiting. TraceFileReader is strict: it
- * is for files that are expected to be valid and throws
+ * footer's chain, and reports a TraceFileStatus instead of exiting.
+ * TraceFileReader is strict: it is for files that are expected to be
+ * valid and throws
  * SimError(TraceCorrupt) — or SimError(TraceIo) for an unopenable
  * file — on corruption, naming the reason (never silently truncating
  * a replay). The run-cache catches the exception and falls back to
@@ -84,7 +93,7 @@ namespace lvplib::trace
 {
 
 /** The format this build reads and writes. */
-constexpr std::uint32_t TraceFormatVersion = 4;
+constexpr std::uint32_t TraceFormatVersion = 5;
 
 /** Logical raw bytes per record (u64 pc|effAddr|value + u8 taken),
  *  against which compression ratios are quoted. */
@@ -99,7 +108,7 @@ constexpr std::size_t TraceBlockHeaderBytes = 4 * 4 + 8;
 
 /** Default records per block (the writer's blockRecords). Sized
  *  so one decoded block (~sizeof(TraceRecord) * blockRecords, about
- *  half a MiB) stays L2-resident: the reader's column scatter and the
+ *  half a MiB) stays L2-resident: the reader's decode pass and the
  *  sink's consume pass walk the same block buffer, and a buffer
  *  bigger than the cache turns every pass into memory traffic (a
  *  64Ki-record block measured ~10% slower suite-wide). Tests shrink
@@ -163,7 +172,7 @@ struct TraceVerifyReport
 
 /**
  * Fully verify @p path: envelope, block walk with per-block
- * checksums, whole-payload checksum, and (when given) the expected
+ * checksums, the footer's chain, and (when given) the expected
  * fingerprint. Never fatal; a missing or corrupt file is reported in
  * the returned status.
  */
@@ -240,7 +249,7 @@ class TraceFileWriter : public TraceSink
     std::string path_;
     std::uint64_t fingerprint_;
     TraceWriterOptions opts_;
-    std::uint64_t checksum_;
+    std::uint64_t checksum_ = 0; ///< footer chain over block headers
     std::uint64_t written_ = 0;
     bool finished_ = false;
     bool closed_ = false;
@@ -272,11 +281,11 @@ class TraceFileWriter : public TraceSink
  * falls back to in-memory interpretation and deletes the file).
  *
  * I/O is block-buffered: the reader reads one compressed block per
- * fread and decodes its columns straight into an in-memory
- * TraceRecord block; replay() hands spans of that same block buffer
- * to TraceSink::consumeBatch() with no further copy. Validation is
- * strictly in record order — a corrupt block throws before any of its
- * records is observed by the sink.
+ * fread and decodes it in one pass over its four columns, writing
+ * each TraceRecord of an in-memory block once; replay() hands spans
+ * of that same block buffer to TraceSink::consumeBatch() with no
+ * further copy. Validation is strictly in record order — a corrupt
+ * block throws before any of its records is observed by the sink.
  */
 class TraceFileReader
 {
@@ -298,9 +307,11 @@ class TraceFileReader
 
     /**
      * Skip forward from a block boundary to record @p seq, a later
-     * block boundary (or records()). Skipped blocks are folded into
-     * the payload checksum without being decoded, so a replay from
-     * @p seq still ends with the whole-file checksum check.
+     * block boundary (or records()). Skipped blocks are not decoded,
+     * but each is checked against its header's checksum (throwing
+     * SimError(TraceCorrupt) as a decoded block would) and folded
+     * into the footer chain, so a replay from @p seq still ends with
+     * the footer check.
      */
     void skipTo(std::uint64_t seq);
 
@@ -328,7 +339,7 @@ class TraceFileReader
     std::uint64_t records_ = 0;
     std::uint64_t fingerprint_ = 0;
     std::uint64_t expectChecksum_ = 0;
-    std::uint64_t checksum_;
+    std::uint64_t checksum_ = 0; ///< footer chain over block headers
     std::uint32_t blockRecords_ = 0;
     std::uint64_t indexStart_ = 0;      ///< file offset of the index
     std::vector<std::uint64_t> index_;  ///< block file offsets

@@ -409,5 +409,46 @@ TEST(Cli, EveryPredictorRunsOnThe21164)
     EXPECT_EQ(os.str().find("speedup"), std::string::npos);
 }
 
+TEST(Cli, CodegenDefaultsToTheMachines)
+{
+    // Every experiment times the 21164 on Alpha code and the 620s on
+    // PPC code; lvpsim does the same unless --codegen says otherwise.
+    auto run = [](std::initializer_list<const char *> args) {
+        auto o = parse(args);
+        EXPECT_TRUE(o);
+        std::ostringstream os;
+        EXPECT_EQ(runCli(*o, os), 0);
+        return os.str();
+    };
+    auto baseline = [](const std::string &out) {
+        auto at = out.find(" baseline: ");
+        EXPECT_NE(at, std::string::npos) << out;
+        return out.substr(at, out.find('\n', at) - at);
+    };
+    const auto alphaDefault = run({"--bench", "grep", "--scale", "1",
+                                   "--machine", "21164", "--lvp",
+                                   "none"});
+    EXPECT_NE(alphaDefault.find("codegen alpha"), std::string::npos)
+        << alphaDefault;
+    const auto alphaExplicit =
+        run({"--bench", "grep", "--scale", "1", "--machine", "21164",
+             "--lvp", "none", "--codegen", "alpha"});
+    EXPECT_EQ(baseline(alphaDefault), baseline(alphaExplicit));
+
+    // An explicit --codegen still wins.
+    const auto ppcOn21164 =
+        run({"--bench", "grep", "--scale", "1", "--machine", "21164",
+             "--lvp", "none", "--codegen", "ppc"});
+    EXPECT_NE(ppcOn21164.find("codegen ppc"), std::string::npos);
+    EXPECT_NE(baseline(ppcOn21164), baseline(alphaDefault))
+        << "PPC code must time differently on the 21164";
+
+    for (const char *machine : {"620", "620+", "none"}) {
+        const auto out = run({"--bench", "grep", "--scale", "1",
+                              "--machine", machine, "--lvp", "none"});
+        EXPECT_NE(out.find("codegen ppc"), std::string::npos) << machine;
+    }
+}
+
 } // namespace
 } // namespace lvplib::sim

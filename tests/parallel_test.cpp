@@ -518,13 +518,13 @@ TEST(RunCacheTest, UnknownVersionCountsAsFormatUpgradeNotCorruption)
     cache.lvpOnly(w, workloads::CodeGen::Ppc, opts.scale, cfg, rc);
     auto path = tmp.onlyTrace();
 
-    // Stamp another format version into the header, the retired v2
-    // and v3 and a future one: the file is not corrupt, just
+    // Stamp another format version into the header, the retired v2,
+    // v3 and v4 and a future one: the file is not corrupt, just
     // unreadable by this build. The miss must be counted as a format
     // upgrade, not corruption, and the trace regenerated in the
     // current format.
-    for (std::uint8_t version :
-         {std::uint8_t{2}, std::uint8_t{3}, std::uint8_t{0x7f}}) {
+    for (std::uint8_t version : {std::uint8_t{2}, std::uint8_t{3},
+                                 std::uint8_t{4}, std::uint8_t{0x7f}}) {
         setByteAt(path, 8, version);
         EXPECT_EQ(trace::verifyTraceFile(path.string()).status,
                   trace::TraceFileStatus::BadVersion);

@@ -541,13 +541,13 @@ TEST_F(ShardReplay, SkipToYieldsTheTailAndKeepsTheChecksum)
             << from;
     }
 
-    // A skipped block is not decoded, but its bytes still count
-    // toward the whole-file checksum.
+    // A skipped block is not decoded, but its payload is still
+    // checked against its header's checksum.
     flipPayloadBit(path, 2);
     trace::TraceFileReader reader(path, prog);
-    reader.skipTo(64 * 7);
     Capture tail;
     try {
+        reader.skipTo(64 * 7);
         reader.replay(tail);
         ADD_FAILURE() << "a flipped skipped block must not replay clean";
     } catch (const SimError &e) {

@@ -10,8 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -275,25 +279,41 @@ TEST(PackedFlags, BitsRoundTrip)
 
 // ---- checksums ------------------------------------------------------
 
-TEST(Fnv, PairEqualsTwoSingleChains)
+TEST(Hash64, MatchesXxHash64ReferenceVectors)
 {
-    // The reader and verifier advance a block's payload checksum and
-    // the running file checksum in one interleaved pass; each chain
-    // must equal its own serial fnv1a exactly, whatever the length and
-    // seeds.
-    std::mt19937_64 rng(0xf17a);
-    std::vector<std::uint8_t> buf;
-    for (int iter = 0; iter < 300; ++iter) {
-        const std::size_t n =
-            iter < 9 ? static_cast<std::size_t>(iter) : rng() % 4097;
-        buf.resize(n);
-        for (auto &b : buf)
-            b = static_cast<std::uint8_t>(rng());
-        const std::uint64_t seedA = iter % 3 == 0 ? trace::FnvOffset : rng();
-        const std::uint64_t seedB = rng();
-        const auto [a, b] = trace::fnv1aPair(buf.data(), n, seedA, seedB);
-        EXPECT_EQ(a, trace::fnv1a(buf.data(), n, seedA)) << "n " << n;
-        EXPECT_EQ(b, trace::fnv1a(buf.data(), n, seedB)) << "n " << n;
+    // hash64 is xxHash64: published digests of the reference
+    // implementation (seed 0) pin the stripe loop, the 8/4/1-byte
+    // tails and the avalanche.
+    const struct
+    {
+        const char *text;
+        std::uint64_t digest;
+    } vectors[] = {
+        {"", 0xef46db3751d8e999ull},
+        {"a", 0xd24ec4f1a98c6e5bull},
+        {"abc", 0x44bc2cf5ad770999ull},
+        {"Nobody inspects the spammish repetition", 0xfbcea83c8a378bf1ull},
+    };
+    for (const auto &v : vectors)
+        EXPECT_EQ(trace::hash64(v.text, std::strlen(v.text)), v.digest)
+            << '"' << v.text << '"';
+}
+
+TEST(Hash64, EveryByteAndTheSeedMatter)
+{
+    // Whatever the length, the last byte lands in a stripe or in the
+    // 8-, 4- or 1-byte tail, and changing it changes the digest; so
+    // does another seed.
+    std::mt19937_64 rng(0x4a54);
+    std::vector<std::uint8_t> buf(100);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng());
+    for (std::size_t n = 1; n <= buf.size(); ++n) {
+        const std::uint64_t h = trace::hash64(buf.data(), n);
+        EXPECT_NE(trace::hash64(buf.data(), n, 1), h) << n;
+        buf[n - 1] ^= 0x80;
+        EXPECT_NE(trace::hash64(buf.data(), n), h) << n;
+        buf[n - 1] ^= 0x80;
     }
 }
 
@@ -311,11 +331,13 @@ tinyBlocks(std::uint32_t blockRecords = 64)
 std::uint64_t
 writeDemoTrace(const std::string &path, const isa::Program &prog,
                std::uint64_t fingerprint,
-               const trace::TraceWriterOptions &opts = {})
+               const trace::TraceWriterOptions &opts = {},
+               std::uint64_t maxRecords =
+                   std::numeric_limits<std::uint64_t>::max())
 {
     TraceFileWriter writer(path, fingerprint, opts);
     vm::Interpreter interp(prog);
-    interp.run(&writer);
+    interp.run(&writer, maxRecords);
     EXPECT_TRUE(writer.close()) << writer.error();
     return writer.recordsWritten();
 }
@@ -393,6 +415,344 @@ TEST(TraceV3, TruncationDetected)
     EXPECT_FALSE(rep.ok());
     expectSimError([&] { TraceFileReader r(tmp.path, prog); },
                    ErrorKind::TraceCorrupt, "invalid trace file");
+}
+
+// ---- checksums over a whole file ------------------------------------
+
+std::vector<std::uint8_t>
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void
+writeBytes(const std::string &path, const std::vector<std::uint8_t> &b)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char *>(b.data()),
+               static_cast<std::streamsize>(b.size()));
+}
+
+std::uint64_t
+le(const std::vector<std::uint8_t> &b, std::size_t at, unsigned bytes)
+{
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < bytes; ++i)
+        v |= static_cast<std::uint64_t>(b[at + i]) << (8 * i);
+    return v;
+}
+
+void
+putLe(std::vector<std::uint8_t> &out, std::uint64_t v, unsigned bytes)
+{
+    for (unsigned i = 0; i < bytes; ++i)
+        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+/** Where each block of a trace file starts, plus where the index
+ *  starts (one past the last block). */
+std::vector<std::uint64_t>
+blockBounds(const std::vector<std::uint8_t> &b)
+{
+    const std::uint64_t perBlock = le(b, 12, 4);
+    const std::uint64_t records =
+        le(b, b.size() - trace::TraceFooterBytes + 8, 8);
+    const std::uint64_t blocks = (records + perBlock - 1) / perBlock;
+    const std::size_t index = b.size() - trace::TraceFooterBytes -
+                              static_cast<std::size_t>(blocks) * 8;
+    std::vector<std::uint64_t> bounds;
+    for (std::uint64_t k = 0; k < blocks; ++k)
+        bounds.push_back(le(b, index + k * 8, 8));
+    bounds.push_back(index);
+    return bounds;
+}
+
+/** A short grep trace in 64-record blocks (the last one partial):
+ *  small enough to flip every bit of. */
+std::uint64_t
+writeShortTrace(const std::string &path, const isa::Program &prog)
+{
+    return writeDemoTrace(path, prog, 7, tinyBlocks(64), 64 * 9 + 40);
+}
+
+/** Verification must fail and a replay must throw TraceCorrupt. */
+void
+expectCaught(const std::string &path, const isa::Program &prog,
+             const std::string &what)
+{
+    auto rep = trace::verifyTraceFile(path);
+    EXPECT_FALSE(rep.ok()) << what;
+    try {
+        TraceFileReader r(path, prog);
+        trace::TraceStats sink;
+        r.replay(sink);
+        ADD_FAILURE() << what << " replayed clean";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::TraceCorrupt) << what;
+    }
+}
+
+TEST(TraceChecksum, EverySingleBitFlipIsCaught)
+{
+    TempPath tmp("lvplib_v5_bitflip.trace");
+    auto prog = demoProgram();
+    ASSERT_EQ(writeShortTrace(tmp.path, prog), 64u * 9 + 40);
+    const auto good = readBytes(tmp.path);
+    const auto bounds = blockBounds(good);
+    ASSERT_EQ(bounds.size(), 11u);
+
+    // Every bit of every block (its header and its column payload),
+    // then every bit of the footer checksum.
+    std::vector<std::size_t> targets;
+    for (std::size_t at = bounds.front(); at < bounds.back(); ++at)
+        targets.push_back(at);
+    for (std::size_t at = good.size() - 8; at < good.size(); ++at)
+        targets.push_back(at);
+    auto bytes = good;
+    for (std::size_t at : targets) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            bytes[at] ^= static_cast<std::uint8_t>(1u << bit);
+            writeBytes(tmp.path, bytes);
+            expectCaught(tmp.path, prog,
+                         "byte " + std::to_string(at) + " bit " +
+                             std::to_string(bit));
+            bytes[at] = good[at];
+        }
+    }
+}
+
+TEST(TraceChecksum, SameBitInOneLaneTwiceIsCaught)
+{
+    // Words 32 bytes apart feed the same lane of the four-lane hash
+    // in consecutive rounds. Were a lane a plain xor-multiply of each
+    // word, flipping the same bit in both would cancel out.
+    TempPath tmp("lvplib_v5_lane.trace");
+    auto prog = demoProgram();
+    writeShortTrace(tmp.path, prog);
+    const auto good = readBytes(tmp.path);
+    const auto bounds = blockBounds(good);
+    auto bytes = good;
+    std::size_t pairs = 0;
+    for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
+        const std::size_t payload =
+            bounds[k] + trace::TraceBlockHeaderBytes;
+        for (std::size_t at = payload; at + 32 < bounds[k + 1]; ++at) {
+            for (unsigned bit = 0; bit < 8; ++bit) {
+                const auto mask = static_cast<std::uint8_t>(1u << bit);
+                bytes[at] ^= mask;
+                bytes[at + 32] ^= mask;
+                writeBytes(tmp.path, bytes);
+                expectCaught(tmp.path, prog,
+                             "bytes " + std::to_string(at) + " and +32 bit " +
+                                 std::to_string(bit));
+                bytes[at] = good[at];
+                bytes[at + 32] = good[at + 32];
+                ++pairs;
+            }
+        }
+    }
+    EXPECT_GT(pairs, 0u);
+}
+
+TEST(TraceChecksum, SkipToPastAFlippedBlockThrows)
+{
+    // The footer chain covers only block headers, so skipTo() must
+    // check each payload it skips against the header's checksum.
+    TempPath tmp("lvplib_v5_skip.trace");
+    auto prog = demoProgram();
+    writeShortTrace(tmp.path, prog);
+    auto bytes = readBytes(tmp.path);
+    const auto bounds = blockBounds(bytes);
+    bytes[bounds[2] + trace::TraceBlockHeaderBytes + 3] ^= 0x20;
+    writeBytes(tmp.path, bytes);
+    expectSimError(
+        [&] {
+            TraceFileReader r(tmp.path, prog);
+            r.skipTo(64 * 5);
+            trace::TraceStats sink;
+            r.replay(sink);
+        },
+        ErrorKind::TraceCorrupt,
+        trace::traceFileStatusName(TraceFileStatus::ChecksumMismatch));
+}
+
+/** A trace file taken apart into each block's four columns. */
+struct TraceParts
+{
+    std::vector<std::uint8_t> header; ///< the 24-byte file header
+    std::uint64_t records = 0;
+    struct Block
+    {
+        std::uint32_t n = 0;
+        std::vector<std::uint8_t> pc, addr, value, taken;
+    };
+    std::vector<Block> blocks;
+};
+
+TraceParts
+splitTrace(const std::vector<std::uint8_t> &b)
+{
+    TraceParts t;
+    t.header.assign(b.begin(), b.begin() + trace::TraceHeaderBytes);
+    t.records = le(b, b.size() - trace::TraceFooterBytes + 8, 8);
+    const auto bounds = blockBounds(b);
+    for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
+        const std::size_t at = bounds[k];
+        TraceParts::Block blk;
+        blk.n = static_cast<std::uint32_t>(le(b, at, 4));
+        auto col = b.begin() + static_cast<std::ptrdiff_t>(
+                                   at + trace::TraceBlockHeaderBytes);
+        auto take = [&col](std::vector<std::uint8_t> &dst,
+                           std::uint64_t len) {
+            dst.assign(col, col + static_cast<std::ptrdiff_t>(len));
+            col += static_cast<std::ptrdiff_t>(len);
+        };
+        take(blk.pc, le(b, at + 4, 4));
+        take(blk.addr, le(b, at + 8, 4));
+        take(blk.value, le(b, at + 12, 4));
+        take(blk.taken, (blk.n + 7) / 8);
+        t.blocks.push_back(std::move(blk));
+    }
+    return t;
+}
+
+/** Reassemble @p t with every checksum recomputed through the public
+ *  hash: each payload's in its block header, and the footer's chain
+ *  over the block headers. */
+std::vector<std::uint8_t>
+joinTrace(const TraceParts &t)
+{
+    std::vector<std::uint8_t> out = t.header;
+    std::vector<std::uint64_t> index;
+    std::uint64_t chain = 0;
+    for (const auto &blk : t.blocks) {
+        std::vector<std::uint8_t> payload;
+        for (const auto *col : {&blk.pc, &blk.addr, &blk.value, &blk.taken})
+            payload.insert(payload.end(), col->begin(), col->end());
+        std::vector<std::uint8_t> hdr;
+        putLe(hdr, blk.n, 4);
+        putLe(hdr, blk.pc.size(), 4);
+        putLe(hdr, blk.addr.size(), 4);
+        putLe(hdr, blk.value.size(), 4);
+        putLe(hdr, trace::hash64(payload.data(), payload.size()), 8);
+        chain = trace::hash64(hdr.data(), hdr.size(), chain);
+        index.push_back(out.size());
+        out.insert(out.end(), hdr.begin(), hdr.end());
+        out.insert(out.end(), payload.begin(), payload.end());
+    }
+    for (std::uint64_t off : index)
+        putLe(out, off, 8);
+    for (char c : std::string("ECARTPVL"))
+        out.push_back(static_cast<std::uint8_t>(c));
+    putLe(out, t.records, 8);
+    putLe(out, chain, 8);
+    return out;
+}
+
+/** A sink that only counts what reaches it. */
+struct CountingSink : trace::TraceSink
+{
+    std::uint64_t seen = 0;
+    void consume(const trace::TraceRecord &) override { ++seen; }
+};
+
+TEST(TraceChecksum, HostileColumnsUnderValidChecksumsAreRejected)
+{
+    TempPath tmp("lvplib_v5_hostile.trace");
+    auto prog = demoProgram();
+    writeShortTrace(tmp.path, prog);
+    const auto good = readBytes(tmp.path);
+    const TraceParts parts = splitTrace(good);
+    ASSERT_EQ(joinTrace(parts), good)
+        << "the test must rebuild the format byte for byte";
+
+    // Each case rewrites block 1's columns; the checksums are
+    // recomputed, so only the column checks stand in the way.
+    constexpr std::size_t Hit = 1;
+    const std::uint32_t n = parts.blocks[Hit].n;
+    auto decoded = [&](const std::vector<std::uint8_t> &col,
+                       bool sparse) {
+        std::vector<std::uint64_t> vals(n);
+        EXPECT_TRUE(sparse ? decodeSparseColumn(col.data(), col.size(),
+                                                vals.data(), n)
+                           : decodeDeltaColumn(col.data(), col.size(),
+                                               vals.data(), n));
+        return vals;
+    };
+    // The pc column with record 5 moved to @p pc.
+    auto pcAt = [&](Addr pc) {
+        auto pcs = decoded(parts.blocks[Hit].pc, false);
+        pcs[5] = pc;
+        std::vector<std::uint8_t> col;
+        encodeDeltaColumn(pcs.data(), n, col);
+        return col;
+    };
+    // The addr column with its first zero marked present: a varint
+    // that brings the running value back to zero.
+    auto presentZero = [&] {
+        auto addrs = decoded(parts.blocks[Hit].addr, true);
+        std::vector<std::uint8_t> col((n + 7) / 8, 0);
+        bool marked = false;
+        std::uint64_t prev = 0;
+        for (std::uint32_t i = 0; i < n; ++i) {
+            if (addrs[i] == 0 && marked)
+                continue;
+            marked = marked || addrs[i] == 0;
+            col[i >> 3] |= static_cast<std::uint8_t>(1u << (i & 7));
+            putVarint(col, zigzagEncode(static_cast<std::int64_t>(
+                               addrs[i] - prev)));
+            prev = addrs[i];
+        }
+        EXPECT_TRUE(marked) << "block has no zero address";
+        return col;
+    };
+    const Addr codeEnd = prog.codeEnd();
+    const struct
+    {
+        const char *name;
+        std::function<void(TraceParts::Block &)> edit;
+        const char *reason;
+    } cases[] = {
+        {"overlong varint",
+         [](TraceParts::Block &b) { b.pc.insert(b.pc.begin(), 11, 0x80); },
+         "column payload malformed"},
+        {"present zero",
+         [&](TraceParts::Block &b) { b.addr = presentZero(); },
+         "column payload malformed"},
+        {"trailing byte",
+         [](TraceParts::Block &b) { b.value.push_back(0); },
+         "column payload malformed"},
+        {"pc past the code",
+         [&](TraceParts::Block &b) { b.pc = pcAt(codeEnd); },
+         "outside the program"},
+        {"pc below the code",
+         [&](TraceParts::Block &b) {
+             b.pc = pcAt(isa::layout::CodeBase - isa::layout::InstBytes);
+         },
+         "outside the program"},
+        {"pc between instructions",
+         [&](TraceParts::Block &b) {
+             b.pc = pcAt(isa::layout::CodeBase + 2);
+         },
+         "outside the program"},
+    };
+    for (const auto &c : cases) {
+        TraceParts hostile = parts;
+        c.edit(hostile.blocks[Hit]);
+        writeBytes(tmp.path, joinTrace(hostile));
+        EXPECT_TRUE(trace::verifyTraceFile(tmp.path).ok())
+            << c.name << ": checksums must still hold";
+        CountingSink sink;
+        expectSimError(
+            [&] {
+                TraceFileReader r(tmp.path, prog);
+                r.replay(sink);
+            },
+            ErrorKind::TraceCorrupt, c.reason);
+        EXPECT_EQ(sink.seen, Hit * parts.blocks[0].n)
+            << c.name << ": no record of the hostile block reaches a sink";
+    }
 }
 
 } // namespace

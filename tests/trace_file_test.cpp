@@ -258,10 +258,11 @@ TEST(TraceIntegrity, WrongVersionDetected)
 {
     TempPath tmp("lvplib_trace_ver.trace");
     auto prog = demoProgram();
-    // The retired row-major v2, the retired v3 with its pred column
-    // and a future format alike: intact files this build cannot read.
+    // The retired row-major v2, the retired v3 with its pred column,
+    // the retired FNV-1a-checksummed v4 and a future format alike:
+    // intact files this build cannot read.
     for (std::uint32_t version :
-         {2u, 3u, trace::TraceFormatVersion + 1}) {
+         {2u, 3u, 4u, trace::TraceFormatVersion + 1}) {
         writeDemoTrace(tmp.path, prog, 7);
         auto bytes = readAll(tmp.path);
         bytes[8] = static_cast<std::uint8_t>(version); // version field

@@ -1,20 +1,11 @@
 #include "core/config.hh"
 
+#include <bit>
+
 #include "util/logging.hh"
 
 namespace lvplib::core
 {
-
-namespace
-{
-
-bool
-powerOfTwo(std::uint32_t v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
-
-} // namespace
 
 LvpConfig
 LvpConfig::simple()
@@ -54,9 +45,9 @@ LvpConfig::paperConfigs()
 void
 LvpConfig::validate() const
 {
-    if (!powerOfTwo(lvptEntries))
+    if (!std::has_single_bit(lvptEntries))
         lvp_fatal("lvptEntries must be a power of two (%u)", lvptEntries);
-    if (!powerOfTwo(lctEntries))
+    if (!std::has_single_bit(lctEntries))
         lvp_fatal("lctEntries must be a power of two (%u)", lctEntries);
     if (historyDepth < 1 || historyDepth > 64)
         lvp_fatal("historyDepth out of range (%u)", historyDepth);
@@ -66,7 +57,7 @@ LvpConfig::validate() const
     // here at config time rather than deep in the Cvu constructor.
     if (cvuWays > 0 &&
         (cvuEntries % cvuWays != 0 ||
-         !powerOfTwo(cvuEntries / cvuWays)))
+         !std::has_single_bit(cvuEntries / cvuWays)))
         lvp_fatal("cvu sets (cvuEntries %u / cvuWays %u) must be a "
                   "power of two",
                   cvuEntries, cvuWays);

@@ -1,5 +1,7 @@
 #include "core/cvu.hh"
 
+#include <bit>
+
 #include "util/logging.hh"
 
 namespace lvplib::core
@@ -162,11 +164,11 @@ Cvu::corruptEvict(std::uint64_t which)
     return false; // unreachable
 }
 
-void
-Cvu::reset()
+std::uint64_t
+Cvu::bitBudget(std::uint32_t indexEntries) const
 {
-    fill_.assign(numSets_, 0);
-    size_ = 0;
+    return std::uint64_t{capacity_} *
+           (64 + std::bit_width(indexEntries - 1u) + 4 + 1);
 }
 
 } // namespace lvplib::core

@@ -23,6 +23,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/lct.hh"
+#include "core/value_predictor.hh"
+#include "trace/trace.hh"
 #include "util/types.hh"
 
 namespace lvplib::core
@@ -103,7 +106,13 @@ class Cvu
     std::size_t size() const { return size_; }
     bool enabled() const { return capacity_ != 0; }
 
-    void reset();
+    /**
+     * Architected state: each CAM entry holds a data address, the
+     * owning prediction-table index (wide enough for @p indexEntries
+     * entries), an access size (4 bits cover 1..8 bytes) and a valid
+     * bit.
+     */
+    std::uint64_t bitBudget(std::uint32_t indexEntries) const;
 
   private:
     struct Entry
@@ -139,6 +148,34 @@ class Cvu
     std::vector<Entry> slots_;
     std::vector<std::uint32_t> fill_;
 };
+
+/**
+ * The LCT+CVU gate of paper Section 3.4, written once for the units
+ * that own a CVU. A Constant-class load that hits the CVU is a
+ * verified constant. Any other load the LCT lets through verifies
+ * against memory (a constant that missed the CVU is demoted to
+ * predictable status, paper Section 3.3), and a correct one of
+ * Constant class is installed in the CVU. @p cvuEligible narrows
+ * which Constant-class loads the CVU serves at all: the stride unit
+ * passes its zero-stride condition. @p idx is the load's
+ * prediction-table index. Counts the load into @p stats through
+ * LvpStats::record and returns its PredState.
+ */
+inline trace::PredState
+cvuGate(LvpStats &stats, Cvu &cvu, LoadClass cls, bool cvuEligible,
+        Addr addr, std::uint32_t idx, unsigned size, bool wouldBeCorrect)
+{
+    const bool constant =
+        cls == LoadClass::Constant && cvuEligible && cvu.enabled();
+    const bool cvuHit = constant && cvu.lookup(addr, idx);
+    const trace::PredState state = stats.record(
+        wouldBeCorrect, cls != LoadClass::DontPredict, cvuHit);
+    if (constant && !cvuHit && wouldBeCorrect) {
+        cvu.insert(addr, idx, size);
+        ++stats.cvuInsertions;
+    }
+    return state;
+}
 
 } // namespace lvplib::core
 

@@ -1,6 +1,7 @@
 #include "core/fcm_unit.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "isa/program.hh"
 #include "util/logging.hh"
@@ -25,16 +26,13 @@ FcmConfig::simple()
 void
 FcmConfig::validate() const
 {
-    auto pow2 = [](std::uint32_t v) {
-        return v != 0 && (v & (v - 1)) == 0;
-    };
-    if (!pow2(level1Entries))
+    if (!std::has_single_bit(level1Entries))
         lvp_fatal("fcm level1Entries must be a power of two (%u)",
                   level1Entries);
-    if (!pow2(level2Entries))
+    if (!std::has_single_bit(level2Entries))
         lvp_fatal("fcm level2Entries must be a power of two (%u)",
                   level2Entries);
-    if (!pow2(lctEntries))
+    if (!std::has_single_bit(lctEntries))
         lvp_fatal("fcm lctEntries must be a power of two (%u)",
                   lctEntries);
     if (lctBits < 1 || lctBits > 8)
@@ -75,39 +73,15 @@ FcmUnit::level2Index(Addr pc, Word context) const
 trace::PredState
 FcmUnit::onLoad(Addr pc, Addr addr, Word value, unsigned size)
 {
-    using trace::PredState;
     (void)addr;
     (void)size;
 
-    ++stats_.loads;
     Word &ctx = contexts_[level1Index(pc)];
     L2Entry &e = values_[level2Index(pc, ctx)];
 
-    bool would_be_correct = e.valid && e.value == value;
-    const LoadClass cls = lct_.classify(pc);
-
-    if (would_be_correct) {
-        ++stats_.actualPred;
-        if (cls != LoadClass::DontPredict)
-            ++stats_.predIdentified;
-    } else {
-        ++stats_.actualUnpred;
-        if (cls == LoadClass::DontPredict)
-            ++stats_.unpredIdentified;
-    }
-
-    PredState state = PredState::None;
-    if (cls != LoadClass::DontPredict) {
-        if (would_be_correct) {
-            state = PredState::Correct;
-            ++stats_.correct;
-        } else {
-            state = PredState::Incorrect;
-            ++stats_.incorrect;
-        }
-    } else {
-        ++stats_.noPred;
-    }
+    const bool would_be_correct = e.valid && e.value == value;
+    const trace::PredState state = stats_.record(
+        would_be_correct, lct_.classify(pc) != LoadClass::DontPredict);
 
     lct_.update(pc, would_be_correct);
 
@@ -127,59 +101,14 @@ FcmUnit::onLoad(Addr pc, Addr addr, Word value, unsigned size)
     return state;
 }
 
-void
-FcmUnit::onStore(Addr addr, unsigned size)
-{
-    (void)addr;
-    (void)size;
-}
-
-void
-FcmUnit::reset()
-{
-    contexts_.assign(contexts_.size(), 0);
-    values_.assign(values_.size(), L2Entry());
-    lct_.reset();
-    stats_ = LvpStats();
-}
-
 std::uint64_t
 FcmUnit::bitBudget() const
 {
     // Level 1: one 64-bit context hash per static-load slot. Level 2:
-    // a predicted value + valid per context slot. LCT as in LvpUnit.
-    std::uint64_t bits = std::uint64_t{config_.level1Entries} * 64;
-    bits += std::uint64_t{config_.level2Entries} * (64 + 1);
-    bits += std::uint64_t{config_.lctEntries} * config_.lctBits;
-    return bits;
-}
-
-std::any
-FcmUnit::snapshotState() const
-{
-    return snapshot();
-}
-
-void
-FcmUnit::restoreState(const std::any &s)
-{
-    const auto *snap = std::any_cast<Snapshot>(&s);
-    lvp_assert(snap, "fcm restoreState: wrong snapshot type");
-    restore(*snap);
-}
-
-FcmUnit::Snapshot
-FcmUnit::snapshot() const
-{
-    return Snapshot{contexts_, values_, lct_};
-}
-
-void
-FcmUnit::restore(const Snapshot &s)
-{
-    contexts_ = s.contexts;
-    values_ = s.values;
-    lct_ = s.lct;
+    // a predicted value + valid per context slot.
+    return std::uint64_t{config_.level1Entries} * 64 +
+           std::uint64_t{config_.level2Entries} * (64 + 1) +
+           lct_.bitBudget();
 }
 
 template class Annotator<FcmUnit>;

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/lct.hh"
-#include "core/lvp_unit.hh"
 #include "core/value_predictor.hh"
 #include "trace/trace.hh"
 #include "util/types.hh"
@@ -41,18 +40,15 @@ class FcmUnit : public ValuePredictor
     trace::PredState onLoad(Addr pc, Addr addr, Word value,
                             unsigned size) override;
 
-    /** Stores don't affect a CVU-less predictor; kept for interface
-     *  symmetry. */
-    void onStore(Addr addr, unsigned size) override;
-
     const FcmConfig &config() const { return config_; }
-    const LvpStats &stats() const override { return stats_; }
 
-    void reset() override;
+    /** Level 1, one folded value history per slot: for tests and
+     *  diagnostics. */
+    const std::vector<Word> &contexts() const { return contexts_; }
 
     std::uint64_t bitBudget() const override;
-    std::any snapshotState() const override;
-    void restoreState(const std::any &s) override;
+    std::any snapshotState() const override { return *this; }
+    void restoreState(const std::any &s) override { restoreFrom<FcmUnit>(s); }
 
   private:
     std::uint32_t level1Index(Addr pc) const;
@@ -64,23 +60,6 @@ class FcmUnit : public ValuePredictor
         bool valid = false;
     };
 
-  public:
-    /** Checkpointable predictor state (stats excluded), mirroring
-     *  LvpUnit::Snapshot for session resume. */
-    struct Snapshot
-    {
-        std::vector<Word> contexts;
-        std::vector<L2Entry> values;
-        Lct lct;
-    };
-
-    /** Capture the unit's replayable state (stats excluded). */
-    Snapshot snapshot() const;
-
-    /** Restore state captured by snapshot(); stats are untouched. */
-    void restore(const Snapshot &s);
-
-  private:
     FcmConfig config_;
     std::uint32_t l1Mask_;
     std::uint32_t l2Mask_;
@@ -88,7 +67,6 @@ class FcmUnit : public ValuePredictor
     std::vector<Word> contexts_; ///< level 1: folded value history
     std::vector<L2Entry> values_; ///< level 2
     Lct lct_;
-    LvpStats stats_;
 };
 
 extern template class Annotator<FcmUnit>;

@@ -1,5 +1,7 @@
 #include "core/lct.hh"
 
+#include <bit>
+
 #include "util/logging.hh"
 
 namespace lvplib::core
@@ -19,8 +21,7 @@ loadClassName(LoadClass c)
 Lct::Lct(std::uint32_t entries, unsigned bits)
     : mask_(entries - 1), bits_(bits)
 {
-    lvp_assert(entries != 0 && (entries & (entries - 1)) == 0,
-               "entries=%u", entries);
+    lvp_assert(std::has_single_bit(entries), "entries=%u", entries);
     table_.assign(entries, SatCounter(bits));
 }
 
@@ -29,13 +30,6 @@ Lct::corruptCounter(std::uint32_t idx)
 {
     SatCounter &c = table_[idx & mask_];
     c.set(static_cast<std::uint8_t>(c.value() ^ 1));
-}
-
-void
-Lct::reset()
-{
-    for (auto &c : table_)
-        c.reset();
 }
 
 } // namespace lvplib::core

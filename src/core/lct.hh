@@ -93,6 +93,13 @@ class Lct
     std::uint32_t entries() const { return mask_ + 1; }
     unsigned bits() const { return bits_; }
 
+    /** Architected state: one saturating counter per entry. */
+    std::uint64_t
+    bitBudget() const
+    {
+        return std::uint64_t{entries()} * bits_;
+    }
+
     /**
      * Fault injection (lvpchaos): flip the low bit of counter @p idx,
      * modelling a bit flip in the classification state. Worst case the
@@ -100,8 +107,6 @@ class Lct
      * values it verified, so architectural results are unaffected.
      */
     void corruptCounter(std::uint32_t idx);
-
-    void reset();
 
   private:
     std::uint32_t mask_;

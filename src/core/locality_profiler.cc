@@ -53,11 +53,4 @@ ValueLocalityProfiler::consume(const trace::TraceRecord &rec)
     bump(counts_.classes[static_cast<std::size_t>(inst.dataClass)]);
 }
 
-void
-ValueLocalityProfiler::reset()
-{
-    table_.clear();
-    counts_ = LoadLocality();
-}
-
 } // namespace lvplib::core

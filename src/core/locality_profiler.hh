@@ -95,8 +95,6 @@ class ValueLocalityProfiler : public trace::TraceSink
 
     std::uint32_t deepDepth() const { return deepDepth_; }
 
-    void reset();
-
   private:
     std::uint32_t mask_;
     std::uint32_t deepDepth_;

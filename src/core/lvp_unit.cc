@@ -2,60 +2,9 @@
 
 #include "chaos/chaos.hh"
 #include "isa/program.hh"
-#include "util/logging.hh"
-#include "util/stats.hh"
 
 namespace lvplib::core
 {
-
-double
-LvpStats::unpredHitRate()  const
-{
-    return pct(unpredIdentified, actualUnpred);
-}
-
-double
-LvpStats::predHitRate() const
-{
-    return pct(predIdentified, actualPred);
-}
-
-double
-LvpStats::constantRate() const
-{
-    return pct(constants, loads);
-}
-
-double
-LvpStats::predictionRate() const
-{
-    return pct(incorrect + correct + constants, loads);
-}
-
-double
-LvpStats::accuracy() const
-{
-    return pct(correct + constants, incorrect + correct + constants);
-}
-
-LvpStats &
-LvpStats::operator+=(const LvpStats &o)
-{
-    loads += o.loads;
-    noPred += o.noPred;
-    incorrect += o.incorrect;
-    correct += o.correct;
-    constants += o.constants;
-    actualUnpred += o.actualUnpred;
-    actualPred += o.actualPred;
-    unpredIdentified += o.unpredIdentified;
-    predIdentified += o.predIdentified;
-    cvuInsertions += o.cvuInsertions;
-    cvuStoreInvalidations += o.cvuStoreInvalidations;
-    cvuDisplaceInvalidations += o.cvuDisplaceInvalidations;
-    cvuStaleHits += o.cvuStaleHits;
-    return *this;
-}
 
 // The (validate(), config) comma idiom runs the config's own fatal
 // checks BEFORE the member-initializer list builds any sub-table,
@@ -73,18 +22,10 @@ LvpUnit::LvpUnit(const LvpConfig &config)
 trace::PredState
 LvpUnit::onLoad(Addr pc, Addr addr, Word value, unsigned size)
 {
-    using trace::PredState;
-
-    ++stats_.loads;
-
-    if (config_.perfectPrediction) {
-        // Paper Table 2 "Perfect": every load value predicted
-        // correctly, none classified as constant. No table state.
-        ++stats_.correct;
-        ++stats_.actualPred;
-        ++stats_.predIdentified;
-        return PredState::Correct;
-    }
+    // Paper Table 2 "Perfect": every load value predicted correctly,
+    // none classified as constant. No table state.
+    if (config_.perfectPrediction)
+        return stats_.record(true, true);
 
     if (chaos::engine().enabled())
         injectChaos();
@@ -104,47 +45,9 @@ LvpUnit::onLoad(Addr pc, Addr addr, Word value, unsigned size)
     const std::uint32_t idx = probe.idx;
     const bool would_be_correct = lvpt_.hit(probe);
 
-    const LoadClass cls = lct_.classify(pc);
-
-    // Table 3 bookkeeping: how well does the LCT separate the loads
-    // the LVPT can predict from the ones it cannot?
-    if (would_be_correct) {
-        ++stats_.actualPred;
-        if (cls != LoadClass::DontPredict)
-            ++stats_.predIdentified;
-    } else {
-        ++stats_.actualUnpred;
-        if (cls == LoadClass::DontPredict)
-            ++stats_.unpredIdentified;
-    }
-
-    PredState state = PredState::None;
-    if (cls == LoadClass::Constant && cvu_.enabled() &&
-        cvu_.lookup(addr, idx)) {
-        // CVU hit: the LVPT value is guaranteed coherent with memory,
-        // so the load bypasses the memory hierarchy entirely.
-        state = PredState::Constant;
-        ++stats_.constants;
-        if (!would_be_correct)
-            ++stats_.cvuStaleHits; // coherence violation: must not happen
-    } else if (cls != LoadClass::DontPredict) {
-        // Predictable (or constant that missed the CVU and was demoted
-        // to predictable status, paper Section 3.3): verify against
-        // the conventional memory hierarchy.
-        if (would_be_correct) {
-            state = PredState::Correct;
-            ++stats_.correct;
-            if (cls == LoadClass::Constant && cvu_.enabled()) {
-                cvu_.insert(addr, idx, size);
-                ++stats_.cvuInsertions;
-            }
-        } else {
-            state = PredState::Incorrect;
-            ++stats_.incorrect;
-        }
-    } else {
-        ++stats_.noPred;
-    }
+    const trace::PredState state =
+        cvuGate(stats_, cvu_, lct_.classify(pc), /*cvuEligible=*/true,
+                addr, idx, size, would_be_correct);
 
     // Train the LCT on the outcome the LVPT would have produced, and
     // record the actual value in the LVPT.
@@ -218,74 +121,13 @@ LvpUnit::onStore(Addr addr, unsigned size)
         stats_.cvuStoreInvalidations += cvu_.storeInvalidate(addr, size);
 }
 
-void
-LvpUnit::reset()
-{
-    lvpt_.reset();
-    lct_.reset();
-    cvu_.reset();
-    bhr_ = 0;
-    stats_ = LvpStats();
-    chaosLoads_ = 0;
-}
-
-LvpUnit::Snapshot
-LvpUnit::snapshot() const
-{
-    return Snapshot{lvpt_, lct_, cvu_, bhr_, chaosLoads_};
-}
-
-void
-LvpUnit::restore(const Snapshot &s)
-{
-    lvpt_ = s.lvpt;
-    lct_ = s.lct;
-    cvu_ = s.cvu;
-    bhr_ = s.bhr;
-    // Resuming the fault-stream counter keeps a chaos-armed resumed
-    // unit injecting exactly the faults an uninterrupted one would.
-    chaosLoads_ = s.chaosLoads;
-}
-
 std::uint64_t
 LvpUnit::bitBudget() const
 {
-    auto log2up = [](std::uint64_t v) {
-        std::uint64_t n = 0;
-        while ((std::uint64_t{1} << n) < v)
-            ++n;
-        return n;
-    };
-    // LVPT: depth 64-bit values + valid bit each, LRU ordering bits
-    // when depth > 1, and a full tag per entry in the tagged ablation.
-    const std::uint64_t depth = config_.historyDepth;
-    std::uint64_t lvptEntry = depth * (64 + 1) + depth * log2up(depth);
-    if (config_.taggedLvpt)
-        lvptEntry += 64;
-    std::uint64_t bits = config_.lvptEntries * lvptEntry;
-    // LCT: one saturating counter per entry.
-    bits += std::uint64_t{config_.lctEntries} * config_.lctBits;
-    // CVU: each CAM entry holds a data address, the owning LVPT
-    // index, an access size (4 bits cover 1..8 bytes), and a valid.
-    bits += std::uint64_t{config_.cvuEntries} *
-            (64 + log2up(config_.lvptEntries) + 4 + 1);
-    // Branch history register (bhrBits == 0 for the paper design).
-    bits += config_.bhrBits;
-    return bits;
-}
-
-std::any
-LvpUnit::snapshotState() const
-{
-    return snapshot();
-}
-
-void
-LvpUnit::restoreState(const std::any &s)
-{
-    const auto *snap = std::any_cast<Snapshot>(&s);
-    lvp_assert(snap, "lvp restoreState: wrong snapshot type");
-    restore(*snap);
+    // The branch history register adds bhrBits (0 for the paper
+    // design).
+    return lvpt_.bitBudget() + lct_.bitBudget() +
+           cvu_.bitBudget(config_.lvptEntries) + config_.bhrBits;
 }
 
 template class Annotator<LvpUnit>;

@@ -1,5 +1,7 @@
 #include "core/lvpt.hh"
 
+#include <bit>
+
 #include "util/logging.hh"
 
 namespace lvplib::core
@@ -9,8 +11,7 @@ Lvpt::Lvpt(std::uint32_t entries, std::uint32_t depth, bool tagged)
     : mask_(entries - 1), depth_(depth), tagged_(tagged),
       table_(entries, depth)
 {
-    lvp_assert(entries != 0 && (entries & (entries - 1)) == 0,
-               "entries=%u", entries);
+    lvp_assert(std::has_single_bit(entries), "entries=%u", entries);
     if (tagged_)
         tags_.assign(entries, ~Addr(0));
 }
@@ -25,12 +26,15 @@ Lvpt::corruptMruValue(std::uint32_t idx, Word xorMask)
     return true;
 }
 
-void
-Lvpt::reset()
+std::uint64_t
+Lvpt::bitBudget() const
 {
-    table_.clear();
+    const std::uint64_t depth = depth_;
+    std::uint64_t entry =
+        depth * (64 + 1) + depth * std::bit_width(depth - 1);
     if (tagged_)
-        tags_.assign(tags_.size(), ~Addr(0));
+        entry += 64;
+    return entries() * entry;
 }
 
 } // namespace lvplib::core

@@ -114,8 +114,12 @@ class Lvpt
      */
     bool corruptMruValue(std::uint32_t idx, Word xorMask);
 
-    /** Clear all histories. */
-    void reset();
+    /**
+     * Architected state: per entry, depth 64-bit values with a valid
+     * bit each, LRU ordering bits when depth > 1, and a full tag in
+     * the tagged ablation.
+     */
+    std::uint64_t bitBudget() const;
 
   private:
     /** Tag check for entry @p idx; always true untagged. */

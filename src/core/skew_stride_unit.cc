@@ -1,30 +1,12 @@
 #include "core/skew_stride_unit.hh"
 
+#include <bit>
+
 #include "isa/program.hh"
 #include "util/logging.hh"
 
 namespace lvplib::core
 {
-
-namespace
-{
-
-bool
-powerOfTwo(std::uint32_t v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
-
-unsigned
-log2of(std::uint32_t v)
-{
-    unsigned n = 0;
-    while ((1u << n) < v)
-        ++n;
-    return n;
-}
-
-} // namespace
 
 SkewStrideConfig
 SkewStrideConfig::simple()
@@ -35,7 +17,7 @@ SkewStrideConfig::simple()
 void
 SkewStrideConfig::validate() const
 {
-    if (!powerOfTwo(entriesPerWay))
+    if (!std::has_single_bit(entriesPerWay))
         lvp_fatal("skewstride entriesPerWay must be a power of two "
                   "(%u)",
                   entriesPerWay);
@@ -52,13 +34,12 @@ SkewStrideConfig::validate() const
 
 // The (validate(), config) comma idiom runs the config's own fatal
 // checks before the member-initializer list does any table math: a
-// bad tagBits would otherwise shift out of range, and log2of() never
-// returns for an entriesPerWay above 2^31.
+// bad tagBits would otherwise shift out of range.
 SkewStrideUnit::SkewStrideUnit(const SkewStrideConfig &config)
     : config_((config.validate(), config)),
       mask_(config.entriesPerWay - 1),
       tagMask_(static_cast<std::uint16_t>((1u << config.tagBits) - 1)),
-      logEntries_(log2of(config.entriesPerWay))
+      logEntries_(std::bit_width(config.entriesPerWay - 1))
 {
     Entry blank;
     blank.conf = SatCounter(config_.confBits);
@@ -99,11 +80,8 @@ SkewStrideUnit::tagOf(Addr pc, unsigned way) const
 trace::PredState
 SkewStrideUnit::onLoad(Addr pc, Addr addr, Word value, unsigned size)
 {
-    using trace::PredState;
     (void)addr;
     (void)size;
-
-    ++stats_.loads;
 
     int hit = -1;
     for (unsigned w = 0; w < config_.ways; ++w) {
@@ -124,28 +102,7 @@ SkewStrideUnit::onLoad(Addr pc, Addr addr, Word value, unsigned size)
         predict = e.conf.upperHalf();
     }
 
-    if (would_be_correct) {
-        ++stats_.actualPred;
-        if (predict)
-            ++stats_.predIdentified;
-    } else {
-        ++stats_.actualUnpred;
-        if (!predict)
-            ++stats_.unpredIdentified;
-    }
-
-    PredState state = PredState::None;
-    if (predict) {
-        if (would_be_correct) {
-            state = PredState::Correct;
-            ++stats_.correct;
-        } else {
-            state = PredState::Incorrect;
-            ++stats_.incorrect;
-        }
-    } else {
-        ++stats_.noPred;
-    }
+    const trace::PredState state = stats_.record(would_be_correct, predict);
 
     if (hit >= 0) {
         // SVP-style training: reward a confirmed stride; on a break,
@@ -194,23 +151,6 @@ SkewStrideUnit::onLoad(Addr pc, Addr addr, Word value, unsigned size)
     return state;
 }
 
-void
-SkewStrideUnit::onStore(Addr addr, unsigned size)
-{
-    (void)addr;
-    (void)size;
-}
-
-void
-SkewStrideUnit::reset()
-{
-    Entry blank;
-    blank.conf = SatCounter(config_.confBits);
-    for (auto &way : ways_)
-        way.assign(way.size(), blank);
-    stats_ = LvpStats();
-}
-
 std::uint64_t
 SkewStrideUnit::bitBudget() const
 {
@@ -219,32 +159,6 @@ SkewStrideUnit::bitBudget() const
     const std::uint64_t entry =
         64 + 64 + config_.tagBits + config_.confBits + 1;
     return std::uint64_t{config_.ways} * config_.entriesPerWay * entry;
-}
-
-SkewStrideUnit::Snapshot
-SkewStrideUnit::snapshot() const
-{
-    return Snapshot{ways_};
-}
-
-void
-SkewStrideUnit::restore(const Snapshot &s)
-{
-    ways_ = s.ways;
-}
-
-std::any
-SkewStrideUnit::snapshotState() const
-{
-    return snapshot();
-}
-
-void
-SkewStrideUnit::restoreState(const std::any &s)
-{
-    const auto *snap = std::any_cast<Snapshot>(&s);
-    lvp_assert(snap, "skewstride restoreState: wrong snapshot type");
-    restore(*snap);
 }
 
 template class Annotator<SkewStrideUnit>;

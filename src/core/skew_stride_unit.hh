@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/lvp_unit.hh"
 #include "core/value_predictor.hh"
 #include "trace/trace.hh"
 #include "util/sat_counter.hh"
@@ -36,16 +35,16 @@ class SkewStrideUnit : public ValuePredictor
 
     trace::PredState onLoad(Addr pc, Addr addr, Word value,
                             unsigned size) override;
-    void onStore(Addr addr, unsigned size) override;
 
     const SkewStrideConfig &config() const { return config_; }
-    const LvpStats &stats() const override { return stats_; }
-
-    void reset() override;
 
     std::uint64_t bitBudget() const override;
-    std::any snapshotState() const override;
-    void restoreState(const std::any &s) override;
+    std::any snapshotState() const override { return *this; }
+    void
+    restoreState(const std::any &s) override
+    {
+        restoreFrom<SkewStrideUnit>(s);
+    }
 
     struct Entry
     {
@@ -56,18 +55,6 @@ class SkewStrideUnit : public ValuePredictor
         bool valid = false;
     };
 
-    /** Checkpointable predictor state (stats excluded): all ways. */
-    struct Snapshot
-    {
-        std::vector<std::vector<Entry>> ways;
-    };
-
-    /** Capture the unit's replayable state (stats excluded). */
-    Snapshot snapshot() const;
-
-    /** Restore state captured by snapshot(); stats are untouched. */
-    void restore(const Snapshot &s);
-
   private:
     std::uint32_t index(Addr pc, unsigned way) const;
     std::uint16_t tagOf(Addr pc, unsigned way) const;
@@ -77,7 +64,6 @@ class SkewStrideUnit : public ValuePredictor
     std::uint16_t tagMask_;
     unsigned logEntries_;
     std::vector<std::vector<Entry>> ways_;
-    LvpStats stats_;
 };
 
 extern template class Annotator<SkewStrideUnit>;

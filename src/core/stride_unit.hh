@@ -21,7 +21,6 @@
 
 #include "core/cvu.hh"
 #include "core/lct.hh"
-#include "core/lvp_unit.hh"
 #include "core/value_predictor.hh"
 #include "trace/trace.hh"
 #include "util/sat_counter.hh"
@@ -47,13 +46,14 @@ class StrideLvpUnit : public ValuePredictor
     void onStore(Addr addr, unsigned size) override;
 
     const StrideConfig &config() const { return config_; }
-    const LvpStats &stats() const override { return stats_; }
-
-    void reset() override;
 
     std::uint64_t bitBudget() const override;
-    std::any snapshotState() const override;
-    void restoreState(const std::any &s) override;
+    std::any snapshotState() const override { return *this; }
+    void
+    restoreState(const std::any &s) override
+    {
+        restoreFrom<StrideLvpUnit>(s);
+    }
 
   private:
     struct Entry
@@ -63,24 +63,6 @@ class StrideLvpUnit : public ValuePredictor
         SatCounter conf{2};
         bool valid = false;
     };
-
-  public:
-    /** Checkpointable predictor state (stats excluded), mirroring
-     *  LvpUnit::Snapshot for session resume. */
-    struct Snapshot
-    {
-        std::vector<Entry> table;
-        Lct lct;
-        Cvu cvu;
-    };
-
-    /** Capture the unit's replayable state (stats excluded). */
-    Snapshot snapshot() const;
-
-    /** Restore state captured by snapshot(); stats are untouched. */
-    void restore(const Snapshot &s);
-
-  private:
 
     std::uint32_t index(Addr pc) const;
 
@@ -92,7 +74,6 @@ class StrideLvpUnit : public ValuePredictor
     std::vector<Entry> table_;
     Lct lct_;
     Cvu cvu_;
-    LvpStats stats_;
 };
 
 extern template class Annotator<StrideLvpUnit>;

@@ -9,9 +9,59 @@
 #include "core/skew_stride_unit.hh"
 #include "core/stride_unit.hh"
 #include "core/vtage_unit.hh"
+#include "util/stats.hh"
 
 namespace lvplib::core
 {
+
+double
+LvpStats::unpredHitRate() const
+{
+    return pct(unpredIdentified, actualUnpred);
+}
+
+double
+LvpStats::predHitRate() const
+{
+    return pct(predIdentified, actualPred);
+}
+
+double
+LvpStats::constantRate() const
+{
+    return pct(constants, loads);
+}
+
+double
+LvpStats::predictionRate() const
+{
+    return pct(incorrect + correct + constants, loads);
+}
+
+double
+LvpStats::accuracy() const
+{
+    return pct(correct + constants, incorrect + correct + constants);
+}
+
+LvpStats &
+LvpStats::operator+=(const LvpStats &o)
+{
+    loads += o.loads;
+    noPred += o.noPred;
+    incorrect += o.incorrect;
+    correct += o.correct;
+    constants += o.constants;
+    actualUnpred += o.actualUnpred;
+    actualPred += o.actualPred;
+    unpredIdentified += o.unpredIdentified;
+    predIdentified += o.predIdentified;
+    cvuInsertions += o.cvuInsertions;
+    cvuStoreInvalidations += o.cvuStoreInvalidations;
+    cvuDisplaceInvalidations += o.cvuDisplaceInvalidations;
+    cvuStaleHits += o.cvuStaleHits;
+    return *this;
+}
 
 namespace
 {

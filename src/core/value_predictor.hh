@@ -33,20 +33,113 @@
 
 #include "core/config.hh"
 #include "trace/trace.hh"
+#include "util/logging.hh"
 #include "util/types.hh"
 
 namespace lvplib::core
 {
 
-struct LvpStats;
+/** Aggregate statistics of one predictor unit over one trace. */
+struct LvpStats
+{
+    std::uint64_t loads = 0;        ///< dynamic loads processed
+    std::uint64_t noPred = 0;       ///< the unit's gate said "don't predict"
+    std::uint64_t incorrect = 0;    ///< predicted, wrong
+    std::uint64_t correct = 0;      ///< predicted, verified via memory
+    std::uint64_t constants = 0;    ///< verified by the CVU (no access)
+
+    // Classification confusion matrix (Table 3). "Actually
+    // predictable" means the unit's prediction matched this dynamic
+    // load's value.
+    std::uint64_t actualUnpred = 0;      ///< dynamic loads it got wrong
+    std::uint64_t actualPred = 0;        ///< dynamic loads it got right
+    std::uint64_t unpredIdentified = 0;  ///< ...and the gate said don't-predict
+    std::uint64_t predIdentified = 0;    ///< ...and the gate said predict/const
+
+    std::uint64_t cvuInsertions = 0;
+    std::uint64_t cvuStoreInvalidations = 0;
+    std::uint64_t cvuDisplaceInvalidations = 0;
+    std::uint64_t cvuStaleHits = 0; ///< must stay 0: coherence property
+
+    /**
+     * The outcome rule every unit runs once per dynamic load (paper
+     * Tables 3 and 4). @p wouldBeCorrect says whether the unit's
+     * prediction matches the loaded value, @p predict whether its
+     * gate lets the prediction issue, and @p cvuHit whether a CVU
+     * vouched for it as a constant (which implies @p predict). Counts
+     * the load, its confusion-matrix cell and exactly one outcome,
+     * and returns the load's PredState.
+     */
+    trace::PredState
+    record(bool wouldBeCorrect, bool predict, bool cvuHit = false)
+    {
+        using trace::PredState;
+        ++loads;
+        if (wouldBeCorrect) {
+            ++actualPred;
+            if (predict)
+                ++predIdentified;
+        } else {
+            ++actualUnpred;
+            if (!predict)
+                ++unpredIdentified;
+        }
+        if (cvuHit) {
+            // The value is guaranteed coherent with memory, so the
+            // load bypasses the memory hierarchy entirely.
+            ++constants;
+            if (!wouldBeCorrect)
+                ++cvuStaleHits; // coherence violation: must not happen
+            return PredState::Constant;
+        }
+        if (!predict) {
+            ++noPred;
+            return PredState::None;
+        }
+        if (wouldBeCorrect) {
+            ++correct;
+            return PredState::Correct;
+        }
+        ++incorrect;
+        return PredState::Incorrect;
+    }
+
+    /**
+     * Accumulate @p o into this. Every field is a plain event count,
+     * so stats from consecutive replay segments sum to exactly the
+     * stats of one serial pass — the property a resumed lvp-serve
+     * session's final stats depend on.
+     */
+    LvpStats &operator+=(const LvpStats &o);
+
+    /** Field-wise equality: the byte-identity check the serving path
+     *  (lvp-serve sessions vs the offline pipeline) is verified by. */
+    bool operator==(const LvpStats &o) const = default;
+
+    /** Table 3 column: % of unpredictable loads identified as such. */
+    double unpredHitRate() const;
+
+    /** Table 3 column: % of predictable loads identified as such. */
+    double predHitRate() const;
+
+    /** Table 4: constant loads as a fraction of all dynamic loads. */
+    double constantRate() const;
+
+    /** Fraction of loads predicted (correct+incorrect+constant). */
+    double predictionRate() const;
+
+    /** Fraction of issued predictions that were correct. */
+    double accuracy() const;
+};
 
 /**
- * Abstract trace-driven value predictor. Concrete units keep their
+ * Abstract trace-driven value predictor, and the skeleton every unit
+ * shares: the statistics, the checkpoint and the default hooks. A
+ * unit writes its tables, its prediction and its training; it counts
+ * each load through LvpStats::record. Concrete units keep their
  * typed interfaces (tests and the paper runners use those); the
  * virtual layer exists so the registry, the championship experiment,
- * and lvp-serve sessions can treat the whole zoo uniformly. Deriving
- * adds no state and changes no arithmetic, so the migrated units'
- * outputs stay byte-identical.
+ * and lvp-serve sessions can treat the whole zoo uniformly.
  */
 class ValuePredictor
 {
@@ -57,18 +150,19 @@ class ValuePredictor
     virtual trace::PredState onLoad(Addr pc, Addr addr, Word value,
                                     unsigned size) = 0;
 
-    /** Process one dynamic store (CVU coherence; no-op for CVU-less
-     *  units). */
-    virtual void onStore(Addr addr, unsigned size) = 0;
+    /** Process one dynamic store (CVU coherence); default no-op. */
+    virtual void
+    onStore(Addr addr, unsigned size)
+    {
+        (void)addr;
+        (void)size;
+    }
 
     /** Process one dynamic branch outcome (history-indexed units);
      *  default no-op. */
     virtual void onBranch(bool taken) { (void)taken; }
 
-    virtual const LvpStats &stats() const = 0;
-
-    /** Clear tables and statistics. */
-    virtual void reset() = 0;
+    const LvpStats &stats() const { return stats_; }
 
     /**
      * Bits of architected predictor state: every value, tag, counter,
@@ -80,18 +174,43 @@ class ValuePredictor
     virtual std::uint64_t bitBudget() const = 0;
 
     /**
-     * Type-erased Snapshot of the unit's replayable state (stats
-     * excluded), holding the unit's concrete Snapshot type. Feeding it
-     * to restoreState() on a same-configured unit and replaying
-     * records [i, j) reproduces a serial replay's table state and
-     * per-segment stats bit for bit — the contract lvp-serve's
-     * session resume is built on.
+     * A checkpoint: a copy of the whole concrete unit, type-erased.
+     * Feeding it to restoreState() on a same-configured unit and
+     * replaying records [i, j) reproduces a serial replay's table
+     * state and per-segment stats bit for bit — the contract
+     * lvp-serve's session resume is built on. Each unit implements it
+     * as `return *this;`.
      */
     virtual std::any snapshotState() const = 0;
 
-    /** Restore state captured by snapshotState(); stats untouched.
-     *  Panics if @p s holds a different unit's snapshot type. */
+    /** Become the unit captured by snapshotState(), keeping this
+     *  unit's own stats. Panics if @p s holds another unit type.
+     *  Each unit implements it as `restoreFrom<Unit>(s);`. */
     virtual void restoreState(const std::any &s) = 0;
+
+  protected:
+    // Protected so a unit copies as its own type, never sliced to
+    // the base.
+    ValuePredictor() = default;
+    ValuePredictor(const ValuePredictor &) = default;
+    ValuePredictor(ValuePredictor &&) = default;
+    ValuePredictor &operator=(const ValuePredictor &) = default;
+    ValuePredictor &operator=(ValuePredictor &&) = default;
+
+    /** restoreState() for a unit of type @p Unit: assign the copy
+     *  back, stats excluded. */
+    template <typename Unit>
+    void
+    restoreFrom(const std::any &s)
+    {
+        const auto *snap = std::any_cast<Unit>(&s);
+        lvp_assert(snap, "restoreState: wrong snapshot type");
+        const LvpStats kept = stats_;
+        static_cast<Unit &>(*this) = *snap;
+        stats_ = kept;
+    }
+
+    LvpStats stats_;
 };
 
 /**

@@ -39,11 +39,4 @@ AllValueLocalityProfiler::consume(const trace::TraceRecord &rec)
     bump(counts_.fus[static_cast<std::size_t>(inst.fu())]);
 }
 
-void
-AllValueLocalityProfiler::reset()
-{
-    table_.clear();
-    counts_ = ValueLocality();
-}
-
 } // namespace lvplib::core

@@ -1,5 +1,7 @@
 #include "core/vtage_unit.hh"
 
+#include <bit>
+
 #include "isa/program.hh"
 #include "util/logging.hh"
 
@@ -12,12 +14,6 @@ namespace
 /** Mixing constant shared with the FCM fold (splitmix64 flavor). */
 constexpr Word HashMul = 0x9E3779B97F4A7C15ull;
 
-bool
-powerOfTwo(std::uint32_t v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
-
 } // namespace
 
 VtageConfig
@@ -29,10 +25,10 @@ VtageConfig::simple()
 void
 VtageConfig::validate() const
 {
-    if (!powerOfTwo(baseEntries))
+    if (!std::has_single_bit(baseEntries))
         lvp_fatal("vtage baseEntries must be a power of two (%u)",
                   baseEntries);
-    if (!powerOfTwo(bankEntries))
+    if (!std::has_single_bit(bankEntries))
         lvp_fatal("vtage bankEntries must be a power of two (%u)",
                   bankEntries);
     if (banks < 1 || banks > 8)
@@ -116,11 +112,8 @@ VtageUnit::bankTag(Addr pc, unsigned b) const
 trace::PredState
 VtageUnit::onLoad(Addr pc, Addr addr, Word value, unsigned size)
 {
-    using trace::PredState;
     (void)addr;
     (void)size;
-
-    ++stats_.loads;
 
     // Provider selection: the longest-history tag-matching bank wins;
     // the untagged base bank backstops.
@@ -145,31 +138,9 @@ VtageUnit::onLoad(Addr pc, Addr addr, Word value, unsigned size)
     const bool predict = have && provider.conf.saturatedHigh() &&
                          sinceMisp_ >= config_.throttle;
 
-    if (would_be_correct) {
-        ++stats_.actualPred;
-        if (predict)
-            ++stats_.predIdentified;
-    } else {
-        ++stats_.actualUnpred;
-        if (!predict)
-            ++stats_.unpredIdentified;
-    }
-
-    ++sinceMisp_;
-
-    PredState state = PredState::None;
-    if (predict) {
-        if (would_be_correct) {
-            state = PredState::Correct;
-            ++stats_.correct;
-        } else {
-            state = PredState::Incorrect;
-            ++stats_.incorrect;
-            sinceMisp_ = 0; // open the throttle window
-        }
-    } else {
-        ++stats_.noPred;
-    }
+    const trace::PredState state = stats_.record(would_be_correct, predict);
+    // An issued misprediction opens the throttle window.
+    sinceMisp_ = state == trace::PredState::Incorrect ? 0 : sinceMisp_ + 1;
 
     // Train the provider: reward a match, age a mismatch, and only
     // replace the value once confidence has drained to zero.
@@ -211,29 +182,9 @@ VtageUnit::onLoad(Addr pc, Addr addr, Word value, unsigned size)
 }
 
 void
-VtageUnit::onStore(Addr addr, unsigned size)
-{
-    (void)addr;
-    (void)size;
-}
-
-void
 VtageUnit::onBranch(bool taken)
 {
     history_ = (history_ << 1) | static_cast<Word>(taken ? 1 : 0);
-}
-
-void
-VtageUnit::reset()
-{
-    Entry blank;
-    blank.conf = SatCounter(config_.confBits);
-    base_.assign(base_.size(), blank);
-    for (auto &bank : banks_)
-        bank.assign(bank.size(), blank);
-    history_ = 0;
-    sinceMisp_ = config_.throttle;
-    stats_ = LvpStats();
 }
 
 std::uint64_t
@@ -247,37 +198,9 @@ VtageUnit::bitBudget() const
                          std::uint64_t{config_.banks} *
                              config_.bankEntries * bankEntry;
     bits += 64; // global branch-history register
-    bits += 8;  // saturating since-mispredict throttle counter
+    // Saturating since-mispredict counter, counting up to throttle.
+    bits += static_cast<std::uint64_t>(std::bit_width(config_.throttle));
     return bits;
-}
-
-VtageUnit::Snapshot
-VtageUnit::snapshot() const
-{
-    return Snapshot{base_, banks_, history_, sinceMisp_};
-}
-
-void
-VtageUnit::restore(const Snapshot &s)
-{
-    base_ = s.base;
-    banks_ = s.banks;
-    history_ = s.history;
-    sinceMisp_ = s.sinceMisp;
-}
-
-std::any
-VtageUnit::snapshotState() const
-{
-    return snapshot();
-}
-
-void
-VtageUnit::restoreState(const std::any &s)
-{
-    const auto *snap = std::any_cast<Snapshot>(&s);
-    lvp_assert(snap, "vtage restoreState: wrong snapshot type");
-    restore(*snap);
 }
 
 template class Annotator<VtageUnit>;

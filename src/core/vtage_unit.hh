@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/lvp_unit.hh"
 #include "core/value_predictor.hh"
 #include "trace/trace.hh"
 #include "util/sat_counter.hh"
@@ -44,17 +43,17 @@ class VtageUnit : public ValuePredictor
 
     trace::PredState onLoad(Addr pc, Addr addr, Word value,
                             unsigned size) override;
-    void onStore(Addr addr, unsigned size) override;
     void onBranch(bool taken) override;
 
     const VtageConfig &config() const { return config_; }
-    const LvpStats &stats() const override { return stats_; }
-
-    void reset() override;
 
     std::uint64_t bitBudget() const override;
-    std::any snapshotState() const override;
-    void restoreState(const std::any &s) override;
+    std::any snapshotState() const override { return *this; }
+    void
+    restoreState(const std::any &s) override
+    {
+        restoreFrom<VtageUnit>(s);
+    }
 
     struct Entry
     {
@@ -63,22 +62,6 @@ class VtageUnit : public ValuePredictor
         SatCounter conf{3};
         bool valid = false;
     };
-
-    /** Checkpointable predictor state (stats excluded): all banks,
-     *  the branch history, and the throttle position. */
-    struct Snapshot
-    {
-        std::vector<Entry> base;
-        std::vector<std::vector<Entry>> banks;
-        Word history = 0;
-        std::uint64_t sinceMisp = 0;
-    };
-
-    /** Capture the unit's replayable state (stats excluded). */
-    Snapshot snapshot() const;
-
-    /** Restore state captured by snapshot(); stats are untouched. */
-    void restore(const Snapshot &s);
 
   private:
     /** Fold the low historyBits(b) of the history into a hash. */
@@ -96,7 +79,6 @@ class VtageUnit : public ValuePredictor
     std::vector<std::vector<Entry>> banks_;
     Word history_ = 0;          ///< global branch outcome history
     std::uint64_t sinceMisp_ = 0; ///< loads since last issued mispredict
-    LvpStats stats_;
 };
 
 extern template class Annotator<VtageUnit>;

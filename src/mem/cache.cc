@@ -11,14 +11,11 @@ namespace lvplib::mem
 void
 CacheConfig::validate() const
 {
-    auto pow2 = [](std::uint32_t v) {
-        return v != 0 && (v & (v - 1)) == 0;
-    };
-    if (!pow2(lineBytes) || lineBytes < 8)
+    if (!std::has_single_bit(lineBytes) || lineBytes < 8)
         lvp_fatal("bad lineBytes %u", lineBytes);
     if (assoc == 0 || sizeBytes % (assoc * lineBytes) != 0)
         lvp_fatal("cache size %u not divisible by assoc*line", sizeBytes);
-    if (!pow2(numSets()))
+    if (!std::has_single_bit(numSets()))
         lvp_fatal("cache sets (%u) must be a power of two", numSets());
 }
 

@@ -122,7 +122,8 @@ std::uint64_t interpret(const isa::Program &prog, trace::TraceSink &sink,
 
 /**
  * @{
- * The sink chains every predictor-only and timing run is built from.
+ * The sink chains every locality, predictor-only and timing run is
+ * built from.
  * The in-memory drivers above feed one chain from the interpreter;
  * RunCache's sweep feeds many from one trace replay through a
  * MultiSink. top() is the sink the stream enters, collect() reads the
@@ -147,6 +148,26 @@ class PredictorChain
   private:
     trace::NullSink null_;
     core::PredictorAnnotator annot_;
+};
+
+/** The value-locality profiler of Figures 1 and 2. The cache keeps
+ *  its counts; the profiler and its value histories live only for
+ *  the run. */
+class LocalityChain
+{
+  public:
+    using Result = core::LoadLocality;
+
+    LocalityChain() = default;
+    LocalityChain(const LocalityChain &) = delete;
+    LocalityChain &operator=(const LocalityChain &) = delete;
+
+    trace::TraceSink &top() { return prof_; }
+    Result collect() const { return prof_.counts(); }
+    static void publish(const Result &) {}
+
+  private:
+    core::ValueLocalityProfiler prof_;
 };
 
 /** A timing model, optionally behind any predictor annotating its

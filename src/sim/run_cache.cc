@@ -430,11 +430,11 @@ struct RunCache::Impl
     }
 
     /**
-     * The one sweep behind every predictor-only and timing entry
-     * point. fanOutCompute claims the keys still missing from @p memo;
-     * the claimed variants are then served from the shared phase-1
-     * trace by one replayHandingOff() over their chains (@p make
-     * builds variant i's chain), which hands chains to idle
+     * The one sweep behind every locality, predictor-only and timing
+     * entry point. fanOutCompute claims the keys still missing from
+     * @p memo; the claimed variants are then served from the shared
+     * phase-1 trace by one replayHandingOff() over their chains
+     * (@p make builds variant i's chain), which hands chains to idle
      * experimentPool() workers at block boundaries. Results are
      * collected from the chains in variant order and each is
      * published once. If the trace is unusable, or a replay fails
@@ -682,29 +682,11 @@ core::LoadLocality
 RunCache::locality(const Workload &w, CodeGen cg, unsigned scale,
                    const RunConfig &rc)
 {
-    // The cache keeps the counts; each profiler and its value
-    // histories live only for its own run.
-    return impl_->getOrCompute<core::LoadLocality>(
-        impl_->localities, runKey(w, cg, scale, rc), [&] {
-            auto prog = program(w, cg, scale);
-            std::string tr =
-                impl_->ensureTrace(*this, w, cg, scale, rc);
-            obs::Timeline::Scope span("locality:" + w.name, "sim");
-            if (!tr.empty()) {
-                try {
-                    core::ValueLocalityProfiler prof;
-                    trace::TraceFileReader reader(tr, *prog);
-                    addInstructionsProcessed(reader.replay(prof));
-                    impl_->traceReplays.fetch_add(
-                        1, std::memory_order_relaxed);
-                    impl_->obsTraceReplays.add();
-                    return prof.counts();
-                } catch (const SimError &e) {
-                    impl_->onReplayError(tr, e);
-                }
-            }
-            return profileLocality(*prog, rc).counts();
-        });
+    return impl_->sweep<LocalityChain>(
+        *this, impl_->localities, {runKey(w, cg, scale, rc)}, "locality",
+        w, cg, scale, rc,
+        [](std::size_t) { return std::make_unique<LocalityChain>(); })
+        .front();
 }
 
 core::LvpStats

@@ -95,9 +95,6 @@ class ValueHistoryTable
     /** Empty entry @p e. */
     void clear(std::uint32_t e) { counts_[e] = 0; }
 
-    /** Empty every entry. */
-    void clear() { counts_.assign(counts_.size(), 0); }
-
   private:
     std::size_t
     base(std::uint32_t e) const

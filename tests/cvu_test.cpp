@@ -115,16 +115,6 @@ TEST(Cvu, ZeroCapacityIsDisabled)
     EXPECT_EQ(c.size(), 0u);
 }
 
-TEST(Cvu, ResetEmpties)
-{
-    Cvu c(4);
-    c.insert(0x1000, 1, 8);
-    c.reset();
-    EXPECT_EQ(c.size(), 0u);
-    EXPECT_FALSE(c.lookup(0x1000, 1));
-}
-
-
 TEST(CvuSetAssoc, LookupAndInsertRespectSets)
 {
     Cvu c(8, 2); // 4 sets of 2 ways, indexed by 8-byte granule

@@ -143,7 +143,7 @@ TEST(FcmUnit, ContextForgetsValuesOlderThanOrder)
         a.onLoad(Pc0, DataA, v, 8);
         b.onLoad(Pc0, DataA, v, 8);
     }
-    EXPECT_EQ(a.snapshot().contexts, b.snapshot().contexts)
+    EXPECT_EQ(a.contexts(), b.contexts())
         << "context must converge once the last `order` values agree";
 }
 
@@ -157,7 +157,7 @@ TEST(FcmUnit, OrderOneContextIsLastValueOnly)
     a.onLoad(Pc0, DataA, 123456, 8);
     a.onLoad(Pc0, DataA, 55, 8);
     b.onLoad(Pc0, DataA, 55, 8);
-    EXPECT_EQ(a.snapshot().contexts, b.snapshot().contexts);
+    EXPECT_EQ(a.contexts(), b.contexts());
 }
 
 TEST(FcmConfigDeathTest, RejectsOrderZero)
@@ -180,16 +180,6 @@ TEST(FcmConfigDeathTest, RejectsNonPowerOfTwoTables)
     cfg = tiny();
     cfg.lctEntries = 48;
     EXPECT_EXIT(FcmUnit u(cfg), ::testing::ExitedWithCode(1), "fatal:");
-}
-
-TEST(FcmUnit, ResetClears)
-{
-    FcmUnit u(tiny());
-    for (int i = 0; i < 20; ++i)
-        u.onLoad(Pc0, DataA, 1, 8);
-    u.reset();
-    EXPECT_EQ(u.stats().loads, 0u);
-    EXPECT_EQ(u.onLoad(Pc0, DataA, 1, 8), PredState::None);
 }
 
 } // namespace

@@ -82,16 +82,6 @@ TEST(Lct, IndependentCounters)
     EXPECT_EQ(t.classify(other), LoadClass::DontPredict);
 }
 
-TEST(Lct, ResetClears)
-{
-    Lct t(16, 2);
-    t.update(Pc0, true);
-    t.update(Pc0, true);
-    t.reset();
-    EXPECT_EQ(t.classify(Pc0), LoadClass::DontPredict);
-    EXPECT_EQ(t.counter(Pc0), 0);
-}
-
 TEST(Lct, WiderCountersGeneralize)
 {
     Lct t(16, 3);

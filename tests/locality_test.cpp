@@ -124,16 +124,5 @@ TEST(LocalityProfiler, ClassifiesByDataClass)
     EXPECT_EQ(p.total().loads, 4u);
 }
 
-TEST(LocalityProfiler, ResetClears)
-{
-    ValueLocalityProfiler p;
-    Instruction ld{.op = Opcode::LD, .rd = 3, .rs1 = 2};
-    load(p, ld, Pc0, 1);
-    p.reset();
-    EXPECT_EQ(p.total().loads, 0u);
-    load(p, ld, Pc0, 1);
-    EXPECT_EQ(p.total().hitsDepth1, 0u) << "history cleared";
-}
-
 } // namespace
 } // namespace lvplib::core

@@ -67,13 +67,6 @@ class RefHistory
 
     std::vector<Word> &items(std::uint32_t e) { return items_[e]; }
 
-    void
-    clear()
-    {
-        for (auto &h : items_)
-            h.clear();
-    }
-
   private:
     std::uint32_t depth_;
     std::vector<std::vector<Word>> items_;
@@ -171,13 +164,6 @@ class RefCvu
         return n;
     }
 
-    void
-    reset()
-    {
-        for (auto &set : sets_)
-            set.clear();
-    }
-
   private:
     struct E
     {
@@ -252,9 +238,6 @@ TEST_P(TableFuzz, HistoryTableMatchesLruReference)
             } else if (kind < 99) {
                 fast.clear(e);
                 ref.items(e).clear();
-            } else if (rng.chance(1, 20)) {
-                fast.clear();
-                ref.clear();
             }
             // Every answer the table gives about the entry: its count,
             // its MRU value and the position of every value it can
@@ -329,13 +312,10 @@ TEST_P(TableFuzz, CvuMatchesListReference)
                 ASSERT_EQ(fast.displaceInvalidate(idx),
                           ref.displaceInvalidate(idx))
                     << "seed " << GetParam() << " op " << n;
-            } else if (kind < 99) {
+            } else {
                 const std::uint64_t which = rng.next();
                 ASSERT_EQ(fast.corruptEvict(which), ref.corruptEvict(which))
                     << "seed " << GetParam() << " op " << n;
-            } else {
-                fast.reset();
-                ref.reset();
             }
             ASSERT_EQ(fast.size(), ref.size())
                 << "seed " << GetParam() << " cvu " << g.entries << "/"

@@ -164,18 +164,6 @@ TEST(LvpUnit, StatsConfusionMatrixConsistent)
               st.loads);
 }
 
-TEST(LvpUnit, ResetClearsEverything)
-{
-    LvpUnit u(tinyConfig());
-    for (int i = 0; i < 5; ++i)
-        u.onLoad(Pc0, DataA, 7, 8);
-    u.reset();
-    EXPECT_EQ(u.stats().loads, 0u);
-    EXPECT_EQ(u.onLoad(Pc0, DataA, 7, 8), PredState::None)
-        << "tables must be cold again";
-}
-
-
 TEST(LvpUnit, BranchHistoryIndexSeparatesContexts)
 {
     // A load that returns 1 after a taken branch and 2 after a

@@ -128,14 +128,6 @@ TEST(Lvpt, UpdateReportsMruDisplacement)
     EXPECT_TRUE(train(t, Pc0, 6)) << "new value displaces";
 }
 
-TEST(Lvpt, ResetClearsAllEntries)
-{
-    Lvpt t(16, 1);
-    train(t, Pc0, 1);
-    t.reset();
-    EXPECT_FALSE(holds(t, Pc0, 1));
-}
-
 TEST(Lvpt, IndexUsesWordAddress)
 {
     Lvpt t(1024, 1);

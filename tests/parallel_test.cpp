@@ -450,6 +450,92 @@ TEST(RunCacheTest, CorruptTraceIsRegeneratedNotReplayed)
     cache.clear();
 }
 
+void
+expectSameLocality(const core::LoadLocality &a, const core::LoadLocality &b)
+{
+    auto same = [](const core::LocalityCounts &x,
+                   const core::LocalityCounts &y) {
+        return x.loads == y.loads && x.hitsDepth1 == y.hitsDepth1 &&
+               x.hitsDepthN == y.hitsDepthN;
+    };
+    EXPECT_GT(a.total.loads, 0u);
+    EXPECT_TRUE(same(a.total, b.total));
+    for (std::size_t c = 0; c < a.classes.size(); ++c)
+        EXPECT_TRUE(same(a.classes[c], b.classes[c])) << "class " << c;
+}
+
+TEST(RunCacheTest, LocalityReplayMatchesInMemoryRun)
+{
+    const auto &w = workloads::allWorkloads().front();
+    auto opts = smallOpts();
+    sim::RunConfig rc{opts.maxInstructions};
+    const auto cg = workloads::CodeGen::Ppc;
+    auto &cache = RunCache::instance();
+
+    cache.clear();
+    cache.setTraceDir("");
+    std::uint64_t n0 = sim::instructionsProcessed();
+    const auto direct = cache.locality(w, cg, opts.scale, rc);
+    const std::uint64_t interpreted = sim::instructionsProcessed() - n0;
+    EXPECT_EQ(cache.stats().traceReplays, 0u);
+
+    TempTraceDir tmp("locality-trace");
+    cache.clear();
+    cache.setTraceDir(tmp.dir.string());
+    const auto cold = cache.locality(w, cg, opts.scale, rc);
+    EXPECT_EQ(cache.stats().traceWrites, 1u);
+    EXPECT_EQ(cache.stats().traceReplays, 1u);
+
+    // A later process finds the trace and only replays it, counting
+    // the records it replays as processed instructions.
+    cache.clear();
+    n0 = sim::instructionsProcessed();
+    const auto warm = cache.locality(w, cg, opts.scale, rc);
+    EXPECT_EQ(sim::instructionsProcessed() - n0, interpreted);
+    auto stats = cache.stats();
+    EXPECT_EQ(stats.traceWrites, 0u);
+    EXPECT_EQ(stats.traceReplays, 1u);
+    EXPECT_EQ(stats.traceInvalid, 0u);
+    expectSameLocality(direct, cold);
+    expectSameLocality(direct, warm);
+    cache.setTraceDir("");
+    cache.clear();
+}
+
+TEST(RunCacheTest, LocalityFallsBackWhenItsReplayFails)
+{
+    const auto &w = workloads::allWorkloads().front();
+    auto opts = smallOpts();
+    sim::RunConfig rc{opts.maxInstructions};
+    const auto cg = workloads::CodeGen::Ppc;
+    auto &cache = RunCache::instance();
+
+    cache.clear();
+    cache.setTraceDir("");
+    const auto direct = cache.locality(w, cg, opts.scale, rc);
+
+    // Another run writes the trace, so the cache trusts it from then
+    // on; a bit flipped afterwards surfaces only in the replay.
+    TempTraceDir tmp("locality-flip");
+    cache.clear();
+    cache.setTraceDir(tmp.dir.string());
+    cache.lvpOnly(w, cg, opts.scale, core::LvpConfig::simple(), rc);
+    ASSERT_EQ(cache.stats().traceWrites, 1u);
+    ASSERT_EQ(cache.stats().traceReplays, 1u);
+    const auto path = tmp.onlyTrace();
+    flipByteAt(path, static_cast<long>(trace::TraceHeaderBytes) + 16);
+
+    const auto recovered = cache.locality(w, cg, opts.scale, rc);
+    auto stats = cache.stats();
+    EXPECT_EQ(stats.traceInvalid, 1u) << "the failed replay is counted";
+    EXPECT_EQ(stats.traceReplays, 1u) << "and is not a replay";
+    EXPECT_FALSE(std::filesystem::exists(path))
+        << "the corrupt trace is discarded";
+    expectSameLocality(direct, recovered);
+    cache.setTraceDir("");
+    cache.clear();
+}
+
 TEST(RunCacheTest, StaleFingerprintAndLegacyFilesRegenerate)
 {
     const auto &w = workloads::allWorkloads().front();

@@ -126,16 +126,6 @@ TEST(StrideUnit, AccountingIdentities)
     EXPECT_EQ(st.actualPred + st.actualUnpred, st.loads);
 }
 
-TEST(StrideUnit, ResetClears)
-{
-    StrideLvpUnit u(tiny());
-    for (int i = 0; i < 10; ++i)
-        u.onLoad(Pc0, DataA, 1, 8);
-    u.reset();
-    EXPECT_EQ(u.stats().loads, 0u);
-    EXPECT_EQ(u.onLoad(Pc0, DataA, 1, 8), PredState::None);
-}
-
 /**
  * Coherence property for the stride unit's CVU path, mirroring the
  * history-based unit's test: Constant results never deliver a value

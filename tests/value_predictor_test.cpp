@@ -2,10 +2,12 @@
  * @file
  * The predictor championship's core contract: every contender sits
  * behind the core::ValuePredictor interface and its name-keyed
- * registry, carries an honest hardware bit budget, snapshots and
- * restores its full replayable state (chaos fault stream included),
- * and rejects impossible table geometries at construction time with a
- * clear fatal message. PredictorSpec fingerprints cover every config
+ * registry, counts each load through the one outcome rule
+ * (LvpStats::record, and cvuGate for the CVU families), carries an
+ * honest hardware bit budget, checkpoints as a copy of the whole unit
+ * (chaos fault stream included) that restores into a fresh or a used
+ * unit, and rejects impossible table geometries at construction time
+ * with a clear fatal message. PredictorSpec fingerprints cover every config
  * field, and one spec is one run-cache entry however it is reached,
  * predictor-only or in front of a timing model. Only the families
  * with a CVU stamp Constant loads.
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <set>
 #include <string>
@@ -22,6 +25,8 @@
 
 #include "chaos/chaos.hh"
 #include "core/config.hh"
+#include "core/cvu.hh"
+#include "core/lct.hh"
 #include "core/lvp_unit.hh"
 #include "core/skew_stride_unit.hh"
 #include "core/stride_unit.hh"
@@ -77,8 +82,6 @@ TEST(PredictorRegistry, FactoriesMakeWorkingUnits)
         unit->onStore(DataA, 8);
         unit->onBranch(true);
         EXPECT_EQ(unit->stats().loads, 1u) << info.name;
-        unit->reset();
-        EXPECT_EQ(unit->stats().loads, 0u) << info.name;
     }
 }
 
@@ -104,12 +107,15 @@ TEST(PredictorRegistry, SnapshotRestoreReproducesPredictionStream)
 {
     // Drive each unit through a mixed warmup, snapshot, record the
     // next window of predictions, then restore the snapshot into a
-    // FRESH unit and replay the window: the PredState stream and the
-    // stats of the window must match exactly. This is the property
-    // lvp-serve's session resume is built on. It must also hold with
-    // predictor faults armed: faults are keyed on (config name,
-    // per-unit load counter) and the snapshot carries that counter,
-    // so a restored unit resumes the exact fault stream.
+    // FRESH unit and into a USED one (a unit that has already counted
+    // loads of its own) and replay the window in both: the PredState
+    // stream and the stats of the window must match exactly, and the
+    // used unit's own stats must survive the restore. This is the
+    // property lvp-serve's session resume is built on. It must also
+    // hold with predictor faults armed: faults are keyed on (config
+    // name, per-unit load counter) and the snapshot, a copy of the
+    // whole unit, carries that counter, so a restored unit resumes
+    // the exact fault stream.
     Rng rng(17);
     std::vector<Addr> pcs, addrs;
     std::vector<Word> vals;
@@ -156,6 +162,20 @@ TEST(PredictorRegistry, SnapshotRestoreReproducesPredictionStream)
             stitched += fresh->stats();
             EXPECT_EQ(stitched, warm->stats())
                 << what << ": snapshot must exclude stats";
+
+            auto used = makePredictor(info.spec);
+            drive(*used, 0, 1000, nullptr);
+            const LvpStats own = used->stats();
+            ASSERT_GT(own.loads, 0u) << what;
+            used->restoreState(snap);
+            EXPECT_EQ(used->stats(), own)
+                << what << ": restore must keep the restoring unit's stats";
+            std::vector<PredState> resumed;
+            drive(*used, 2000, 4000, &resumed);
+            EXPECT_EQ(expected, resumed) << what << " (used unit)";
+            LvpStats want = own;
+            want += fresh->stats();
+            EXPECT_EQ(used->stats(), want) << what << " (used unit)";
         }
         const std::uint64_t faults = ce.injectedTotal() - faults0;
         ce.disarm();
@@ -163,6 +183,119 @@ TEST(PredictorRegistry, SnapshotRestoreReproducesPredictionStream)
             EXPECT_GT(faults, 0u) << "predictor faults must actually fire";
         }
     }
+}
+
+TEST(PredictorRegistryDeathTest, RestoreRejectsAnotherUnitsSnapshot)
+{
+    auto lvp = makePredictor(findPredictor("lvp")->spec);
+    auto stride = makePredictor(findPredictor("stride")->spec);
+    const std::any snap = lvp->snapshotState();
+    EXPECT_DEATH(stride->restoreState(snap), "wrong snapshot type");
+}
+
+/** LvpStats with only the given fields set, for exact comparisons. */
+LvpStats
+counted(std::initializer_list<std::uint64_t LvpStats::*> fields)
+{
+    LvpStats st;
+    for (auto f : fields)
+        st.*f += 1;
+    return st;
+}
+
+TEST(OutcomeRule, EachCorrectnessAndGatePair)
+{
+    // The one rule every unit counts a load through: the confusion
+    // matrix cell and exactly one outcome, compared on every field.
+    using S = LvpStats;
+    struct Case
+    {
+        bool wouldBeCorrect;
+        bool predict;
+        PredState state;
+        LvpStats want;
+    };
+    const Case cases[] = {
+        {true, true, PredState::Correct,
+         counted({&S::loads, &S::correct, &S::actualPred,
+                  &S::predIdentified})},
+        {true, false, PredState::None,
+         counted({&S::loads, &S::noPred, &S::actualPred})},
+        {false, true, PredState::Incorrect,
+         counted({&S::loads, &S::incorrect, &S::actualUnpred})},
+        {false, false, PredState::None,
+         counted({&S::loads, &S::noPred, &S::actualUnpred,
+                  &S::unpredIdentified})},
+    };
+    for (const Case &c : cases) {
+        LvpStats st;
+        EXPECT_EQ(st.record(c.wouldBeCorrect, c.predict), c.state)
+            << c.wouldBeCorrect << c.predict;
+        EXPECT_EQ(st, c.want) << c.wouldBeCorrect << c.predict;
+    }
+}
+
+TEST(OutcomeRule, CvuGateVerifiesInstallsAndCountsStaleHits)
+{
+    using S = LvpStats;
+    constexpr std::uint32_t Idx = 3;
+    Cvu cvu(4);
+    cvu.insert(DataA, Idx, 8);
+
+    // A Constant-class CVU hit is a verified constant...
+    LvpStats st;
+    EXPECT_EQ(cvuGate(st, cvu, LoadClass::Constant, true, DataA, Idx, 8,
+                      true),
+              PredState::Constant);
+    EXPECT_EQ(st, counted({&S::loads, &S::constants, &S::actualPred,
+                           &S::predIdentified}));
+    // ...and a hit whose value is wrong is a stale hit (a coherence
+    // violation no unit may produce; the gate still counts it).
+    st = {};
+    EXPECT_EQ(cvuGate(st, cvu, LoadClass::Constant, true, DataA, Idx, 8,
+                      false),
+              PredState::Constant);
+    EXPECT_EQ(st, counted({&S::loads, &S::constants, &S::actualUnpred,
+                           &S::cvuStaleHits}));
+
+    // Outside the CVU's reach (not eligible, or Predict class) the
+    // same load verifies against memory and installs nothing.
+    st = {};
+    EXPECT_EQ(cvuGate(st, cvu, LoadClass::Constant, false, DataA, Idx, 8,
+                      true),
+              PredState::Correct);
+    EXPECT_EQ(cvuGate(st, cvu, LoadClass::Predict, true, DataA, Idx, 8,
+                      true),
+              PredState::Correct);
+    LvpStats twice = counted({&S::loads, &S::correct, &S::actualPred,
+                              &S::predIdentified});
+    twice += twice;
+    EXPECT_EQ(st, twice);
+    EXPECT_EQ(cvu.size(), 1u);
+
+    // A Constant-class miss demotes to a verified prediction: a
+    // correct one is installed, a wrong one is not.
+    Cvu empty(4);
+    st = {};
+    EXPECT_EQ(cvuGate(st, empty, LoadClass::Constant, true, DataA, Idx, 8,
+                      false),
+              PredState::Incorrect);
+    EXPECT_EQ(empty.size(), 0u);
+    EXPECT_EQ(cvuGate(st, empty, LoadClass::Constant, true, DataA, Idx, 8,
+                      true),
+              PredState::Correct);
+    EXPECT_TRUE(empty.lookup(DataA, Idx));
+    LvpStats want = counted({&S::loads, &S::incorrect, &S::actualUnpred});
+    want += counted({&S::loads, &S::correct, &S::actualPred,
+                     &S::predIdentified, &S::cvuInsertions});
+    EXPECT_EQ(st, want);
+
+    // A don't-predict load is not predicted at all.
+    st = {};
+    EXPECT_EQ(cvuGate(st, cvu, LoadClass::DontPredict, true, DataA, Idx,
+                      8, true),
+              PredState::None);
+    EXPECT_EQ(st, counted({&S::loads, &S::noPred, &S::actualPred}));
 }
 
 /** Each family's Simple spec, then one spec per config field with
@@ -398,6 +531,19 @@ TEST(VtageUnit, ThrottleSuppressesPredictionsAfterMisprediction)
     EXPECT_EQ(u.stats().correct, afterMisp.correct);
     EXPECT_EQ(u.stats().incorrect, afterMisp.incorrect);
     EXPECT_EQ(u.stats().noPred, afterMisp.noPred + 63);
+}
+
+TEST(VtageUnit, ThrottleCounterBitsFollowTheThrottle)
+{
+    // The since-mispredict counter counts up to throttle, so it is
+    // bit_width(throttle) bits wide: 8 at the default of 128.
+    VtageConfig cfg = VtageConfig::simple();
+    ASSERT_EQ(cfg.throttle, 128u);
+    const std::uint64_t base = VtageUnit(cfg).bitBudget();
+    cfg.throttle = 1000;
+    EXPECT_EQ(VtageUnit(cfg).bitBudget(), base + 2);
+    cfg.throttle = 0;
+    EXPECT_EQ(VtageUnit(cfg).bitBudget(), base - 8);
 }
 
 TEST(VtageConfigDeathTest, RejectsBadGeometry)

@@ -120,22 +120,5 @@ TEST(AllValueProfiler, LoadsCountedUnderLsu)
         << "the constant load repeats after its first sighting";
 }
 
-TEST(AllValueProfiler, ResetClears)
-{
-    AllValueLocalityProfiler prof;
-    isa::Instruction add{.op = isa::Opcode::ADD, .rd = 3, .rs1 = 1,
-                         .rs2 = 2};
-    trace::TraceRecord rec;
-    rec.pc = isa::layout::CodeBase;
-    rec.inst = &add;
-    rec.destValue = 42;
-    prof.consume(rec);
-    EXPECT_EQ(prof.total().loads, 1u);
-    prof.reset();
-    EXPECT_EQ(prof.total().loads, 0u);
-    prof.consume(rec);
-    EXPECT_EQ(prof.total().hitsDepth1, 0u) << "history was cleared";
-}
-
 } // namespace
 } // namespace lvplib::core

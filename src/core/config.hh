@@ -4,12 +4,15 @@
  * including its four Table 2 presets (Simple, Constant, Limit,
  * Perfect), and the stride, FCM, VTAGE and skewed-stride extensions.
  * core::PredictorSpec (core/value_predictor.hh) is a variant over
- * these five structs.
+ * these five structs. Each compares member by member (a defaulted
+ * operator<=>), so a spec is its own run-cache key: a field joins the
+ * key by being declared.
  */
 
 #ifndef LVPLIB_CORE_CONFIG_HH
 #define LVPLIB_CORE_CONFIG_HH
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -74,6 +77,8 @@ struct LvpConfig
 
     /** Validate parameters (powers of two where required). */
     void validate() const;
+
+    auto operator<=>(const LvpConfig &) const = default;
 };
 
 /** Parameters of a stride prediction unit. */
@@ -92,6 +97,8 @@ struct StrideConfig
 
     /** lvp_fatal on any parameter the table math cannot support. */
     void validate() const;
+
+    auto operator<=>(const StrideConfig &) const = default;
 };
 
 /** Parameters of an FCM prediction unit. */
@@ -110,6 +117,8 @@ struct FcmConfig
 
     /** lvp_fatal on any parameter the table math cannot support. */
     void validate() const;
+
+    auto operator<=>(const FcmConfig &) const = default;
 };
 
 /** Parameters of a VTAGE prediction unit. */
@@ -134,6 +143,8 @@ struct VtageConfig
     /** Branch-history bits folded into tagged bank @p b (0-based):
      *  geometric series minHistory * 2^b, capped at 64. */
     unsigned historyBits(unsigned b) const;
+
+    auto operator<=>(const VtageConfig &) const = default;
 };
 
 /** Parameters of a skewed-associative stride prediction unit. */
@@ -152,6 +163,8 @@ struct SkewStrideConfig
 
     /** lvp_fatal on any parameter the table math cannot support. */
     void validate() const;
+
+    auto operator<=>(const SkewStrideConfig &) const = default;
 };
 
 } // namespace lvplib::core

@@ -1,7 +1,6 @@
 #include "core/value_predictor.hh"
 
 #include <memory>
-#include <sstream>
 #include <type_traits>
 
 #include "core/fcm_unit.hh"
@@ -70,72 +69,7 @@ namespace
 template <typename Config>
 using UnitFor = typename std::decay_t<Config>::Unit;
 
-/** Append one fingerprint component behind a separator that never
- *  occurs in configuration names. */
-template <typename T>
-void
-part(std::ostringstream &os, const T &v)
-{
-    os << '|' << v;
-}
-
-void
-fields(std::ostringstream &os, const LvpConfig &c)
-{
-    os << "lvp";
-    part(os, c.name);
-    for (auto v : {c.lvptEntries, c.historyDepth, c.lctEntries,
-                   c.lctBits, c.cvuEntries, c.cvuWays, c.bhrBits})
-        part(os, v);
-    part(os, c.perfectPrediction);
-    part(os, c.taggedLvpt);
-}
-
-void
-fields(std::ostringstream &os, const StrideConfig &c)
-{
-    os << "stride";
-    for (auto v : {c.entries, c.lctEntries, c.lctBits, c.cvuEntries,
-                   c.strideConfBits})
-        part(os, v);
-}
-
-void
-fields(std::ostringstream &os, const FcmConfig &c)
-{
-    os << "fcm";
-    for (auto v : {c.level1Entries, c.level2Entries, c.order,
-                   c.lctEntries, c.lctBits})
-        part(os, v);
-}
-
-void
-fields(std::ostringstream &os, const VtageConfig &c)
-{
-    os << "vtage";
-    for (auto v : {c.baseEntries, c.bankEntries, c.banks, c.tagBits,
-                   c.confBits, c.minHistory, c.throttle})
-        part(os, v);
-}
-
-void
-fields(std::ostringstream &os, const SkewStrideConfig &c)
-{
-    os << "skewstride";
-    for (auto v : {c.entriesPerWay, c.ways, c.tagBits, c.confBits,
-                   c.replaceThreshold})
-        part(os, v);
-}
-
 } // namespace
-
-std::string
-fingerprint(const PredictorSpec &spec)
-{
-    std::ostringstream os;
-    std::visit([&](const auto &cfg) { fields(os, cfg); }, spec);
-    return os.str();
-}
 
 std::unique_ptr<ValuePredictor>
 makePredictor(const PredictorSpec &spec)

@@ -231,10 +231,11 @@ constexpr std::size_t AnnotateChunkRecords = 256;
  * Loads reach onLoad(), stores onStore() (CVU coherence), branches
  * onBranch() (history-indexed units). Templated on the concrete unit
  * so the per-record loop calls it directly, never through the
- * ValuePredictor vtable: each unit's header declares its instance
- * extern and its .cc instantiates it, so the unit's hot methods
- * inline into the loop. A batch goes downstream in chunks of at most
- * AnnotateChunkRecords records. LvpAnnotator is Annotator<LvpUnit>.
+ * ValuePredictor vtable; each unit's header declares its instance
+ * extern and its .cc instantiates it. Whether those direct calls
+ * inline is up to the compiler. A batch goes downstream in chunks of
+ * at most AnnotateChunkRecords records. LvpAnnotator is
+ * Annotator<LvpUnit>.
  */
 template <typename Unit>
 class Annotator : public trace::TraceSink
@@ -304,17 +305,11 @@ Annotator<Unit>::consumeBatch(std::span<const trace::TraceRecord> recs)
  * One predictor, fully configured: a family (the alternative held)
  * plus that family's parameters. Every predictor-only run — the paper
  * tables, the ablations, the championship, lvp-serve sessions — is
- * described by a spec, and the run cache keys it on fingerprint().
+ * described by a spec. Specs compare member by member (every config
+ * declares a defaulted operator<=>), and the run cache keys on them.
  */
 using PredictorSpec = std::variant<LvpConfig, StrideConfig, FcmConfig,
                                    VtageConfig, SkewStrideConfig>;
-
-/**
- * Full-field fingerprint of @p spec: the family plus every
- * parameter, so a variant that tweaks any knob of a preset never
- * aliases the preset's cache entries.
- */
-std::string fingerprint(const PredictorSpec &spec);
 
 /** Build the unit @p spec describes. */
 std::unique_ptr<ValuePredictor> makePredictor(const PredictorSpec &spec);

@@ -104,14 +104,4 @@ Cache::missRate() const
     return pct(misses_, accesses());
 }
 
-void
-Cache::reset()
-{
-    for (auto &l : lines_)
-        l = Line();
-    clock_ = 0;
-    hits_ = 0;
-    misses_ = 0;
-}
-
 } // namespace lvplib::mem

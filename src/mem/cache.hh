@@ -8,6 +8,7 @@
 #ifndef LVPLIB_MEM_CACHE_HH
 #define LVPLIB_MEM_CACHE_HH
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -25,6 +26,8 @@ struct CacheConfig
 
     std::uint32_t numSets() const { return sizeBytes / (assoc * lineBytes); }
     void validate() const;
+
+    auto operator<=>(const CacheConfig &) const = default;
 };
 
 /** Tag-only set-associative cache with true-LRU replacement. */
@@ -54,8 +57,6 @@ class Cache
 
     /** Miss ratio in percent. */
     double missRate() const;
-
-    void reset();
 
   private:
     struct Line

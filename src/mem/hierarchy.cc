@@ -73,11 +73,4 @@ MemHierarchy::bank(Addr addr) const
     return static_cast<std::uint32_t>(addr >> bankShift_) & bankMask_;
 }
 
-void
-MemHierarchy::reset()
-{
-    l1_.reset();
-    l2_.reset();
-}
-
 } // namespace lvplib::mem

@@ -10,6 +10,7 @@
 #ifndef LVPLIB_MEM_HIERARCHY_HH
 #define LVPLIB_MEM_HIERARCHY_HH
 
+#include <compare>
 #include <cstdint>
 
 #include "mem/cache.hh"
@@ -33,6 +34,8 @@ struct HierarchyConfig
 
     /** The 21164 hierarchy (8K direct-mapped L1, dual-ported). */
     static HierarchyConfig alpha21164();
+
+    auto operator<=>(const HierarchyConfig &) const = default;
 };
 
 /** Outcome of one hierarchy access. */
@@ -68,8 +71,6 @@ class MemHierarchy
     const HierarchyConfig &config() const { return config_; }
     const Cache &l1() const { return l1_; }
     const Cache &l2() const { return l2_; }
-
-    void reset();
 
   private:
     HierarchyConfig config_;

@@ -12,8 +12,6 @@ namespace lvplib::serve
 namespace
 {
 
-constexpr std::uint64_t FnvPrime = 0x00000100000001b3ull;
-
 void
 put8(std::vector<std::uint8_t> &out, std::uint8_t v)
 {
@@ -149,12 +147,7 @@ std::uint64_t
 streamFingerprint(std::span<const std::uint8_t> bytes,
                   std::uint64_t seed)
 {
-    std::uint64_t h = seed;
-    for (std::uint8_t b : bytes) {
-        h ^= b;
-        h *= FnvPrime;
-    }
-    return h;
+    return trace::fnv1a(bytes.data(), bytes.size(), seed);
 }
 
 // The replay path scatters decoded columns straight into the

@@ -9,6 +9,7 @@
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <tuple>
 #include <unistd.h>
 
 #include "chaos/chaos.hh"
@@ -30,98 +31,31 @@ namespace
 using workloads::CodeGen;
 using workloads::Workload;
 
-/** Append one key component with a separator that never occurs in
- *  benchmark or configuration names. */
-template <typename T>
-void
-keyPart(std::ostringstream &os, const T &v)
-{
-    os << '|' << v;
-}
+/** A program: what RunCache::program() builds once. */
+using ProgramKey = std::tuple<std::string, CodeGen, unsigned>;
 
-std::string
-baseKey(const Workload &w, CodeGen cg, unsigned scale)
-{
-    std::ostringstream os;
-    os << w.name;
-    keyPart(os, workloads::codeGenName(cg));
-    keyPart(os, scale);
-    return os.str();
-}
+/** A run: a program plus its instruction budget. The watchdog fields
+ *  stay out; a run they abort throws and is never memoized. */
+using RunKey = std::pair<ProgramKey, std::uint64_t>;
 
-std::string
+RunKey
 runKey(const Workload &w, CodeGen cg, unsigned scale,
        const RunConfig &rc)
 {
-    std::ostringstream os;
-    os << baseKey(w, cg, scale);
-    keyPart(os, rc.maxInstructions);
-    return os.str();
+    return {{w.name, cg, scale}, rc.maxInstructions};
 }
 
-/** Full-field fingerprints: ablation variants that tweak any knob of
- *  a preset must never alias the preset's cache entries (predictor
- *  configs use core::fingerprint). */
-std::string
-fp(const mem::HierarchyConfig &h)
+/** Memo keys of a sweep: each of @p configs within one run. Configs
+ *  compare member by member, so a variant that changes any field of a
+ *  preset never aliases the preset's entry. */
+template <typename Config>
+std::vector<std::pair<RunKey, Config>>
+sweepKeys(const RunKey &run, const std::vector<Config> &configs)
 {
-    std::ostringstream os;
-    for (auto v : {h.l1.sizeBytes, h.l1.assoc, h.l1.lineBytes,
-                   h.l2.sizeBytes, h.l2.assoc, h.l2.lineBytes,
-                   h.banks, h.l2Latency, h.memLatency})
-        keyPart(os, v);
-    return os.str();
-}
-
-std::string
-fp(const uarch::BpredConfig &b)
-{
-    std::ostringstream os;
-    keyPart(os, b.bhtEntries);
-    keyPart(os, b.btbEntries);
-    keyPart(os, b.gshareBits);
-    return os.str();
-}
-
-std::string
-fp(const uarch::Ppc620Config &m)
-{
-    std::ostringstream os;
-    os << m.name;
-    for (auto v : {m.fetchWidth, m.fetchBuffer, m.dispatchWidth,
-                   m.completeWidth, m.rsPerUnit, m.gprRename,
-                   m.fprRename, m.completionEntries, m.numScfx,
-                   m.numMcfx, m.numFpu, m.numLsu, m.numBru,
-                   m.memOpsPerCycle, m.mshrs})
-        keyPart(os, v);
-    keyPart(os, m.squashOnValueMispredict);
-    os << fp(m.mem) << fp(m.bpred);
-    return os.str();
-}
-
-std::string
-fp(const uarch::AlphaConfig &m)
-{
-    std::ostringstream os;
-    os << m.name;
-    for (auto v :
-         {m.width, m.intPipes, m.fpPipes, m.inflight})
-        keyPart(os, v);
-    os << fp(m.mem) << fp(m.bpred);
-    return os.str();
-}
-
-/** Sweep keys of timing variants: the machine plus the predictor's
- *  core::fingerprint ("nolvp" for the baseline machine). */
-template <typename Variant>
-std::vector<std::string>
-timingKeys(const std::string &base, const std::vector<Variant> &variants)
-{
-    std::vector<std::string> keys;
-    keys.reserve(variants.size());
-    for (const auto &v : variants)
-        keys.push_back(base + fp(v.mc) + '|' +
-                       (v.lvp ? core::fingerprint(*v.lvp) : "nolvp"));
+    std::vector<std::pair<RunKey, Config>> keys;
+    keys.reserve(configs.size());
+    for (const auto &c : configs)
+        keys.emplace_back(run, c);
     return keys;
 }
 
@@ -219,17 +153,21 @@ struct RunCache::Impl
     mutable std::mutex m;
     std::string traceDir;
 
-    std::map<std::string,
+    std::map<ProgramKey,
              std::shared_future<std::shared_ptr<const isa::Program>>>
         programs;
-    std::map<std::string, std::shared_future<FuncResult>> funcs;
-    std::map<std::string, std::shared_future<core::LoadLocality>>
-        localities;
-    /** Predictor-only runs, keyed on core::fingerprint(spec). */
-    std::map<std::string, std::shared_future<core::LvpStats>> preds;
-    std::map<std::string, std::shared_future<PpcRun>> ppcRuns;
-    std::map<std::string, std::shared_future<AlphaRun>> alphaRuns;
-    /** Value: trace-file path ("" when generation was skipped). */
+    std::map<RunKey, std::shared_future<FuncResult>> funcs;
+    std::map<RunKey, std::shared_future<core::LoadLocality>> localities;
+    std::map<std::pair<RunKey, core::PredictorSpec>,
+             std::shared_future<core::LvpStats>>
+        preds;
+    std::map<std::pair<RunKey, PpcVariant>, std::shared_future<PpcRun>>
+        ppcRuns;
+    std::map<std::pair<RunKey, AlphaVariant>,
+             std::shared_future<AlphaRun>>
+        alphaRuns;
+    /** Keyed on the trace path; value: the path ("" when generation
+     *  was skipped). */
     std::map<std::string, std::shared_future<std::string>> traces;
 
     std::atomic<std::uint64_t> hits{0};
@@ -336,11 +274,11 @@ struct RunCache::Impl
      * the first failing key's exception (in key order) propagates to
      * the caller.
      */
-    template <typename V>
+    template <typename V, typename K>
     std::vector<V>
     fanOutCompute(
-        std::map<std::string, std::shared_future<V>> &map,
-        const std::vector<std::string> &keys,
+        std::map<K, std::shared_future<V>> &map,
+        const std::vector<K> &keys,
         const std::function<void(const std::vector<std::size_t> &,
                                  std::vector<std::optional<V>> &)>
             &batch,
@@ -412,10 +350,9 @@ struct RunCache::Impl
     }
 
     /** fanOutCompute() for one key, computed by @p make. */
-    template <typename V>
+    template <typename V, typename K>
     V
-    getOrCompute(std::map<std::string, std::shared_future<V>> &map,
-                 const std::string &key,
+    getOrCompute(std::map<K, std::shared_future<V>> &map, const K &key,
                  const std::function<V()> &make)
     {
         return std::move(
@@ -442,12 +379,11 @@ struct RunCache::Impl
      * back to an in-memory run of the same chain. @p kind names the
      * variants' timeline spans.
      */
-    template <typename Chain, typename Make>
+    template <typename Chain, typename K, typename Make>
     std::vector<typename Chain::Result>
     sweep(RunCache &cache,
-          std::map<std::string,
-                   std::shared_future<typename Chain::Result>> &memo,
-          const std::vector<std::string> &keys, const char *kind,
+          std::map<K, std::shared_future<typename Chain::Result>> &memo,
+          const std::vector<K> &keys, const char *kind,
           const Workload &w, CodeGen cg, unsigned scale,
           const RunConfig &rc, const Make &make)
     {
@@ -516,7 +452,7 @@ std::shared_ptr<const isa::Program>
 RunCache::program(const Workload &w, CodeGen cg, unsigned scale)
 {
     return impl_->getOrCompute<std::shared_ptr<const isa::Program>>(
-        impl_->programs, baseKey(w, cg, scale), [&] {
+        impl_->programs, ProgramKey{w.name, cg, scale}, [&] {
             return std::make_shared<const isa::Program>(
                 w.build(cg, scale));
         });
@@ -560,7 +496,7 @@ uniqueTempName(const std::string &path)
  * failure itself is never memoized, so a later request retries).
  *
  * An existing file is fully verified (envelope, checksum, and the
- * fingerprint of the program + run key) before reuse; any mismatch —
+ * fingerprint of the program + salt) before reuse; any mismatch —
  * stale fingerprint, old format version, truncation, bit flip — is
  * treated as a cache miss: the bad file is deleted, counted in
  * Stats::traceInvalid, and regenerated.
@@ -583,9 +519,11 @@ RunCache::Impl::ensureTrace(RunCache &cache, const Workload &w,
     std::string result = getOrCompute<std::string>(
         traces, name.str(), [&, path = name.str()] {
             auto prog = cache.program(w, cg, scale);
+            // The salt's bytes are part of every persisted trace's
+            // fingerprint: change them and every cache goes stale.
             std::ostringstream salt;
-            salt << baseKey(w, cg, scale);
-            keyPart(salt, rc.maxInstructions);
+            salt << w.name << '|' << workloads::codeGenName(cg) << '|'
+                 << scale << '|' << rc.maxInstructions;
             std::uint64_t fp = trace::mixFingerprint(
                 trace::programFingerprint(*prog), salt.str());
             if (fileExists(path)) {
@@ -738,13 +676,9 @@ RunCache::predictorOnlyMany(const Workload &w, CodeGen cg,
                             const std::vector<core::PredictorSpec> &specs,
                             const RunConfig &rc)
 {
-    std::string base = runKey(w, cg, scale, rc) + "|pred|";
-    std::vector<std::string> keys;
-    keys.reserve(specs.size());
-    for (const auto &spec : specs)
-        keys.push_back(base + core::fingerprint(spec));
     return impl_->sweep<PredictorChain>(
-        *this, impl_->preds, keys, "pred", w, cg, scale, rc,
+        *this, impl_->preds, sweepKeys(runKey(w, cg, scale, rc), specs),
+        "pred", w, cg, scale, rc,
         [&](std::size_t i) {
             return std::make_unique<PredictorChain>(specs[i]);
         });
@@ -775,9 +709,8 @@ RunCache::ppc620Many(const Workload &w, CodeGen cg, unsigned scale,
                      const RunConfig &rc)
 {
     return impl_->sweep<PpcChain>(
-        *this, impl_->ppcRuns,
-        timingKeys(runKey(w, cg, scale, rc) + "|ppc|", variants), "ppc620",
-        w, cg, scale, rc,
+        *this, impl_->ppcRuns, sweepKeys(runKey(w, cg, scale, rc), variants),
+        "ppc620", w, cg, scale, rc,
         [&](std::size_t i) {
             return std::make_unique<PpcChain>(variants[i].mc,
                                               variants[i].lvp);
@@ -792,8 +725,8 @@ RunCache::alpha21164Many(const Workload &w, CodeGen cg,
 {
     return impl_->sweep<AlphaChain>(
         *this, impl_->alphaRuns,
-        timingKeys(runKey(w, cg, scale, rc) + "|alpha|", variants),
-        "alpha21164", w, cg, scale, rc,
+        sweepKeys(runKey(w, cg, scale, rc), variants), "alpha21164", w,
+        cg, scale, rc,
         [&](std::size_t i) {
             return std::make_unique<AlphaChain>(variants[i].mc,
                                                 variants[i].lvp);

@@ -11,9 +11,11 @@
  *  - built Programs, keyed on (workload, codegen, scale);
  *  - functional results, locality profiles, predictor-only
  *    statistics, and timing runs, keyed additionally on
- *    maxInstructions and on a full fingerprint of the machine and
- *    predictor configuration (so ablation variants never alias the
- *    paper presets);
+ *    maxInstructions and on the predictor spec or machine variant
+ *    itself. The keys are the configs, compared member by member (each
+ *    config declares a defaulted operator<=>), so an ablation variant
+ *    that changes any field never aliases a paper preset, and a new
+ *    field joins the key by being declared;
  *  - optionally, on-disk phase-1 traces (Section 5's decoupled
  *    methodology): when a trace directory is configured, the
  *    functional interpreter runs once per (workload, codegen, scale,
@@ -31,12 +33,13 @@
  * by workload/codegen/scale/maxInstructions, but reuse is gated on
  * the self-describing trace format (trace/trace_file.hh): before a
  * file is replayed its header fingerprint — a hash of the encoded
- * Program plus the run key — its format version, its footer record
- * count, and its payload checksum are all verified. A stale,
- * truncated, or corrupt file is treated as a cache miss (deleted,
- * regenerated, and counted in Stats::traceInvalid), never as a
- * silent replay and never as a fatal error; there is no need to wipe
- * the directory when workload builders or the interpreter change.
+ * Program plus the salt "workload|codegen|scale|maxInstructions" —
+ * its format version, its footer record count, and its payload
+ * checksum are all verified. A stale, truncated, or corrupt file is
+ * treated as a cache miss (deleted, regenerated, and counted in
+ * Stats::traceInvalid), never as a silent replay and never as a fatal
+ * error; there is no need to wipe the directory when workload
+ * builders or the interpreter change.
  * Writes go through per-process-unique temp files and an atomic
  * rename, so concurrent processes sharing one directory cannot
  * publish interleaved or partial traces; if the write itself fails
@@ -47,6 +50,7 @@
 #ifndef LVPLIB_SIM_RUN_CACHE_HH
 #define LVPLIB_SIM_RUN_CACHE_HH
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -161,9 +165,9 @@ class RunCache
      * plus one per hand-off. If the trace is unusable the
      * un-memoized variants fall back to per-variant in-memory runs.
      *
-     * Predictor-only and timing results are keyed on
-     * core::fingerprint(spec), so one configured predictor is one
-     * entry however it is reached.
+     * Predictor-only and timing results are keyed on the spec or
+     * variant itself, compared member by member, so one configured
+     * predictor is one entry however it is reached.
      */
     std::vector<core::LvpStats>
     predictorOnlyMany(const workloads::Workload &w,
@@ -177,12 +181,16 @@ class RunCache
     {
         uarch::Ppc620Config mc;
         std::optional<core::PredictorSpec> lvp;
+
+        auto operator<=>(const PpcVariant &) const = default;
     };
 
     struct AlphaVariant
     {
         uarch::AlphaConfig mc;
         std::optional<core::PredictorSpec> lvp;
+
+        auto operator<=>(const AlphaVariant &) const = default;
     };
 
     std::vector<PpcRun>

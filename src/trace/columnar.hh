@@ -47,8 +47,9 @@ namespace lvplib::trace
 std::uint64_t hash64(const void *data, std::size_t n,
                      std::uint64_t seed = 0);
 
-/** @{ FNV-1a, kept for what is hashed once and off the hot path:
- *  program fingerprints (trace/trace_file.hh) and serve frames. */
+/** @{ FNV-1a 64, the one copy, kept for what is hashed off the hot
+ *  path: program fingerprints (trace/trace_file.hh), serve frames and
+ *  stream fingerprints, and vm::SparseMemory::imageHash(). */
 constexpr std::uint64_t FnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t FnvPrime = 0x00000100000001b3ull;
 

@@ -815,22 +815,6 @@ TraceFileReader::decodeBlock(std::uint64_t b, std::uint8_t *data,
         malformed();
 }
 
-bool
-TraceFileReader::next(TraceRecord &rec)
-{
-    if (seq_ == records_) {
-        if (checksum_ != expectChecksum_)
-            corrupt(traceFileStatusName(
-                TraceFileStatus::ChecksumMismatch));
-        return false;
-    }
-    if (decPos_ == decoded_.size())
-        loadBlockFor(seq_);
-    rec = decoded_[decPos_++];
-    ++seq_;
-    return true;
-}
-
 std::uint64_t
 TraceFileReader::replay(TraceSink &sink)
 {

@@ -300,12 +300,6 @@ class TraceFileReader
     TraceFileReader &operator=(const TraceFileReader &) = delete;
 
     /**
-     * Read one record into @p rec.
-     * @return false at the end of the trace (checksum-verified).
-     */
-    bool next(TraceRecord &rec);
-
-    /**
      * Skip forward from a block boundary to record @p seq, a later
      * block boundary (or records()). Skipped blocks are not decoded,
      * but each is checked against its header's checksum (throwing

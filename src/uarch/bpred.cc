@@ -80,16 +80,4 @@ BranchPredictor::bhtIndex(Addr pc) const
     return word & bhtMask_;
 }
 
-void
-BranchPredictor::reset()
-{
-    ghr_ = 0;
-    for (auto &c : bht_)
-        c.set(2);
-    btbValid_.assign(btbValid_.size(), false);
-    btbTarget_.assign(btbTarget_.size(), 0);
-    branches_ = 0;
-    mispredicts_ = 0;
-}
-
 } // namespace lvplib::uarch

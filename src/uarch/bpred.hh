@@ -10,6 +10,7 @@
 #ifndef LVPLIB_UARCH_BPRED_HH
 #define LVPLIB_UARCH_BPRED_HH
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -32,6 +33,8 @@ struct BpredConfig
      * XORed into the BHT index; 0 gives the 620's plain bimodal BHT.
      */
     std::uint32_t gshareBits = 0;
+
+    auto operator<=>(const BpredConfig &) const = default;
 };
 
 class BranchPredictor
@@ -59,8 +62,6 @@ class BranchPredictor
 
     /** Misprediction ratio in percent. */
     double mispredictRate() const;
-
-    void reset();
 
   private:
     std::uint32_t bhtIndex(Addr pc) const;

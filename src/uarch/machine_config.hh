@@ -1,12 +1,15 @@
 /**
  * @file
  * Machine-model configurations: the PowerPC 620, the paper's enhanced
- * 620+ (Section 4.1), and the Alpha AXP 21164 (Section 4.2).
+ * 620+ (Section 4.1), and the Alpha AXP 21164 (Section 4.2). Both
+ * compare member by member, nested memory and branch-predictor
+ * configs included, so a machine config is its own run-cache key.
  */
 
 #ifndef LVPLIB_UARCH_MACHINE_CONFIG_HH
 #define LVPLIB_UARCH_MACHINE_CONFIG_HH
 
+#include <compare>
 #include <string>
 
 #include "mem/hierarchy.hh"
@@ -66,6 +69,8 @@ struct Ppc620Config
 
     /** The paper's aggressive next-generation 620+. */
     static Ppc620Config plus620();
+
+    auto operator<=>(const Ppc620Config &) const = default;
 };
 
 /**
@@ -87,6 +92,8 @@ struct AlphaConfig
     void validate() const;
 
     static AlphaConfig base21164();
+
+    auto operator<=>(const AlphaConfig &) const = default;
 };
 
 } // namespace lvplib::uarch

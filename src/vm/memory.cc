@@ -5,25 +5,11 @@
 #include <cstring>
 #include <vector>
 
+#include "trace/columnar.hh"
 #include "util/logging.hh"
 
 namespace lvplib::vm
 {
-
-namespace
-{
-
-std::uint64_t
-fnv1a(const std::uint8_t *data, std::size_t n, std::uint64_t h)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= 0x00000100000001b3ull;
-    }
-    return h;
-}
-
-} // namespace
 
 const SparseMemory::Page *
 SparseMemory::findPage(Addr a) const
@@ -118,14 +104,14 @@ SparseMemory::imageHash() const
     for (const auto &[num, page] : pages_)
         pageNums.push_back(num);
     std::sort(pageNums.begin(), pageNums.end());
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = trace::FnvOffset;
     for (Addr num : pageNums) {
         std::uint8_t b[8];
         for (unsigned i = 0; i < 8; ++i)
             b[i] = static_cast<std::uint8_t>(num >> (8 * i));
-        h = fnv1a(b, sizeof(b), h);
+        h = trace::fnv1a(b, sizeof(b), h);
         const Page &page = *pages_.at(num);
-        h = fnv1a(page.data(), page.size(), h);
+        h = trace::fnv1a(page.data(), page.size(), h);
     }
     return h;
 }

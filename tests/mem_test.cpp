@@ -78,15 +78,6 @@ TEST(Cache, InvalidateRemovesLine)
     EXPECT_FALSE(c.probe(0x1000));
 }
 
-TEST(Cache, ResetClearsTagsAndStats)
-{
-    Cache c({1024, 2, 64});
-    c.access(0x1000);
-    c.reset();
-    EXPECT_FALSE(c.probe(0x1000));
-    EXPECT_EQ(c.accesses(), 0u);
-}
-
 /**
  * Property: the cache behaves identically to a straightforward
  * reference model (per-set LRU lists) on random address streams.

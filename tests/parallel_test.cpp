@@ -578,6 +578,26 @@ TEST(RunCacheTest, StaleFingerprintAndLegacyFilesRegenerate)
     cache.clear();
 }
 
+TEST(RunCacheTest, TraceSaltAndNameStayTheSame)
+{
+    // A warm trace cache replays only while each file's name and the
+    // salt hashed into its fingerprint are unchanged: any other bytes
+    // regenerate every trace an earlier build wrote.
+    const auto &w = workloads::findWorkload("grep");
+    sim::RunConfig rc;
+    rc.maxInstructions = 20000;
+    TempTraceDir tmp("trace-salt");
+    RunCache cache;
+    cache.setTraceDir(tmp.dir.string());
+    cache.locality(w, workloads::CodeGen::Ppc, 1, rc);
+    const auto path = tmp.onlyTrace();
+    EXPECT_EQ(path.filename(), "grep-ppc-s1-m20000.trace");
+    auto prog = cache.program(w, workloads::CodeGen::Ppc, 1);
+    EXPECT_EQ(trace::verifyTraceFile(path.string()).fingerprint,
+              trace::mixFingerprint(trace::programFingerprint(*prog),
+                                    "grep|ppc|1|20000"));
+}
+
 /** Overwrite one byte at @p offset with @p value. */
 void
 setByteAt(const std::filesystem::path &path, long offset,

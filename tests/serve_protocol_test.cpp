@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <span>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -153,6 +154,31 @@ TEST(ServeCodec, FingerprintIsDeterministicChainableAndSensitive)
     auto flipped = bytes;
     flipped[10] ^= 1;
     EXPECT_NE(streamFingerprint(flipped), fp);
+}
+
+TEST(ServeCodec, FingerprintIsPublishedFnv1a64)
+{
+    // The published FNV-1a 64 vectors: trace::fnv1a is the one copy of
+    // the hash, and a stream fingerprint is that hash of its bytes.
+    const std::string_view a = "a", foobar = "foobar";
+    const std::uint64_t fpA = 0xaf63dc4c8601ec8cull;
+    const std::uint64_t fpFoobar = 0x85944171f73967e8ull;
+    auto bytes = [](std::string_view s) {
+        return std::span(reinterpret_cast<const std::uint8_t *>(s.data()),
+                         s.size());
+    };
+    EXPECT_EQ(trace::fnv1a(a.data(), a.size()), fpA);
+    EXPECT_EQ(trace::fnv1a(foobar.data(), foobar.size()), fpFoobar);
+    EXPECT_EQ(streamFingerprint(bytes(a)), fpA);
+    EXPECT_EQ(streamFingerprint(bytes(foobar)), fpFoobar);
+
+    // Two halves hashed in a chain equal one pass.
+    EXPECT_EQ(trace::fnv1a(foobar.data() + 3, 3,
+                           trace::fnv1a(foobar.data(), 3)),
+              fpFoobar);
+    EXPECT_EQ(streamFingerprint(bytes(foobar.substr(3)),
+                                streamFingerprint(bytes(foobar.substr(0, 3)))),
+              fpFoobar);
 }
 
 TEST(ServeCodec, HelloRoundTripAndRejection)

@@ -212,8 +212,7 @@ TEST_P(GroupSharding, MatchesSerialOnEveryStatsField)
         ASSERT_EQ(serial.size(), specs.size());
         ASSERT_EQ(sharded.size(), specs.size());
         for (std::size_t i = 0; i < specs.size(); ++i)
-            EXPECT_EQ(serial[i], sharded[i])
-                << core::fingerprint(specs[i]);
+            EXPECT_EQ(serial[i], sharded[i]) << "spec " << i;
         break;
     }
     case Sweep::Ppc620: {
@@ -288,7 +287,7 @@ TEST_F(ShardReplay, ChaosArmedShardingMatchesSerial)
     ASSERT_EQ(serial.size(), specs.size());
     ASSERT_EQ(sharded.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i)
-        EXPECT_EQ(serial[i], sharded[i]) << core::fingerprint(specs[i]);
+        EXPECT_EQ(serial[i], sharded[i]) << "spec " << i;
 }
 
 /** Fresh chains for every predictor and 620 variant, and their tops
@@ -500,7 +499,7 @@ TEST_F(ShardReplay, CorruptBlockAfterHandOffFallsBack)
         << "a failed replay is not counted";
     ASSERT_EQ(got.size(), rest.size());
     for (std::size_t i = 0; i < rest.size(); ++i)
-        EXPECT_EQ(got[i], reference[i + 1]) << core::fingerprint(rest[i]);
+        EXPECT_EQ(got[i], reference[i + 1]) << "spec " << i + 1;
 }
 
 TEST_F(ShardReplay, SkipToYieldsTheTailAndKeepsTheChecksum)

@@ -42,6 +42,17 @@ struct TempPath
     ~TempPath() { std::remove(path.c_str()); }
 };
 
+/** Keeps every record it is fed. */
+struct RecordSink : trace::TraceSink
+{
+    std::vector<trace::TraceRecord> recs;
+    void
+    consume(const trace::TraceRecord &r) override
+    {
+        recs.push_back(r);
+    }
+};
+
 isa::Program
 demoProgram()
 {
@@ -81,39 +92,25 @@ TEST(TraceFile, RoundTripPreservesEveryRecord)
     }
 
     // Replay and compare against the live run record-by-record.
+    RecordSink replayed;
+    TraceFileReader(tmp.path, prog).replay(replayed);
     vm::Interpreter interp(prog);
-    TraceFileReader reader(tmp.path, prog);
-    trace::TraceRecord from_file;
-    std::uint64_t n = 0;
-    bool more = true;
-    while (more) {
-        more = reader.next(from_file);
-        if (!more)
-            break;
-        trace::TraceRecord live_rec;
-        class Capture : public trace::TraceSink
-        {
-          public:
-            void
-            consume(const trace::TraceRecord &r) override
-            {
-                rec = r;
-            }
-            trace::TraceRecord rec;
-        } cap;
-        interp.step(&cap);
-        ASSERT_EQ(from_file.pc, cap.rec.pc) << "record " << n;
-        ASSERT_EQ(from_file.value, cap.rec.value) << "record " << n;
-        ASSERT_EQ(from_file.taken, cap.rec.taken) << "record " << n;
-        ASSERT_EQ(from_file.nextPc, cap.rec.nextPc) << "record " << n;
-        ASSERT_EQ(from_file.inst, cap.rec.inst) << "record " << n;
-        if (cap.rec.inst->memRef()) {
-            ASSERT_EQ(from_file.effAddr, cap.rec.effAddr)
+    RecordSink stepped;
+    for (const trace::TraceRecord &from_file : replayed.recs) {
+        interp.step(&stepped);
+        const trace::TraceRecord &live_rec = stepped.recs.back();
+        const std::size_t n = stepped.recs.size() - 1;
+        ASSERT_EQ(from_file.pc, live_rec.pc) << "record " << n;
+        ASSERT_EQ(from_file.value, live_rec.value) << "record " << n;
+        ASSERT_EQ(from_file.taken, live_rec.taken) << "record " << n;
+        ASSERT_EQ(from_file.nextPc, live_rec.nextPc) << "record " << n;
+        ASSERT_EQ(from_file.inst, live_rec.inst) << "record " << n;
+        if (live_rec.inst->memRef()) {
+            ASSERT_EQ(from_file.effAddr, live_rec.effAddr)
                 << "record " << n;
         }
-        ++n;
     }
-    EXPECT_EQ(n, live.instructions());
+    EXPECT_EQ(replayed.recs.size(), live.instructions());
     EXPECT_TRUE(interp.halted());
 }
 
@@ -194,9 +191,9 @@ TEST(TraceFile, StoresNoPrediction)
     }
     EXPECT_EQ(readAll(plain.path), readAll(stamped.path));
 
-    TraceFileReader reader(stamped.path, prog);
-    trace::TraceRecord rec;
-    while (reader.next(rec))
+    RecordSink replayed;
+    TraceFileReader(stamped.path, prog).replay(replayed);
+    for (const trace::TraceRecord &rec : replayed.recs)
         ASSERT_EQ(rec.pred, trace::PredState::None) << rec.seq;
 }
 

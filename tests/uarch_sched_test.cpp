@@ -354,16 +354,5 @@ TEST(BranchPredictor, GshareZeroBitsMatchesBimodal)
     }
 }
 
-TEST(BranchPredictor, ResetForgets)
-{
-    BranchPredictor p;
-    Addr pc = isa::layout::CodeBase;
-    Addr t1 = pc + 400;
-    p.predict(bp::branchRec(bp::retBr, pc, true, t1));
-    p.reset();
-    EXPECT_EQ(p.branches(), 0u);
-    EXPECT_FALSE(p.predict(bp::branchRec(bp::retBr, pc, true, t1)));
-}
-
 } // namespace
 } // namespace lvplib::uarch

@@ -7,10 +7,12 @@
  * honest hardware bit budget, checkpoints as a copy of the whole unit
  * (chaos fault stream included) that restores into a fresh or a used
  * unit, and rejects impossible table geometries at construction time
- * with a clear fatal message. PredictorSpec fingerprints cover every config
- * field, and one spec is one run-cache entry however it is reached,
- * predictor-only or in front of a timing model. Only the families
- * with a CVU stamp Constant loads.
+ * with a clear fatal message. The run cache keys on the configs
+ * themselves, compared member by member: a predictor spec or a
+ * machine config that differs in any one field is another entry, and
+ * one spec is one entry however it is reached, predictor-only or in
+ * front of a timing model. Only the families with a CVU stamp
+ * Constant loads.
  * Also behavior tests for the two CVP-bred contenders (VTAGE and the
  * skewed-associative stride unit).
  */
@@ -298,6 +300,22 @@ TEST(OutcomeRule, CvuGateVerifiesInstallsAndCountsStaleHits)
     EXPECT_EQ(st, counted({&S::loads, &S::noPred, &S::actualPred}));
 }
 
+/** @p base, then one copy of it per edit with only that edit made. */
+template <typename Config, typename... Edits>
+std::vector<Config>
+oneFieldAtATime(const Config &base, Edits... edits)
+{
+    std::vector<Config> out{base};
+    (
+        [&] {
+            Config cfg = base;
+            edits(cfg);
+            out.push_back(cfg);
+        }(),
+        ...);
+    return out;
+}
+
 /** Each family's Simple spec, then one spec per config field with
  *  only that field changed (to another value the unit accepts). */
 std::vector<PredictorSpec>
@@ -305,14 +323,8 @@ singleFieldVariants()
 {
     std::vector<PredictorSpec> out;
     auto family = [&](auto base, auto... edits) {
-        out.push_back(base);
-        (
-            [&] {
-                auto cfg = base;
-                edits(cfg);
-                out.push_back(cfg);
-            }(),
-            ...);
+        for (const auto &cfg : oneFieldAtATime(base, edits...))
+            out.push_back(cfg);
     };
     family(
         LvpConfig::simple(), [](LvpConfig &c) { c.name = "renamed"; },
@@ -356,8 +368,32 @@ singleFieldVariants()
     return out;
 }
 
+/** @p base, then one config per field (the machine's own @p edits,
+ *  then its name and every nested memory-hierarchy and branch-
+ *  predictor field) with only that field changed, to a value
+ *  validate() and the cache geometry accept. */
+template <typename Machine, typename... Edits>
+std::vector<Machine>
+singleFieldMachines(const Machine &base, Edits... edits)
+{
+    return oneFieldAtATime(
+        base, edits..., [](Machine &c) { c.name = "renamed"; },
+        [](Machine &c) { c.mem.l1.sizeBytes *= 2; },
+        [](Machine &c) { c.mem.l1.assoc *= 2; },
+        [](Machine &c) { c.mem.l1.lineBytes *= 2; },
+        [](Machine &c) { c.mem.l2.sizeBytes *= 2; },
+        [](Machine &c) { c.mem.l2.assoc *= 2; },
+        [](Machine &c) { c.mem.l2.lineBytes *= 2; },
+        [](Machine &c) { c.mem.banks *= 2; },
+        [](Machine &c) { c.mem.l2Latency += 4; },
+        [](Machine &c) { c.mem.memLatency += 20; },
+        [](Machine &c) { c.bpred.bhtEntries /= 2; },
+        [](Machine &c) { c.bpred.btbEntries /= 2; },
+        [](Machine &c) { c.bpred.gshareBits = 4; });
+}
+
 /** A private in-memory cache with grep's program already built, so
- *  every later miss is a predictor run. */
+ *  every later miss is a predictor or timing run. */
 struct ColdCache
 {
     ColdCache()
@@ -375,11 +411,9 @@ struct ColdCache
 TEST(PredictorSpec, EveryFieldChangesFingerprintAndCostsAMiss)
 {
     const auto specs = singleFieldVariants();
-    std::set<std::string> fps;
-    for (const auto &spec : specs)
-        fps.insert(fingerprint(spec));
-    EXPECT_EQ(fps.size(), specs.size())
-        << "two specs differing in one field share a fingerprint";
+    const std::set<PredictorSpec> distinct(specs.begin(), specs.end());
+    EXPECT_EQ(distinct.size(), specs.size())
+        << "two specs differing in one field compare equal";
 
     ColdCache c;
     auto s0 = c.cache.stats();
@@ -393,6 +427,62 @@ TEST(PredictorSpec, EveryFieldChangesFingerprintAndCostsAMiss)
     EXPECT_EQ(s2.misses, s1.misses);
     EXPECT_EQ(s2.hits - s1.hits, specs.size());
     EXPECT_EQ(first, again);
+}
+
+TEST(MachineConfig, EveryFieldCostsATimingMiss)
+{
+    using Ppc = uarch::Ppc620Config;
+    using Alpha = uarch::AlphaConfig;
+    const auto ppcs = singleFieldMachines(
+        Ppc::base620(), [](Ppc &c) { c.fetchWidth = 2; },
+        [](Ppc &c) { c.fetchBuffer *= 2; },
+        [](Ppc &c) { c.dispatchWidth = 2; },
+        [](Ppc &c) { c.completeWidth = 2; },
+        [](Ppc &c) { c.rsPerUnit *= 2; },
+        [](Ppc &c) { c.gprRename *= 2; },
+        [](Ppc &c) { c.fprRename *= 2; },
+        [](Ppc &c) { c.completionEntries *= 2; },
+        [](Ppc &c) { c.numScfx = 1; }, [](Ppc &c) { c.numMcfx = 2; },
+        [](Ppc &c) { c.numFpu = 2; }, [](Ppc &c) { c.numLsu = 2; },
+        [](Ppc &c) { c.numBru = 2; },
+        [](Ppc &c) { c.memOpsPerCycle = 2; },
+        [](Ppc &c) { c.mshrs *= 2; },
+        [](Ppc &c) { c.squashOnValueMispredict = true; });
+    const auto alphas = singleFieldMachines(
+        Alpha::base21164(), [](Alpha &c) { c.width = 2; },
+        [](Alpha &c) { c.intPipes = 1; }, [](Alpha &c) { c.fpPipes = 1; },
+        [](Alpha &c) { c.inflight *= 2; });
+
+    // Every machine behind the Simple unit (so value-misprediction
+    // recovery matters), and the base machine without one.
+    std::vector<sim::RunCache::PpcVariant> ppcVariants{{ppcs[0], {}}};
+    for (const auto &mc : ppcs)
+        ppcVariants.push_back({mc, LvpConfig::simple()});
+    std::vector<sim::RunCache::AlphaVariant> alphaVariants{
+        {alphas[0], {}}};
+    for (const auto &mc : alphas)
+        alphaVariants.push_back({mc, LvpConfig::simple()});
+
+    ColdCache c;
+    const auto cg = workloads::CodeGen::Ppc;
+    const std::size_t n = ppcVariants.size() + alphaVariants.size();
+    auto s0 = c.cache.stats();
+    auto ppcFirst = c.cache.ppc620Many(c.w, cg, 1, ppcVariants, c.rc);
+    auto alphaFirst =
+        c.cache.alpha21164Many(c.w, cg, 1, alphaVariants, c.rc);
+    auto s1 = c.cache.stats();
+    EXPECT_EQ(s1.misses - s0.misses, n);
+    auto ppcAgain = c.cache.ppc620Many(c.w, cg, 1, ppcVariants, c.rc);
+    auto alphaAgain =
+        c.cache.alpha21164Many(c.w, cg, 1, alphaVariants, c.rc);
+    auto s2 = c.cache.stats();
+    EXPECT_EQ(s2.misses, s1.misses);
+    EXPECT_EQ(s2.hits - s1.hits, n);
+    for (std::size_t i = 0; i < ppcVariants.size(); ++i)
+        EXPECT_EQ(ppcFirst[i].timing, ppcAgain[i].timing) << "620 " << i;
+    for (std::size_t i = 0; i < alphaVariants.size(); ++i)
+        EXPECT_EQ(alphaFirst[i].timing, alphaAgain[i].timing)
+            << "21164 " << i;
 }
 
 TEST(PredictorSpec, OneSpecIsOneRunCacheEntryHoweverReached)
